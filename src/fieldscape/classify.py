@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CalibrationError, TrainingError
-from .landscape import LandscapeVector, SampleGrid
+from .landscape import LandscapeVector, SampleGrid, read_sparse, write_sparse
 
 KKT_TOL = 1e-7
 MAX_EPOCHS = 20000
+SIGMOID_MAX_ITER = 100
+FOLDS = 3
+MODEL_HEADER = "N,K,C,A,B,bias"
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +102,11 @@ class ClassifierModel:
         return out
 
 
-def train_svm(data: LabeledSet, C: float = 1.0, tol: float = KKT_TOL,
-              max_epochs: int = MAX_EPOCHS) -> ClassifierModel:
+def train_svm(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
     """Dual coordinate descent for the L1-loss linear SVM.
 
     Converges when the largest projected-gradient violation over one sweep
-    drops below ``tol``; the fixed sweep order makes training deterministic.
+    drops below ``KKT_TOL``; the fixed sweep order makes training deterministic.
     """
     if C <= 0:
         raise ValueError("cost C must be positive")
@@ -121,7 +122,7 @@ def train_svm(data: LabeledSet, C: float = 1.0, tol: float = KKT_TOL,
     alpha = np.zeros(n)
     w = np.zeros(dim + 1)
 
-    for _ in range(max_epochs):
+    for _ in range(MAX_EPOCHS):
         worst = 0.0
         for i in range(n):
             g = y[i] * (Xa[i] @ w) - 1.0
@@ -138,20 +139,13 @@ def train_svm(data: LabeledSet, C: float = 1.0, tol: float = KKT_TOL,
                 if new != a:
                     w += (new - a) * y[i] * Xa[i]
                     alpha[i] = new
-        if worst < tol:
+        if worst < KKT_TOL:
             break
     else:
-        raise TrainingError(f"dual coordinate descent did not reach tol={tol} "
-                            f"within {max_epochs} epochs")
+        raise TrainingError(f"dual coordinate descent did not reach tol={KKT_TOL} "
+                            f"within {MAX_EPOCHS} epochs")
 
     return ClassifierModel(w=w[:dim].copy(), b=float(w[dim]), C=float(C))
-
-
-def dual_objective(data: LabeledSet, model: ClassifierModel, alpha: np.ndarray) -> float:
-    """Dual objective value at alpha, for cross-checking solvers."""
-    Xa = np.hstack([data.X, np.ones((len(data.X), 1))])
-    q = (Xa * data.y[:, None]) @ (Xa * data.y[:, None]).T
-    return float(alpha.sum() - 0.5 * alpha @ q @ alpha)
 
 
 def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
@@ -161,7 +155,7 @@ def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
     return float(0.5 * (model.w @ model.w + model.b**2) + model.C * hinge)
 
 
-def fit_sigmoid(scores: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> tuple[float, float]:
+def fit_sigmoid(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Newton fit of p(y=+1 | f) = 1/(1 + exp(A f + B)) with smoothed targets."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -184,7 +178,7 @@ def fit_sigmoid(scores: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> 
                                      (t - 1.0) * z + np.log1p(np.exp(z)))))
 
     fval = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(SIGMOID_MAX_ITER):
         z = a * scores + b
         p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
         q = 1.0 - p
@@ -211,7 +205,7 @@ def fit_sigmoid(scores: np.ndarray, labels: np.ndarray, max_iter: int = 100) -> 
             step /= 2.0
         else:
             raise CalibrationError("sigmoid line search failed")
-    raise CalibrationError(f"sigmoid fit did not converge in {max_iter} iterations")
+    raise CalibrationError(f"sigmoid fit did not converge in {SIGMOID_MAX_ITER} iterations")
 
 
 def platt_calibrate(model: ClassifierModel, holdout: LabeledSet) -> tuple[float, float]:
@@ -221,19 +215,19 @@ def platt_calibrate(model: ClassifierModel, holdout: LabeledSet) -> tuple[float,
     return fit_sigmoid(model.decision(holdout.X), holdout.y)
 
 
-def _fold_indices(y: np.ndarray, folds: int) -> list[np.ndarray]:
+def _fold_indices(y: np.ndarray) -> list[np.ndarray]:
     """Deterministic stratified folds: round-robin within each class in input order."""
     assignment = np.empty(len(y), dtype=np.int64)
     for cls in (-1.0, 1.0):
         members = np.nonzero(y == cls)[0]
-        assignment[members] = np.arange(len(members)) % folds
-    return [np.nonzero(assignment == f)[0] for f in range(folds)]
+        assignment[members] = np.arange(len(members)) % FOLDS
+    return [np.nonzero(assignment == f)[0] for f in range(FOLDS)]
 
 
-def train_calibrated(data: LabeledSet, C: float = 1.0, folds: int = 3) -> ClassifierModel:
+def train_calibrated(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
     """Final model trained on all data; sigmoid fit on pooled out-of-fold scores."""
     scores = np.empty(len(data))
-    for fold in _fold_indices(data.y, folds):
+    for fold in _fold_indices(data.y):
         rest = np.setdiff1d(np.arange(len(data)), fold)
         part = train_svm(data.subset(rest), C=C)
         scores[fold] = part.decision(data.X[fold])
@@ -260,31 +254,11 @@ def write_model(model: ClassifierModel, grid: SampleGrid, depth: int, path) -> N
     if model.platt is None:
         raise ValueError("write_model expects a calibrated model")
     a, b = model.platt
-    lines = [
-        "N,K,C,A,B,bias",
-        ",".join(
-            [str(grid.n_intervals), str(depth)]
-            + [format(x, ".17g") for x in (model.C, a, b, model.b)]
-        ),
-        "index,value",
-    ]
-    idx = np.nonzero(model.w)[0]
-    lines += [f"{int(i)},{format(model.w[i], '.17g')}" for i in idx]
-    Path(path).write_text("\n".join(lines) + "\n")
+    meta = [str(grid.n_intervals), str(depth)] + [format(x, ".17g") for x in (model.C, a, b, model.b)]
+    write_sparse(path, MODEL_HEADER, meta, model.w)
 
 
 def read_model(path) -> tuple[ClassifierModel, int, int]:
     """Model plus the (N, K) it was trained for."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 3 or lines[0] != "N,K,C,A,B,bias" or lines[2] != "index,value":
-        raise ValueError(f"{path}: not a model file")
-    n_str, k_str, c_str, a_str, b_str, bias_str = lines[1].split(",")
-    n, k = int(n_str), int(k_str)
-    w = np.zeros(2 * (n + 1) * k)
-    for ln in lines[3:]:
-        i_str, val_str = ln.split(",")
-        w[int(i_str)] = float(val_str)
-    model = ClassifierModel(
-        w=w, b=float(bias_str), C=float(c_str), platt=(float(a_str), float(b_str))
-    )
-    return model, n, k
+    n, k, (c, a, b, bias), w = read_sparse(path, MODEL_HEADER)
+    return ClassifierModel(w=w, b=bias, C=c, platt=(a, b)), n, k

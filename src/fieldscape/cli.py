@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``simulate``, ``ph``, ``landscape``,
-``vectorize``, ``classify``, ``experiment``, ``plot``.  Exit codes: 0 on
-success, 2 for configuration problems (bad flags, bad config file, malformed
-input files), 3 for numerical failures.
+``vectorize``, ``classify``, ``experiment``, ``pipeline``, ``plot``.  Exit
+codes: 0 on success, 2 for configuration problems (bad flags, bad config
+file, malformed input files), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -12,19 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classify import LabeledSet, evaluate, train_calibrated, write_model
+from .classify import evaluate, train_calibrated, write_model
 from .config import load_config
-from .cubical import build_filtration, make_generic, read_field_csv
+from .cubical import read_field_csv
 from .errors import ConfigError, NumericalError
-from .landscape import (
-    SampleGrid,
-    average,
-    difference,
-    read_vector_csv,
-    vectorize_bars,
-    write_vector_csv,
-)
-from .persistence import compute_persistence, read_diagram_csv, write_diagram_csv
+from .landscape import average, difference, read_vector_csv, write_vector_csv
+from .persistence import PersistenceDiagram, PersistencePair, read_diagram_csv, write_diagram_csv
 from .plot import render_report_svg, render_vector_svg
 
 
@@ -98,36 +91,34 @@ def _field_csvs(directory: Path) -> list[Path]:
 
 
 def _cmd_ph(args) -> int:
+    from .harness import diagram_of_field
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for path in _field_csvs(Path(args.fields)):
-        field = make_generic(read_field_csv(path))
-        diagram = compute_persistence(build_filtration(field))
-        write_diagram_csv(diagram, out / path.name)
+        write_diagram_csv(diagram_of_field(read_field_csv(path)), out / path.name)
     print(out)
     return 0
 
 
+def _read_diagram(path: Path) -> PersistenceDiagram:
+    """A diagram CSV as a diagram; the file keeps neither cells nor the essential minimum."""
+    pairs = tuple(PersistencePair(deg, b, d, -1, -1) for deg, b, d in read_diagram_csv(path))
+    return PersistenceDiagram(pairs=pairs, essential_min=float("nan"))
+
+
 def _cmd_vectorize(args) -> int:
+    from .harness import vectorize_row
+
+    if (args.t0 is None) != (args.t1 is None):
+        raise ConfigError("--t0 and --t1 go together")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = _field_csvs(Path(args.diagrams))
-    parsed = [read_diagram_csv(p) for p in paths]
-    if args.t0 is not None and args.t1 is not None:
-        lo, hi = args.t0, args.t1
-    else:
-        spans = [(b, d) for rows in parsed for (_, b, d) in rows]
-        if not spans:
-            raise ConfigError("all diagrams empty; pass --t0/--t1 bounds")
-        lo = min(b for b, _ in spans)
-        hi = max(d for _, d in spans)
-    grid = SampleGrid.uniform(lo, hi, args.bins)
-
-    for path, rows in zip(paths, parsed):
-        bars = {
-            deg: [(b, d) for (dd, b, d) in rows if dd == deg and d > b] for deg in (0, 1)
-        }
-        vec = vectorize_bars(bars[0], bars[1], grid, args.depth)
+    diagrams = [_read_diagram(p) for p in paths]
+    bounds = None if args.t0 is None else (args.t0, args.t1)
+    vectors = vectorize_row(diagrams, diagrams, args.bins, args.depth, threads=1, bounds=bounds)
+    for path, vec in zip(paths, vectors):
         write_vector_csv(vec, out / path.name)
     print(out)
     return 0
@@ -147,13 +138,13 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .harness import _labeled
+
     def load_dir(directory):
         return [read_vector_csv(p) for p in _field_csvs(Path(directory))]
 
-    train_pos, train_neg = load_dir(args.train_pos), load_dir(args.train_neg)
-    test_pos, test_neg = load_dir(args.test_pos), load_dir(args.test_neg)
-    train = LabeledSet.from_vectors(train_pos + train_neg, [1.0] * len(train_pos) + [-1.0] * len(train_neg))
-    test = LabeledSet.from_vectors(test_pos + test_neg, [1.0] * len(test_pos) + [-1.0] * len(test_neg))
+    train = _labeled(load_dir(args.train_pos), load_dir(args.train_neg))
+    test = _labeled(load_dir(args.test_pos), load_dir(args.test_neg))
     model = train_calibrated(train, C=args.cost)
     report = evaluate(model, test)
     if args.model_out:
@@ -170,9 +161,8 @@ def _cmd_plot(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for path in [Path(p) for p in args.inputs]:
-        head = path.read_text().splitlines()[0] if path.exists() else ""
         target = out / (path.stem + ".svg")
-        if head.startswith("comparison,"):
+        if path.read_text().startswith("comparison,"):
             render_report_svg(read_report_csv(path), target)
         else:
             render_vector_svg(read_vector_csv(path), target, title=path.stem)

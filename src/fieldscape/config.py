@@ -1,9 +1,9 @@
 """Experiment configuration: flat key-value files plus CLI overrides.
 
 Config files are a flat subset of TOML: ``key = value`` lines where value is
-an integer, a float, ``true``/``false``, or a double-quoted string.  Comments
-start with ``#``.  Every key can be overridden by the CLI flag of the same
-name.
+an integer, a float, or a double-quoted string; no key takes a boolean.
+Comments start with ``#``.  Every key can be overridden by the CLI flag of
+the same name.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
             if end < 0 or (rest and not rest.startswith("#")):
                 raise ConfigError(f"{source}:{lineno}: malformed string value")
             out[key] = value[1:end]
-        elif value in ("true", "false"):
-            out[key] = value == "true"
         else:
             comment = value.find("#")
             if comment >= 0:

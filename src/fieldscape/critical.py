@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cubical import ScalarField, make_generic
+from .cubical import ScalarField, make_generic, write_table
 from .persistence import PersistenceDiagram
 
 # link node order N, E, S, W; arc i joins nodes i and (i+1) % 4 and is carried
@@ -210,7 +209,8 @@ def locality_gap_demo() -> tuple[ScalarField, ScalarField]:
 
 def write_census_csv(census: CriticalCensus, path) -> None:
     """CSV with header ``row,col,value,index,multiplicity``."""
-    lines = ["row,col,value,index,multiplicity"]
-    for ev in sorted(census.events, key=lambda e: (e.row, e.col, e.value, e.index)):
-        lines.append(f"{ev.row},{ev.col},{format(ev.value, '.17g')},{ev.index},{ev.multiplicity}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    events = sorted(census.events, key=lambda e: (e.row, e.col, e.value, e.index))
+    rows = (
+        (str(e.row), str(e.col), format(e.value, ".17g"), str(e.index), str(e.multiplicity)) for e in events
+    )
+    write_table(path, "row,col,value,index,multiplicity", rows)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import InvalidFieldError
 
-# orientation codes used in cell sort keys; vertices and faces use NONE
-ORIENT_NONE = 0
+# orientation codes used in cell sort keys; vertices and faces share ORIENT_H
 ORIENT_H = 0
 ORIENT_V = 1
 
@@ -51,13 +50,6 @@ class ScalarField:
     def from_flat(cls, rows: int, cols: int, flat) -> "ScalarField":
         return cls(rows, cols, np.asarray(flat, dtype=np.float64).reshape(rows, cols))
 
-    def vertex_value(self, row: int, col: int) -> float:
-        return float(self.values[row, col])
-
-    def vertex_index(self, row: int, col: int) -> int:
-        """Row-major index, the tiebreak rank for equal values."""
-        return row * self.cols + col
-
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
             return NotImplemented
@@ -71,16 +63,14 @@ class ScalarField:
         return hash((self.rows, self.cols, self.values.tobytes()))
 
 
-def make_generic(field: ScalarField, tiebreak: str = "index") -> ScalarField:
+def make_generic(field: ScalarField) -> ScalarField:
     """Resolve ties so that all vertices are pairwise distinct in the order used downstream.
 
-    The only supported rule compares vertices lexicographically by
-    (value, row-major index), which is an infinitesimal index-ordered
-    perturbation; stored values are unchanged, so the function validates
-    finiteness and returns the field as-is.  Idempotent by construction.
+    Vertices compare lexicographically by (value, row-major index), which is
+    an infinitesimal index-ordered perturbation; stored values are unchanged,
+    so the function validates finiteness and returns the field as-is.
+    Idempotent by construction.
     """
-    if tiebreak != "index":
-        raise ValueError(f"unknown tiebreak rule {tiebreak!r}")
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")
     return field
@@ -273,34 +263,50 @@ def sublevel_complex(filt: CubicalFiltration, a: float) -> np.ndarray:
     return np.arange(k, dtype=np.int64)
 
 
+def read_table(path, header: str | None = None) -> list[list[str]]:
+    """Comma-split non-blank lines of a text table, below ``header`` if given.
+
+    Every file format of the package is such a table.  A missing or
+    different header line raises ValueError.
+    """
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if header is not None:
+        if not lines or lines[0] != header:
+            raise ValueError(f"{path}: expected header {header!r}")
+        lines = lines[1:]
+    return [ln.split(",") for ln in lines]
+
+
+def write_table(path, header: str, rows, end: str = "\n") -> None:
+    """The header line, then each row's fields joined by commas; ``end`` closes every line."""
+    lines = [header, *(",".join(row) for row in rows)]
+    Path(path).write_text(end.join(lines) + end)
+
+
 def write_field_csv(field: ScalarField, path) -> None:
     """CSV layout: first line ``rows,cols``, then one line per grid row.
 
     Values are printed with 17 significant digits, enough for an exact
     float64 round trip.
     """
-    lines = [f"{field.rows},{field.cols}"]
-    for r in range(field.rows):
-        lines.append(",".join(format(v, ".17g") for v in field.values[r]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ([format(v, ".17g") for v in row] for row in field.values)
+    write_table(path, f"{field.rows},{field.cols}", rows)
 
 
 def read_field_csv(path) -> ScalarField:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = read_table(path)
     if not lines:
         raise InvalidFieldError(f"{path}: empty field file")
     try:
-        rows, cols = (int(tok) for tok in lines[0].split(","))
+        rows, cols = (int(tok) for tok in lines[0])
     except ValueError as exc:
-        raise InvalidFieldError(f"{path}: bad header line {lines[0]!r}") from exc
+        raise InvalidFieldError(f"{path}: bad header line {','.join(lines[0])!r}") from exc
     if len(lines) - 1 != rows:
         raise InvalidFieldError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
+    if any(len(ln) != cols for ln in lines[1:]):
+        raise InvalidFieldError(f"{path}: ragged rows")
     try:
-        data = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+        data = [[float(tok) for tok in ln] for ln in lines[1:]]
     except ValueError as exc:
         raise InvalidFieldError(f"{path}: non-numeric value") from exc
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.shape != (rows, cols):
-        raise InvalidFieldError(f"{path}: ragged rows")
-    return ScalarField(rows, cols, arr)
+    return ScalarField(rows, cols, np.asarray(data, dtype=np.float64))

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline.
 
-The CLI maps ConfigError to exit code 2 and NumericalError to exit code 3;
-everything else is a bug.
+The CLI maps ConfigError, and the ValueError or OSError of a malformed or
+unreadable input file, to exit code 2, and NumericalError to exit code 3;
+anything else escaping the CLI is a bug.
 """
 
 

@@ -149,8 +149,9 @@ def sample_field_circulant(
 
     The torus starts at twice the grid and doubles until the embedded
     covariance is nonnegative definite; beyond ``max_pad_factor`` it falls
-    back to the Cholesky sampler with a warning.  Same law as the dense
-    sampler, not bit-identical to it.
+    back to the Cholesky sampler with a warning, or raises
+    FactorizationError when the grid exceeds the Cholesky guard.  Same law
+    as the dense sampler, not bit-identical to it.
     """
     rng = _as_generator(seed)
     factor = 1
@@ -165,6 +166,11 @@ def sample_field_circulant(
             draw = np.fft.fft2(spectrum * eps)
             return ScalarField(rows, cols, draw.real[:rows, :cols])
         factor *= 2
+    if rows * cols > CHOLESKY_VERTEX_GUARD:
+        raise FactorizationError(
+            f"circulant embedding not nonnegative definite up to pad factor {max_pad_factor}, "
+            f"and {rows}x{cols} exceeds the Cholesky fallback's guard ({CHOLESKY_VERTEX_GUARD} vertices)"
+        )
     warnings.warn(
         f"circulant embedding not nonnegative definite up to pad factor {max_pad_factor}; "
         "falling back to the Cholesky sampler",

@@ -12,16 +12,15 @@ calibration parameters likewise come from the training split only.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .classify import LabeledSet, evaluate, train_calibrated
+from .classify import EvalReport, LabeledSet, evaluate, train_calibrated
 from .config import ExperimentConfig
 from .critical import detect_critical, write_census_csv
-from .cubical import ScalarField, build_filtration, make_generic, read_field_csv, write_field_csv
+from .cubical import ScalarField, build_filtration, read_field_csv, read_table, write_field_csv, write_table
 from .grf import MaternParams, ModelSpec, sample_model, substream
 from .landscape import (
     LandscapeVector,
@@ -32,6 +31,9 @@ from .landscape import (
     write_vector_csv,
 )
 from .persistence import PersistenceDiagram, compute_persistence, write_diagram_csv
+
+MANIFEST_COLUMNS = ("eta", "nu", "model", "split", "index", "substream", "path")
+REPORT_COLUMNS = ("comparison", "eta", "nu", "accuracy", "calibration")
 
 # Benchmark cells reported for this experiment layout by the study whose
 # Matern rows the defaults mirror.  The bundled placeholder transforms do not
@@ -92,6 +94,14 @@ def _draw(cfg: ExperimentConfig, job) -> ScalarField:
     return sample_model(spec, cfg.rows, cfg.cols, rng, sampler=cfg.sampler)
 
 
+def _read_records(path, columns) -> list[dict]:
+    """Rows of a text table with the given columns, as dicts."""
+    rows = read_table(path, ",".join(columns))
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: every line needs the {len(columns)} fields {','.join(columns)}")
+    return [dict(zip(columns, row)) for row in rows]
+
+
 def run_simulate(cfg: ExperimentConfig) -> Path:
     """Write one field CSV per sample plus a manifest listing every substream."""
     out = Path(cfg.out)
@@ -108,104 +118,69 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
         path = fields_dir / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         write_field_csv(field, path)
-        manifest_rows.append(
-            {
-                "eta": _fmt_g(eta),
-                "nu": _fmt_g(nu),
-                "model": spec.name,
-                "split": split,
-                "index": sample_i,
-                "substream": f"{cfg.seed}:{row_i}.{model_i}.{split_i}.{sample_i}",
-                "path": str(Path("fields") / rel),
-            }
-        )
+        manifest_rows.append((
+            _fmt_g(eta), _fmt_g(nu), spec.name, split, str(sample_i),
+            f"{cfg.seed}:{row_i}.{model_i}.{split_i}.{sample_i}", str(Path("fields") / rel),
+        ))
 
     manifest = out / "manifest.csv"
-    with manifest.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["eta", "nu", "model", "split", "index", "substream", "path"])
-        writer.writeheader()
-        writer.writerows(manifest_rows)
+    # CRLF line ends keep manifests byte-identical to those of earlier versions
+    write_table(manifest, ",".join(MANIFEST_COLUMNS), manifest_rows, end="\r\n")
     return manifest
 
 
 def diagram_of_field(field: ScalarField) -> PersistenceDiagram:
-    return compute_persistence(build_filtration(make_generic(field)))
+    """The per-sample step: filtration, then persistence."""
+    return compute_persistence(build_filtration(field))
 
 
-@dataclass
-class _RowData:
-    """All per-sample artifacts of one matern row, keyed by model name."""
+def vectorize_row(train: list[PersistenceDiagram], diagrams: list[PersistenceDiagram], bins: int, depth: int,
+                  threads: int, bounds: tuple[float, float] | None = None) -> list[LandscapeVector]:
+    """The per-row step: landscape vectors of ``diagrams`` on the grid ``train`` spans.
 
-    eta: float
-    nu: float
-    train_diagrams: dict[str, list[PersistenceDiagram]]
-    test_diagrams: dict[str, list[PersistenceDiagram]]
-    train_vectors: dict[str, list[LandscapeVector]]
-    test_vectors: dict[str, list[LandscapeVector]]
+    ``train`` is the row's training split; ``diagrams`` holds both splits.
+    ``bounds`` replaces the scan of ``train`` with explicit grid ends.
+    """
+    grid = default_grid(train, bins, bounds)
+    return _parallel_map(lambda d: vectorize(d, grid, depth), diagrams, threads)
 
 
-def _compute_row(cfg: ExperimentConfig, row_i: int, eta: float, nu: float) -> _RowData:
-    specs = model_specs(cfg, eta, nu)
+def _row_vectors(cfg: ExperimentConfig, row_i: int) -> dict[tuple[str, str], list[LandscapeVector]]:
+    """Landscape vectors of one matern row, keyed by (model name, split), in sample order."""
     jobs = [job for job in _sample_jobs(cfg) if job[0] == row_i]
     fields = _parallel_map(lambda job: _draw(cfg, job), jobs, cfg.threads)
     diagrams = _parallel_map(diagram_of_field, fields, cfg.threads)
-
-    train: dict[str, list[PersistenceDiagram]] = {s.name: [] for s in specs}
-    test: dict[str, list[PersistenceDiagram]] = {s.name: [] for s in specs}
-    for job, diagram in zip(jobs, diagrams):
-        (train if job[6] == "train" else test)[job[4].name].append(diagram)
-
-    grid = default_grid([d for ds in train.values() for d in ds], cfg.bins)
-    train_vecs = {
-        name: _parallel_map(lambda d: vectorize(d, grid, cfg.depth), ds, cfg.threads)
-        for name, ds in train.items()
-    }
-    test_vecs = {
-        name: _parallel_map(lambda d: vectorize(d, grid, cfg.depth), ds, cfg.threads)
-        for name, ds in test.items()
-    }
-    return _RowData(
-        eta=eta, nu=nu,
-        train_diagrams=train, test_diagrams=test,
-        train_vectors=train_vecs, test_vectors=test_vecs,
-    )
+    train = [d for job, d in zip(jobs, diagrams) if job[6] == "train"]
+    vectors: dict[tuple[str, str], list[LandscapeVector]] = {}
+    for job, vec in zip(jobs, vectorize_row(train, diagrams, cfg.bins, cfg.depth, cfg.threads)):
+        vectors.setdefault((job[4].name, job[6]), []).append(vec)
+    return vectors
 
 
 def _labeled(pos: list[LandscapeVector], neg: list[LandscapeVector]) -> LabeledSet:
     return LabeledSet.from_vectors(pos + neg, [1.0] * len(pos) + [-1.0] * len(neg))
 
 
-def compare_models(row: _RowData, name_a: str, name_b: str, cost: float) -> ReportRow:
+def compare_models(vectors: dict[tuple[str, str], list[LandscapeVector]], name_a: str, name_b: str,
+                   cost: float) -> EvalReport:
     """Train on the row's training split, evaluate on the test split.
 
     The first model is the positive class.
     """
-    train = _labeled(row.train_vectors[name_a], row.train_vectors[name_b])
-    test = _labeled(row.test_vectors[name_a], row.test_vectors[name_b])
-    model = train_calibrated(train, C=cost)
-    report = evaluate(model, test)
-    return ReportRow(
-        comparison=f"{name_a} v {name_b}",
-        eta=row.eta, nu=row.nu,
-        accuracy=report.accuracy, calibration=report.calibration,
-    )
+    train = _labeled(vectors[name_a, "train"], vectors[name_b, "train"])
+    test = _labeled(vectors[name_a, "test"], vectors[name_b, "test"])
+    return evaluate(train_calibrated(train, C=cost), test)
 
 
 def write_report_csv(rows: list[ReportRow], path) -> None:
-    lines = ["comparison,eta,nu,accuracy,calibration"]
-    lines += [
-        f"{r.comparison},{_fmt_g(r.eta)},{_fmt_g(r.nu)},{r.accuracy:.1f},{r.calibration:.1f}"
+    write_table(path, ",".join(REPORT_COLUMNS), (
+        (r.comparison, _fmt_g(r.eta), _fmt_g(r.nu), f"{r.accuracy:.1f}", f"{r.calibration:.1f}")
         for r in rows
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    ))
 
 
 def read_report_csv(path) -> list[dict]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["comparison", "eta", "nu", "accuracy", "calibration"]:
-            raise ValueError(f"{path}: not a report file")
-        return [dict(row) for row in reader]
+    return _read_records(path, REPORT_COLUMNS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -218,64 +193,63 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     (out / "averages").mkdir(parents=True, exist_ok=True)
     (out / "differences").mkdir(parents=True, exist_ok=True)
 
+    names = [name for name, _ in cfg.models]
     report_rows: list[ReportRow] = []
     for row_i, (eta, nu) in enumerate(cfg.matern):
-        row = _compute_row(cfg, row_i, eta, nu)
+        vectors = _row_vectors(cfg, row_i)
         label = row_label(eta, nu)
 
         averages = {}
-        for name in row.train_vectors:
-            averages[name] = average(row.train_vectors[name] + row.test_vectors[name])
+        for name in names:
+            averages[name] = average(vectors[name, "train"] + vectors[name, "test"])
             write_vector_csv(averages[name], out / "averages" / f"{label}-{name}.csv")
-        for name_a, name_b in combinations([s.name for s in model_specs(cfg, eta, nu)], 2):
+        for name_a, name_b in combinations(names, 2):
             diff = difference(averages[name_a], averages[name_b])
             write_vector_csv(diff, out / "differences" / f"{label}-{name_a}v{name_b}.csv")
-            report_rows.append(compare_models(row, name_a, name_b, cfg.cost))
+            result = compare_models(vectors, name_a, name_b, cfg.cost)
+            report_rows.append(
+                ReportRow(f"{name_a} v {name_b}", eta, nu, result.accuracy, result.calibration)
+            )
 
     report = out / "report.csv"
     write_report_csv(report_rows, report)
     return report
 
 
+def _pipeline_row(cfg: ExperimentConfig, out: Path, entries: list[dict]) -> None:
+    """Diagram, census and vector files of one matern row's manifest entries."""
+    fields = _parallel_map(lambda e: read_field_csv(out / e["path"]), entries, cfg.threads)
+    diagrams = _parallel_map(diagram_of_field, fields, cfg.threads)
+    censuses = _parallel_map(detect_critical, fields, cfg.threads)
+    train = [d for e, d in zip(entries, diagrams) if e["split"] == "train"]
+    vectors = vectorize_row(train, diagrams, cfg.bins, cfg.depth, cfg.threads)
+    for entry, diagram, census, vec in zip(entries, diagrams, censuses, vectors):
+        rel = Path(entry["path"]).relative_to("fields")
+        for sub, writer, obj in (
+            ("diagrams", write_diagram_csv, diagram),
+            ("censuses", write_census_csv, census),
+            ("vectors", write_vector_csv, vec),
+        ):
+            path = out / sub / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            writer(obj, path)
+
+
 def run_pipeline(cfg: ExperimentConfig) -> Path:
     """File-level pipeline over a simulated corpus: diagrams, censuses, vectors.
 
     Reads the manifest under ``cfg.out`` (simulating first if absent) and
-    writes one diagram CSV, one census CSV, and one vector CSV per sample.
+    writes one diagram CSV, one census CSV, and one vector CSV per sample,
+    one matern row at a time, so only one row's objects are alive at once.
     """
     out = Path(cfg.out)
     manifest = out / "manifest.csv"
     if not manifest.exists():
         run_simulate(cfg)
 
-    with manifest.open(newline="") as fh:
-        entries = list(csv.DictReader(fh))
-
-    for sub in ("diagrams", "censuses", "vectors"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-
-    fields = _parallel_map(lambda e: read_field_csv(out / e["path"]), entries, cfg.threads)
-    diagrams = _parallel_map(diagram_of_field, fields, cfg.threads)
-    censuses = _parallel_map(detect_critical, fields, cfg.threads)
-
-    grids = {}
-    for entry, diagram in zip(entries, diagrams):
-        if entry["split"] == "train":
-            grids.setdefault((entry["eta"], entry["nu"]), []).append(diagram)
-    grids = {key: default_grid(ds, cfg.bins) for key, ds in grids.items()}
-
-    for entry, diagram, census in zip(entries, diagrams, censuses):
-        rel = Path(entry["path"]).relative_to("fields")
-        for sub, writer, obj in (
-            ("diagrams", write_diagram_csv, diagram),
-            ("censuses", write_census_csv, census),
-        ):
-            path = out / sub / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            writer(obj, path)
-        grid = grids[(entry["eta"], entry["nu"])]
-        vec = vectorize(diagram, grid, cfg.depth)
-        path = out / "vectors" / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_vector_csv(vec, path)
+    rows: dict[tuple[str, str], list[dict]] = {}
+    for entry in _read_records(manifest, MANIFEST_COLUMNS):
+        rows.setdefault((entry["eta"], entry["nu"]), []).append(entry)
+    for entries in rows.values():
+        _pipeline_row(cfg, out, entries)
     return out

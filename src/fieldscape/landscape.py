@@ -14,11 +14,13 @@ vectors are mostly zero once K exceeds the effective depth, so a sparse
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .cubical import read_table, write_table
 from .persistence import PersistenceDiagram
+
+VECTOR_HEADER = "N,K,t0,tN"
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +227,42 @@ def default_grid(diagrams, n_intervals: int, bounds: tuple[float, float] | None 
     return SampleGrid.uniform(float(lo), float(hi), n_intervals)
 
 
-def write_vector_csv(v: LandscapeVector, path, dense: bool = False) -> None:
+def write_sparse(path, header: str, meta, entries: np.ndarray) -> None:
+    """Index/value file: ``header``, the ``meta`` fields, ``index,value``, then nonzero entries.
+
+    Landscape vectors and classifier weights share this layout; ``meta``
+    starts with N and K, which fix the entry count at 2(N+1)K.
+    """
+    idx = np.nonzero(entries)[0]
+    body = ((str(i), format(entries[i], ".17g")) for i in idx)
+    write_table(path, header, [meta, ("index", "value"), *body])
+
+
+def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
+    """N, K, the other meta fields and the dense entries of an index/value file.
+
+    Raises ValueError unless the meta line has one field per header field,
+    all finite, and every index lies in [0, 2(N+1)K) with a finite value.
+    """
+    rows = read_table(path, header)
+    if len(rows) < 2 or rows[1] != ["index", "value"] or len(rows[0]) != header.count(",") + 1:
+        raise ValueError(f"{path}: not a {header} index/value file")
+    meta, body = rows[0], rows[2:]
+    n, k, rest = int(meta[0]), int(meta[1]), [float(x) for x in meta[2:]]
+    if n < 1 or k < 1 or not np.all(np.isfinite(rest)):
+        raise ValueError(f"{path}: bad meta line {','.join(meta)!r}")
+    if any(len(row) != 2 for row in body):
+        raise ValueError(f"{path}: index/value lines need two fields")
+    idx = np.array([int(i) for i, _ in body], dtype=np.int64)
+    vals = np.array([float(v) for _, v in body], dtype=np.float64)
+    entries = np.zeros(2 * (n + 1) * k)
+    if np.any((idx < 0) | (idx >= len(entries))) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}: index outside [0, {len(entries)}) or non-finite value")
+    entries[idx] = vals
+    return n, k, rest, entries
+
+
+def write_vector_csv(v: LandscapeVector, path) -> None:
     """Header ``N,K,t0,tN`` plus sparse ``index,value`` lines.
 
     Only uniform grids can round-trip through this format; the pipeline's
@@ -237,26 +274,10 @@ def write_vector_csv(v: LandscapeVector, path, dense: bool = False) -> None:
     uniform = SampleGrid.uniform(float(ts[0]), float(ts[-1]), len(ts) - 1)
     if not np.array_equal(uniform.ts, ts):
         raise ValueError("vector export requires a uniform grid")
-    lines = [
-        "N,K,t0,tN",
-        f"{v.grid.n_intervals},{v.depth},{format(ts[0], '.17g')},{format(ts[-1], '.17g')}",
-        "index,value",
-    ]
-    if dense:
-        lines += [f"{i},{format(val, '.17g')}" for i, val in enumerate(v.entries)]
-    else:
-        lines += [f"{i},{format(val, '.17g')}" for i, val in sparsify(v)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    meta = (str(v.grid.n_intervals), str(v.depth), format(ts[0], ".17g"), format(ts[-1], ".17g"))
+    write_sparse(path, VECTOR_HEADER, meta, v.entries)
 
 
 def read_vector_csv(path) -> LandscapeVector:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 3 or lines[0] != "N,K,t0,tN" or lines[2] != "index,value":
-        raise ValueError(f"{path}: not a landscape vector file")
-    n_str, k_str, t0_str, tn_str = lines[1].split(",")
-    grid = SampleGrid.uniform(float(t0_str), float(tn_str), int(n_str))
-    pairs = []
-    for ln in lines[3:]:
-        i_str, val_str = ln.split(",")
-        pairs.append((int(i_str), float(val_str)))
-    return densify(pairs, grid, int(k_str))
+    n, k, (t0, tn), entries = read_sparse(path, VECTOR_HEADER)
+    return LandscapeVector(grid=SampleGrid.uniform(t0, tn, n), depth=k, entries=entries)

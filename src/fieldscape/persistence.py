@@ -17,11 +17,12 @@ of holes from the Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .cubical import CubicalFiltration, sublevel_complex
+from .cubical import CubicalFiltration, read_table, sublevel_complex, write_table
+
+DIAGRAM_HEADER = "degree,birth,death"
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,7 @@ class PersistenceDiagram:
     """
 
     pairs: tuple[PersistencePair, ...]
-    rows: int
-    cols: int
     essential_min: float
-    essential_vertex: tuple[int, int]
-    convention: str = "reduced"
 
     def in_degree(self, degree: int) -> list[PersistencePair]:
         return [p for p in self.pairs if p.degree == degree]
@@ -128,16 +125,7 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     ]
     pairs.sort(key=lambda p: (p.degree, p.birth, p.death, p.birth_cell))
 
-    return PersistenceDiagram(
-        pairs=tuple(pairs),
-        rows=filt.field.rows,
-        cols=filt.field.cols,
-        essential_min=float(values[essential_cell]),
-        essential_vertex=(
-            int(filt.anchor_rows[essential_cell]),
-            int(filt.anchor_cols[essential_cell]),
-        ),
-    )
+    return PersistenceDiagram(pairs=tuple(pairs), essential_min=float(values[essential_cell]))
 
 
 class _UnionFind:
@@ -198,18 +186,20 @@ def betti_curve(diagram: PersistenceDiagram, a: float) -> tuple[int, int]:
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
     """CSV with header ``degree,birth,death``, sorted by (degree, birth, death)."""
     rows = sorted((p.degree, p.birth, p.death) for p in diagram.pairs)
-    lines = ["degree,birth,death"]
-    lines += [f"{d},{format(b, '.17g')},{format(dd, '.17g')}" for d, b, dd in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, DIAGRAM_HEADER, ((str(d), format(b, ".17g"), format(dd, ".17g")) for d, b, dd in rows))
 
 
 def read_diagram_csv(path) -> list[tuple[int, float, float]]:
-    """Parsed (degree, birth, death) rows; enough for landscape vectorization."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != "degree,birth,death":
-        raise ValueError(f"{path}: missing diagram header")
+    """Parsed (degree, birth, death) rows; enough for landscape vectorization.
+
+    Degrees other than 0 and 1, non-finite values and death < birth raise
+    ValueError.
+    """
     out = []
-    for ln in lines[1:]:
-        d, b, dd = ln.split(",")
-        out.append((int(d), float(b), float(dd)))
+    for row in read_table(path, DIAGRAM_HEADER):
+        d, b, dd = row
+        degree, birth, death = int(d), float(b), float(dd)
+        if degree not in (0, 1) or not -np.inf < birth <= death < np.inf:
+            raise ValueError(f"{path}: bad pair {','.join(row)!r}")
+        out.append((degree, birth, death))
     return out

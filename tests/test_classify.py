@@ -234,3 +234,10 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         write_model(model, SampleGrid.uniform(0, 1, 2), 1, path)
         assert path.read_text().splitlines()[0] == "N,K,C,A,B,bias"
+
+    @pytest.mark.parametrize("line", ["-1,5", "6,5", "1,nan", "1,inf"])
+    def test_rejects_bad_entries(self, tmp_path, line):
+        path = tmp_path / "model.txt"
+        path.write_text(f"N,K,C,A,B,bias\n2,1,1,-1,0,0.5\nindex,value\n{line}\n")
+        with pytest.raises(ValueError):
+            read_model(path)

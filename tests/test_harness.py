@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fieldscape import grf
 from fieldscape.classify import train_calibrated
 from fieldscape.cli import main
 from fieldscape.config import ExperimentConfig, build_config, load_config, parse_flat_config
@@ -12,9 +13,12 @@ from fieldscape.cubical import build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
 from fieldscape.harness import (
     REFERENCE_REPORT_CELLS,
-    _compute_row,
+    _draw,
     _labeled,
+    _row_vectors,
+    _sample_jobs,
     compare_models,
+    diagram_of_field,
     model_specs,
     read_report_csv,
     run_experiment,
@@ -46,10 +50,14 @@ class TestConfig:
             "seed = 12",
             'out = "runs/a"  # trailing comment',
             "cost = 1.5",
-            "flag = true",
         ])
         parsed = parse_flat_config(text)
-        assert parsed == {"seed": 12, "out": "runs/a", "cost": 1.5, "flag": True}
+        assert parsed == {"seed": 12, "out": "runs/a", "cost": 1.5}
+
+    @pytest.mark.parametrize("line", ["train = true", "cost = true", "flag = false"])
+    def test_parse_rejects_booleans(self, line):
+        with pytest.raises(ConfigError):
+            parse_flat_config(line)
 
     def test_parse_rejects_bare_strings(self):
         with pytest.raises(ConfigError):
@@ -164,18 +172,20 @@ class TestExperiment:
 
     def test_train_test_hygiene(self, tmp_path):
         cfg = tiny_config(tmp_path / "h")
-        row = _compute_row(cfg, 0, *cfg.matern[0])
-        train_only = [d for ds in row.train_diagrams.values() for d in ds]
+        vectors = _row_vectors(cfg, 0)
+        train_only = [diagram_of_field(_draw(cfg, job)) for job in _sample_jobs(cfg)
+                      if job[0] == 0 and job[6] == "train"]
         expected_grid = default_grid(train_only, cfg.bins)
-        for vecs in list(row.train_vectors.values()) + list(row.test_vectors.values()):
+        assert sorted(vectors) == [("M1", "test"), ("M1", "train"), ("M2", "test"), ("M2", "train")]
+        for vecs in vectors.values():
             for v in vecs:
                 assert v.grid == expected_grid
         # calibration parameters depend on the training split only
-        result = compare_models(row, "M1", "M2", cfg.cost)
-        train = _labeled(row.train_vectors["M1"], row.train_vectors["M2"])
+        result = compare_models(vectors, "M1", "M2", cfg.cost)
+        train = _labeled(vectors["M1", "train"], vectors["M2", "train"])
         refit = train_calibrated(train, C=cfg.cost)
         assert refit.platt is not None
-        again = compare_models(row, "M1", "M2", cfg.cost)
+        again = compare_models(vectors, "M1", "M2", cfg.cost)
         assert (result.accuracy, result.calibration) == (again.accuracy, again.calibration)
 
     def test_reference_cells_documented(self):
@@ -195,6 +205,60 @@ class TestExperiment:
         specs = model_specs(cfg, 7.0, 2.0)
         assert [s.name for s in specs] == ["M1", "M2"]
         assert all(s.matern.eta == 7.0 and s.matern.nu == 2.0 for s in specs)
+
+
+def tree_digest(root) -> str:
+    """One SHA-256 over every (relative path, file content) pair under root."""
+    total = hashlib.sha256()
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        total.update(path.relative_to(root).as_posix().encode() + b"\0")
+        total.update(hashlib.sha256(path.read_bytes()).digest())
+    return total.hexdigest()
+
+
+# Digests of the output trees of tiny_config.  Any change to a written byte
+# (formats, line ends, numerics, the file set) fails here; record new digests
+# only together with an intended change of the outputs.
+@pytest.mark.parametrize("run, digest", [
+    (run_experiment, "48bc8b4aa16eaa8c1f0673fcdf856d4220901bcde2cd5130e60c7cb32c4ece72"),
+    (run_pipeline, "7440b87860842e93ac26ed66adfabc6a9f9333522a27471cee62c53f346ac8d7"),
+], ids=["run_experiment", "run_pipeline"])
+def test_golden_output_digest(tmp_path, run, digest):
+    run(tiny_config(tmp_path / "out"))
+    assert tree_digest(tmp_path / "out") == digest
+
+
+LANDSCAPE = ["landscape", "--vectors", "{src}/v", "--out", "{out}/avg.csv"]
+VECTORIZE = ["vectorize", "--diagrams", "{src}/d", "--out", "{out}", "--t0", "0", "--t1", "3"]
+MALFORMED_INPUTS = [
+    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n", LANDSCAPE, id="vector-index-minus-one"),
+    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n99,5\n", LANDSCAPE, id="vector-index-past-end"),
+    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n1,nan\n", LANDSCAPE, id="vector-nan-value"),
+    pytest.param("d/a.csv", "degree,birth,death\n0,nan,1\n", VECTORIZE, id="diagram-nan-birth"),
+    pytest.param("d/a.csv", "degree,birth,death\n0,2,1\n", VECTORIZE, id="diagram-death-before-birth"),
+    pytest.param("run/manifest.csv", "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n",
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], id="manifest-without-path"),
+    pytest.param("empty.csv", "", ["plot", "{src}/empty.csv", "--out", "{out}"], id="plot-empty-file"),
+]
+
+
+@pytest.mark.parametrize("rel, content, argv", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, rel, content, argv):
+    src = tmp_path / "in"
+    (src / rel).parent.mkdir(parents=True, exist_ok=True)
+    (src / rel).write_text(content)
+    assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("input error:", "config error:")) and "Traceback" not in err
+
+
+def test_failed_fallback_on_large_grid_is_numerical(tmp_path, monkeypatch):
+    """A 65x65 grid is past the Cholesky guard: exit 3 when the embedding fails, 2 when asked for."""
+    monkeypatch.setattr(grf, "_circulant_eigenvalues", lambda p, rows, cols: -np.ones((rows, cols)))
+    argv = ["simulate", "--seed", "1", "--grid", "65x65", "--samples", "1",
+            "--models", "M1:identity", "--matern", "4:1"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 3
+    assert main(argv + ["--sampler", "cholesky", "--out", str(tmp_path / "b")]) == 2
 
 
 class TestCli:
