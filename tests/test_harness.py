@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldscape import grf
 from fieldscape.classify import train_calibrated
@@ -234,6 +239,10 @@ MALFORMED_INPUTS = [
     pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n", LANDSCAPE, id="vector-index-minus-one"),
     pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n99,5\n", LANDSCAPE, id="vector-index-past-end"),
     pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n1,nan\n", LANDSCAPE, id="vector-nan-value"),
+    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n1,5\n1,7\n", LANDSCAPE, id="vector-index-repeated"),
+    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n100000000000000000000,5\n", LANDSCAPE,
+                 id="vector-index-past-int64"),
+    pytest.param("v/a.csv", "N,K,t0,tN\n1000000000,1000,0,1\nindex,value\n", LANDSCAPE, id="vector-size-too-large"),
     pytest.param("d/a.csv", "degree,birth,death\n0,nan,1\n", VECTORIZE, id="diagram-nan-birth"),
     pytest.param("d/a.csv", "degree,birth,death\n0,2,1\n", VECTORIZE, id="diagram-death-before-birth"),
     pytest.param("run/manifest.csv", "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n",
@@ -250,6 +259,60 @@ def test_malformed_input_exits_2(tmp_path, capsys, rel, content, argv):
     assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(("input error:", "config error:")) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["experiment", "pipeline"])
+def test_all_empty_training_diagrams_exit_2_without_naming_bounds(tmp_path, capsys, command):
+    """A 1x1 grid has no edges, so every diagram is empty and no grid can be derived."""
+    argv = [command, "--seed", "1", "--grid", "1x1", "--samples", "2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "bounds" not in err
+
+
+_INT = st.one_of(st.integers(-2, 60), st.integers(), st.just(10**20)).map(str)
+_NUM = st.one_of(_INT, st.floats().map(repr), st.sampled_from(["nan", "-inf", "1e308", "-1e308", " 2 ", "1_0"]))
+
+
+def _row(*fields):
+    """One comma-joined line: the given fields three times in four, else a ragged line of numbers and junk."""
+    typed = st.tuples(*fields).map(",".join)
+    ragged = st.lists(_NUM | st.text(max_size=4), max_size=5).map(",".join)
+    return st.one_of(typed, typed, typed, ragged)
+
+
+@st.composite
+def _file_text(draw, command):
+    """Arbitrary text, or the command's input layout filled with number-like fields."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=200))
+    if command == "vectorize":
+        lines = ["degree,birth,death", *draw(st.lists(_row(_INT, _NUM, _NUM), max_size=6))]
+    else:
+        size = st.integers(-1, 8).map(str) | _INT
+        lines = ["N,K,t0,tN", draw(_row(size, size, _NUM, _NUM)), "index,value",
+                 *draw(st.lists(_row(_INT, _NUM), max_size=6))]
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["vectorize", "landscape"]))
+def test_reader_fuzz_exits_cleanly(data, command):
+    """No diagram or vector file crashes the CLI: exit 0 or 2, never a traceback."""
+    text = data.draw(_file_text(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in"
+        src.mkdir()
+        (src / "a.csv").write_text(text)
+        if command == "vectorize":
+            argv = ["vectorize", "--diagrams", str(src), "--out", f"{tmp}/out", "--bins", "4", "--depth", "2"]
+        else:
+            argv = ["landscape", "--vectors", str(src), "--out", f"{tmp}/out/avg.csv"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_failed_fallback_on_large_grid_is_numerical(tmp_path, monkeypatch):

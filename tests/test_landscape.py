@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
+from fieldscape import landscape
 from fieldscape.landscape import (
     LandscapeVector,
     SampleGrid,
@@ -260,6 +261,13 @@ class TestVectorCsv:
         path = tmp_path / "vec.csv"
         path.write_text("N,K,t0,tN\n2,1,0,1\nindex,value\n0,0\n1,1\n2,0\n3,0\n4,2\n5,0\n")
         assert read_vector_csv(path) == vec
+
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(landscape, "MAX_ENTRIES", 4)
+        vec = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
+        with pytest.raises(ValueError):
+            write_vector_csv(vec, tmp_path / "vec.csv")
+        assert not (tmp_path / "vec.csv").exists()
 
     def test_signed_difference_round_trips(self, tmp_path):
         grid = SampleGrid.uniform(0, 1, 2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
 from fieldscape.persistence import (
@@ -11,6 +13,7 @@ from fieldscape.persistence import (
 )
 
 from conftest import random_field
+from reduction_reference import reference_persistence
 
 
 def diagram_of(field: ScalarField):
@@ -55,6 +58,42 @@ class TestComputePersistence:
         rng = np.random.default_rng(12)
         f = random_field(rng)
         assert diagram_of(f) == diagram_of(f)
+
+
+def assert_matches_reference(field: ScalarField):
+    filt = build_filtration(field)
+    got, want = compute_persistence(filt), reference_persistence(filt)
+    assert got.pairs == want.pairs  # all five fields of every pair
+    assert got.essential_min == want.essential_min
+
+
+@st.composite
+def small_fields(draw):
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        values = st.integers(0, 3).map(float)  # many ties
+    else:
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    return ScalarField.from_flat(rows, cols, flat)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_fields())
+def test_union_find_matches_reference_reduction(field):
+    assert_matches_reference(field)
+
+
+@pytest.mark.parametrize("rows, cols, flat", [
+    pytest.param(1, 1, [2.5], id="1x1"),
+    pytest.param(1, 7, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0], id="1xn"),
+    pytest.param(7, 1, [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0], id="nx1"),
+    pytest.param(4, 5, [1.5] * 20, id="constant"),
+    pytest.param(1, 6, [0.0] * 6, id="constant-1xn"),
+])
+def test_duality_edge_cases_match_reference(rows, cols, flat):
+    """No faces, or nothing but ties: the outer node and tie order carry everything."""
+    assert_matches_reference(ScalarField.from_flat(rows, cols, flat))
 
 
 class TestBettiOracle:
