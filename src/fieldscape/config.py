@@ -8,6 +8,7 @@ the same name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,8 +104,8 @@ def _parse_matern_rows(raw: str) -> list[tuple[float, float]]:
             eta, nu = float(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigError(f"matern entry {item!r} is not numeric") from None
-        if eta <= 0 or nu <= 0:
-            raise ConfigError(f"matern entry {item!r} must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (eta, nu)):
+            raise ConfigError(f"matern entry {item!r} must be finite and positive")
         rows.append((eta, nu))
     if not rows:
         raise ConfigError("need at least one matern row")
@@ -130,6 +131,16 @@ class ExperimentConfig:
     sampler: str = DEFAULTS["sampler"]
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a float must be finite and integral, never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def build_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw mapping (file plus overrides) into an ExperimentConfig."""
     known = set(DEFAULTS) | {"seed"}
@@ -142,28 +153,22 @@ def build_config(mapping: dict) -> ExperimentConfig:
     merged = dict(DEFAULTS)
     merged.update({k: v for k, v in mapping.items() if v is not None})
 
-    try:
-        seed = int(merged["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {merged['seed']!r}") from None
+    seed = _integer("seed", merged["seed"])
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
     for key in _COUNT_KEYS:
-        try:
-            merged[key] = int(merged[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be an integer, got {merged[key]!r}") from None
+        merged[key] = _integer(key, merged[key])
         if merged[key] < 1:
             raise ConfigError(f"{key} must be positive, got {merged[key]}")
 
     for key in ("cost", "sigma2", "spacing"):
         try:
             merged[key] = float(merged[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be a number, got {merged[key]!r}") from None
-        if merged[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {merged[key]}")
+        if not (math.isfinite(merged[key]) and merged[key] > 0):
+            raise ConfigError(f"{key} must be finite and positive, got {merged[key]}")
 
     if merged["sampler"] not in SAMPLERS:
         raise ConfigError(f"unknown sampler {merged['sampler']!r}; available: {sorted(SAMPLERS)}")
@@ -178,7 +183,7 @@ def build_config(mapping: dict) -> ExperimentConfig:
         depth=merged["depth"],
         cost=merged["cost"],
         threads=merged["threads"],
-        out=Path(merged["out"]),
+        out=Path(str(merged["out"])),
         models=tuple(_parse_models(str(merged["models"]))),
         matern=tuple(_parse_matern_rows(str(merged["matern"]))),
         sigma2=merged["sigma2"],

@@ -11,8 +11,11 @@ in that graph,
     index 1 events: c - 1 (merges or loop closures, locally ambiguous),
     index 2 events: y (each filled-in cycle ends a hole).
 
-The lower link of a grid vertex is a subgraph of a 4-cycle, so all counts
-come from one 256-entry lookup table and the whole census costs O(vertices).
+"Below v" means lower ``vertex_rank``, the (value, row-major index) order
+that also sorts the filtration, so the census and the persistence diagram
+break value ties the same way.  The lower link of a grid vertex is a
+subgraph of a 4-cycle, so all counts come from one 256-entry lookup table
+and the whole census costs O(vertices).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import ScalarField, make_generic, write_table
+from .cubical import ScalarField, vertex_rank, write_table
 from .persistence import PersistenceDiagram
 
 # link node order N, E, S, W; arc i joins nodes i and (i+1) % 4 and is carried
@@ -104,65 +107,39 @@ class CriticalCensus:
 
 def detect_critical(field: ScalarField) -> CriticalCensus:
     """Census of critical events from each vertex's 3x3 neighborhood only."""
-    field = make_generic(field)
-    v = field.values
+    rank = vertex_rank(field)
     rows, cols = field.rows, field.cols
+    # off-grid neighbors rank above every vertex, so they are never below
+    padded = np.full((rows + 2, cols + 2), rows * cols, dtype=np.int64)
+    padded[1:-1, 1:-1] = rank
 
-    # "neighbor below me": ties go to the smaller row-major index, so
-    # neighbors at smaller index (N, W, NW, NE) win ties with <=
-    lo_n = np.zeros((rows, cols), dtype=bool)
-    lo_e = np.zeros((rows, cols), dtype=bool)
-    lo_s = np.zeros((rows, cols), dtype=bool)
-    lo_w = np.zeros((rows, cols), dtype=bool)
-    lo_ne = np.zeros((rows, cols), dtype=bool)
-    lo_se = np.zeros((rows, cols), dtype=bool)
-    lo_sw = np.zeros((rows, cols), dtype=bool)
-    lo_nw = np.zeros((rows, cols), dtype=bool)
+    def below(dr: int, dc: int) -> np.ndarray:
+        """Whether the neighbor at offset (dr, dc) is below each vertex."""
+        return padded[1 + dr : rows + 1 + dr, 1 + dc : cols + 1 + dc] < rank
 
-    lo_n[1:, :] = v[:-1, :] <= v[1:, :]
-    lo_s[:-1, :] = v[1:, :] < v[:-1, :]
-    lo_w[:, 1:] = v[:, :-1] <= v[:, 1:]
-    lo_e[:, :-1] = v[:, 1:] < v[:, :-1]
-    if cols > 1:
-        lo_nw[1:, 1:] = v[:-1, :-1] <= v[1:, 1:]
-        lo_ne[1:, :-1] = v[:-1, 1:] <= v[1:, :-1]
-        lo_sw[:-1, 1:] = v[1:, :-1] < v[:-1, 1:]
-        lo_se[:-1, :-1] = v[1:, 1:] < v[:-1, :-1]
-
-    arc_ne = lo_n & lo_e & lo_ne
-    arc_se = lo_s & lo_e & lo_se
-    arc_sw = lo_s & lo_w & lo_sw
-    arc_nw = lo_n & lo_w & lo_nw
-
-    state = (
-        lo_n.astype(np.int16)
-        | lo_e.astype(np.int16) << 1
-        | lo_s.astype(np.int16) << 2
-        | lo_w.astype(np.int16) << 3
-        | arc_ne.astype(np.int16) << 4
-        | arc_se.astype(np.int16) << 5
-        | arc_sw.astype(np.int16) << 6
-        | arc_nw.astype(np.int16) << 7
+    lo_n, lo_e, lo_s, lo_w = below(-1, 0), below(0, 1), below(1, 0), below(0, -1)
+    links = (
+        lo_n,
+        lo_e,
+        lo_s,
+        lo_w,
+        lo_n & lo_e & below(-1, 1),
+        lo_s & lo_e & below(1, 1),
+        lo_s & lo_w & below(1, -1),
+        lo_n & lo_w & below(-1, -1),
     )
+    state = np.zeros((rows, cols), dtype=np.int16)
+    for bit, present in enumerate(links):
+        state |= present.astype(np.int16) << bit
 
-    comp = _LINK_COMPONENTS[state]
-    cycles = _LINK_CYCLES[state]
-    empty_link = (state & 0xF) == 0
-
-    events = []
-    for r in range(rows):
-        for c in range(cols):
-            val = float(v[r, c])
-            if empty_link[r, c]:
-                events.append(CriticalEvent(r, c, val, 0, 1))
-                continue
-            m1 = int(comp[r, c]) - 1
-            m2 = int(cycles[r, c])
-            if m1 > 0:
-                events.append(CriticalEvent(r, c, val, 1, m1))
-            if m2 > 0:
-                events.append(CriticalEvent(r, c, val, 2, m2))
-    return CriticalCensus(events=tuple(events))
+    # events per vertex and index: a component starts, c - 1 merges, y holes fill
+    mult = np.empty((rows, cols, 3), dtype=np.int64)
+    mult[..., 0] = (state & 0xF) == 0
+    mult[..., 1] = np.maximum(_LINK_COMPONENTS[state] - 1, 0)
+    mult[..., 2] = _LINK_CYCLES[state]
+    r, c, index = np.nonzero(mult)
+    events = zip(r.tolist(), c.tolist(), field.values[r, c].tolist(), index.tolist(), mult[r, c, index].tolist())
+    return CriticalCensus(events=tuple(CriticalEvent(*ev) for ev in events))
 
 
 def critical_values_from_diagram(

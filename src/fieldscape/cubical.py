@@ -7,9 +7,11 @@ maximum of the values on their boundary vertices, so every sublevel slice
 {value <= a} is closed under boundary.
 
 Vertices are totally ordered by (value, row-major index): ties between equal
-stored values are broken by index, never by perturbing the numbers.  Cells
-are filtered by (value, dim, anchor), which places every cell after its
-boundary.
+stored values are broken by index, never by perturbing the numbers.
+``vertex_rank`` is that order and the one tie-break of the package: the
+filtration here and the local census in ``critical`` compare vertices only
+through it.  Cells are filtered by (value, dim, anchor), which places every
+cell after its boundary.
 """
 
 from __future__ import annotations
@@ -67,13 +69,27 @@ def make_generic(field: ScalarField) -> ScalarField:
     """Resolve ties so that all vertices are pairwise distinct in the order used downstream.
 
     Vertices compare lexicographically by (value, row-major index), which is
-    an infinitesimal index-ordered perturbation; stored values are unchanged,
-    so the function validates finiteness and returns the field as-is.
-    Idempotent by construction.
+    an infinitesimal index-ordered perturbation; ``vertex_rank`` computes that
+    order.  Stored values are unchanged, so the function validates finiteness
+    and returns the field as-is.  Idempotent by construction.
     """
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")
     return field
+
+
+def vertex_rank(field: ScalarField) -> np.ndarray:
+    """Each vertex's position in the (value, row-major index) order, as a rows x cols int64 array.
+
+    Equal values, ``-0.0`` and ``0.0`` included, rank by index.  Every
+    vertex comparison of the filtration and the census is a comparison of
+    ranks.
+    """
+    field = make_generic(field)
+    order = np.argsort(field.values, axis=None, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank.reshape(field.rows, field.cols)
 
 
 @dataclass(frozen=True)
@@ -96,13 +112,12 @@ class CubicalFiltration:
 
     Cells are indexed by their sorted position.  ``boundary[i]`` lists the
     sorted indices of cell i's boundary cells (-1 padding), and
-    ``crit_vertex[i]`` is the row-major index of the boundary vertex whose
-    value the cell attains (the lex-max vertex, i.e. the cell belongs to that
-    vertex's lower star).
+    ``crit_vertex[i]`` is the row-major index of the boundary vertex of
+    highest ``vertex_rank``, whose value the cell attains (the cell belongs
+    to that vertex's lower star).
     """
 
-    def __init__(self, field, values, dims, anchor_rows, anchor_cols, orients, boundary, crit_vertex):
-        self.field = field
+    def __init__(self, values, dims, anchor_rows, anchor_cols, orients, boundary, crit_vertex):
         self.values = values
         self.dims = dims
         self.anchor_rows = anchor_rows
@@ -146,18 +161,18 @@ class CubicalFiltration:
 def build_filtration(field: ScalarField) -> CubicalFiltration:
     """Assemble all cells with max-extension values and sort into filtration order.
 
-    Sort key is (value, owning vertex, dim, anchor row, anchor col,
-    orientation), where the owning vertex is the boundary vertex whose value
-    the cell attains.  When all vertex values are distinct this is exactly
-    (value, dim, anchor); with repeated values it additionally keeps each
-    vertex's lower star contiguous, which the critical-event census requires.
-    Lower-dimensional cells precede their cofaces at equal value, so the
-    order is always a valid filtration.  Deterministic: identical fields give
-    identical orderings.
+    Each cell is owned by its boundary vertex of highest ``vertex_rank`` and
+    takes that vertex's value.  Sort key is (owner rank, dim, anchor row,
+    anchor col, orientation), which is (value, owning vertex, ...) since rank
+    follows (value, index).  When all vertex values are distinct this is
+    exactly (value, dim, anchor); with repeated values it additionally keeps
+    each vertex's lower star contiguous, which the critical-event census
+    requires.  Lower-dimensional cells precede their cofaces at equal value,
+    so the order is always a valid filtration.  Deterministic: identical
+    fields give identical orderings.
     """
-    field = make_generic(field)
+    rank = vertex_rank(field)
     rows, cols = field.rows, field.cols
-    vals = field.values
     vidx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
 
     n_v = rows * cols
@@ -166,30 +181,26 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     n_f = (rows - 1) * (cols - 1)
     n = n_v + n_eh + n_ev + n_f
 
-    value = np.empty(n, dtype=np.float64)
+    owner = np.empty(n, dtype=np.int64)  # rank of the owning vertex
     dim = np.empty(n, dtype=np.int8)
     arow = np.empty(n, dtype=np.int32)
     acol = np.empty(n, dtype=np.int32)
     orient = np.zeros(n, dtype=np.int8)
     bnd = np.full((n, 4), -1, dtype=np.int64)  # natural ids, remapped after sorting
-    crit = np.empty(n, dtype=np.int64)
 
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    owner_h = np.maximum(rank[:, :-1], rank[:, 1:])
 
     # vertices, natural ids [0, n_v)
-    value[:n_v] = vals.ravel()
+    owner[:n_v] = rank.ravel()
     dim[:n_v] = 0
     arow[:n_v] = rr.ravel()
     acol[:n_v] = cc.ravel()
-    crit[:n_v] = vidx.ravel()
 
     # horizontal edges (r, c)-(r, c+1), natural ids [n_v, n_v + n_eh)
     if n_eh:
         s = slice(n_v, n_v + n_eh)
-        left, right = vals[:, :-1], vals[:, 1:]
-        value[s] = np.maximum(left, right).ravel()
-        # tie goes to the right vertex: larger row-major index
-        crit[s] = np.where(left > right, vidx[:, :-1], vidx[:, 1:]).ravel()
+        owner[s] = owner_h.ravel()
         dim[s] = 1
         arow[s] = rr[:, :-1].ravel()
         acol[s] = cc[:, :-1].ravel()
@@ -200,9 +211,7 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     # vertical edges (r, c)-(r+1, c), natural ids [n_v + n_eh, n_v + n_eh + n_ev)
     if n_ev:
         s = slice(n_v + n_eh, n_v + n_eh + n_ev)
-        top, bot = vals[:-1, :], vals[1:, :]
-        value[s] = np.maximum(top, bot).ravel()
-        crit[s] = np.where(top > bot, vidx[:-1, :], vidx[1:, :]).ravel()
+        owner[s] = np.maximum(rank[:-1, :], rank[1:, :]).ravel()
         dim[s] = 1
         arow[s] = rr[:-1, :].ravel()
         acol[s] = cc[:-1, :].ravel()
@@ -210,19 +219,10 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
         bnd[s, 0] = vidx[:-1, :].ravel()
         bnd[s, 1] = vidx[1:, :].ravel()
 
-    # faces anchored at (r, c), natural ids [n - n_f, n)
+    # faces anchored at (r, c), natural ids [n - n_f, n); owned like their top or bottom edge
     if n_f:
         s = slice(n - n_f, n)
-        corners_v = (vals[:-1, :-1], vals[:-1, 1:], vals[1:, :-1], vals[1:, 1:])
-        corners_i = (vidx[:-1, :-1], vidx[:-1, 1:], vidx[1:, :-1], vidx[1:, 1:])
-        best_v = corners_v[0].copy()
-        best_i = corners_i[0].copy()
-        for cv, ci in zip(corners_v[1:], corners_i[1:]):
-            take = cv >= best_v  # corners visited in increasing index order
-            best_i = np.where(take, ci, best_i)
-            best_v = np.maximum(best_v, cv)
-        value[s] = best_v.ravel()
-        crit[s] = best_i.ravel()
+        owner[s] = np.maximum(owner_h[:-1, :], owner_h[1:, :]).ravel()
         dim[s] = 2
         arow[s] = rr[:-1, :-1].ravel()
         acol[s] = cc[:-1, :-1].ravel()
@@ -233,7 +233,7 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
         bnd[s, 2] = ev_id[:, :-1].ravel()   # left edge
         bnd[s, 3] = ev_id[:, 1:].ravel()    # right edge
 
-    order = np.lexsort((orient, acol, arow, dim, crit, value))
+    order = np.lexsort((orient, acol, arow, dim, owner))
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
 
@@ -241,15 +241,18 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     mask = bnd_sorted >= 0
     bnd_sorted[mask] = pos[bnd_sorted[mask]]
 
+    by_rank = np.empty(n_v, dtype=np.int64)
+    by_rank[rank.ravel()] = np.arange(n_v)
+    crit = by_rank[owner[order]]
+
     return CubicalFiltration(
-        field=field,
-        values=value[order],
+        values=field.values.ravel()[crit],
         dims=dim[order],
         anchor_rows=arow[order],
         anchor_cols=acol[order],
         orients=orient[order],
         boundary=bnd_sorted,
-        crit_vertex=crit[order],
+        crit_vertex=crit,
     )
 
 

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldscape.cubical import (
+    ORIENT_V,
     ScalarField,
     build_filtration,
     make_generic,
     read_field_csv,
     sublevel_complex,
+    vertex_rank,
     write_field_csv,
 )
 from fieldscape.errors import InvalidFieldError
@@ -56,6 +58,25 @@ class TestMakeGeneric:
     def test_idempotent(self):
         f = ScalarField.from_flat(2, 2, [1.0, 1.0, 2.0, 0.0])
         assert make_generic(make_generic(f)) == make_generic(f)
+
+
+class TestVertexRank:
+    def test_is_a_permutation(self):
+        rank = vertex_rank(random_field(np.random.default_rng(8), ties=True))
+        assert rank.dtype == np.int64
+        assert sorted(rank.ravel().tolist()) == list(range(rank.size))
+
+    def test_orders_by_value_then_index(self):
+        f = ScalarField.from_flat(2, 3, [2.0, 1.0, 2.0, 0.5, 1.0, 2.0])
+        assert vertex_rank(f).tolist() == [[3, 1, 4], [0, 2, 5]]
+
+    def test_signed_zeros_tie(self):
+        f = ScalarField.from_flat(1, 4, [0.0, -0.0, -0.0, 0.0])
+        assert vertex_rank(f).tolist() == [[0, 1, 2, 3]]
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidFieldError):
+            vertex_rank(ScalarField.from_flat(1, 2, [0.0, np.nan]))
 
 
 class TestBuildFiltration:
@@ -178,3 +199,26 @@ def test_sublevel_monotone_property(rows, cols, data):
     filt = build_filtration(ScalarField.from_flat(rows, cols, [float(x) for x in flat]))
     a, b = sorted(data.draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4))))
     assert set(sublevel_complex(filt, a).tolist()) <= set(sublevel_complex(filt, b).tolist())
+
+
+def _cell_vertices(filt, i, cols) -> list[int]:
+    """Row-major indices of the vertices of cell i, from its dim, anchor and orientation."""
+    r, c, d = int(filt.anchor_rows[i]), int(filt.anchor_cols[i]), int(filt.dims[i])
+    if d == 1:
+        dr, dc = (1, 0) if filt.orients[i] == ORIENT_V else (0, 1)
+    else:
+        dr = dc = d // 2
+    return [(r + a) * cols + c + b for a in {0, dr} for b in {0, dc}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 5), data=st.data())
+def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
+    """On tied fields (signed zeros included) each cell's crit_vertex is its top vertex in
+    (value, index) order, and its value is that vertex's value, bit for bit."""
+    flat = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
+    filt = build_filtration(ScalarField.from_flat(rows, cols, flat))
+    for i in range(filt.n_cells):
+        assert filt.crit_vertex[i] == max(_cell_vertices(filt, i, cols), key=lambda v: (flat[v], v))
+    owner_values = np.asarray(flat)[filt.crit_vertex]
+    assert filt.values.tobytes() == owner_values.tobytes()

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fieldscape import grf
 from fieldscape.classify import train_calibrated
 from fieldscape.cli import main
-from fieldscape.config import ExperimentConfig, build_config, load_config, parse_flat_config
+from fieldscape.config import _COUNT_KEYS, DEFAULTS, ExperimentConfig, build_config, load_config, parse_flat_config
 from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
@@ -235,6 +236,7 @@ def test_golden_output_digest(tmp_path, run, digest):
 
 LANDSCAPE = ["landscape", "--vectors", "{src}/v", "--out", "{out}/avg.csv"]
 VECTORIZE = ["vectorize", "--diagrams", "{src}/d", "--out", "{out}", "--t0", "0", "--t1", "3"]
+EXPERIMENT = ["experiment", "--config", "{src}/c.toml", "--out", "{out}"]
 MALFORMED_INPUTS = [
     pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n", LANDSCAPE, id="vector-index-minus-one"),
     pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n99,5\n", LANDSCAPE, id="vector-index-past-end"),
@@ -248,6 +250,14 @@ MALFORMED_INPUTS = [
     pytest.param("run/manifest.csv", "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n",
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], id="manifest-without-path"),
     pytest.param("empty.csv", "", ["plot", "{src}/empty.csv", "--out", "{out}"], id="plot-empty-file"),
+    pytest.param("c.toml", "seed = 1e400\n", EXPERIMENT, id="config-seed-overflows-to-inf"),
+    pytest.param("c.toml", "seed = 1\nrows = inf\n", EXPERIMENT, id="config-rows-inf"),
+    pytest.param("c.toml", "seed = 1.7\n", EXPERIMENT, id="config-seed-fractional"),
+    pytest.param("c.toml", "seed = 1\ntrain = 2.5\n", EXPERIMENT, id="config-train-fractional"),
+    pytest.param("c.toml", "seed = 1\ncost = nan\n", EXPERIMENT, id="config-cost-nan"),
+    pytest.param("c.toml", "seed = 1\nsigma2 = inf\n", EXPERIMENT, id="config-sigma2-inf"),
+    pytest.param("c.toml", "seed = 1\nspacing = 1" + "0" * 400 + "\n", EXPERIMENT, id="config-spacing-past-float"),
+    pytest.param("c.toml", 'seed = 1\nmatern = "4:inf"\n', EXPERIMENT, id="config-matern-nu-inf"),
 ]
 
 
@@ -313,6 +323,52 @@ def test_reader_fuzz_exits_cleanly(data, command):
             code = main(argv)
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_CONFIG_VALUE = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "2.0", "1_0", '"4:1"', '"4:inf,5:1"', '"M1:identity"', '"x"', "true"]),
+    st.text(max_size=6),
+)
+_CONFIG_LINE = st.tuples(st.sampled_from([*DEFAULTS, "seed", "bogus"]), _CONFIG_VALUE).map(" = ".join)
+
+
+@st.composite
+def _config_text(draw):
+    """Arbitrary text, or a valid seed line (half the time) followed by a few key = value lines."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=100))
+    lines = ["seed = 7"] if draw(st.booleans()) else []
+    lines += draw(st.lists(st.one_of(_CONFIG_LINE, _CONFIG_LINE, _CONFIG_LINE, st.text(max_size=20)), max_size=4))
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_config_text())
+def test_config_fuzz_validates_or_exits_2(text):
+    """Config text yields a validated config holding the numbers as written, or the CLI exits 2 cleanly."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.toml"
+        path.write_text(text)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            argv = ["experiment", "--config", str(path), "--out", f"{tmp}/out"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
+            return
+    written = parse_flat_config(text)
+    for key in ("seed", *_COUNT_KEYS, "cost", "sigma2", "spacing"):
+        value = getattr(cfg, key)
+        if isinstance(written.get(key), (int, float)):
+            assert value == written[key]  # never truncated or rounded
+        assert math.isfinite(value) and (value >= 0 if key == "seed" else value > 0)
+    assert all(type(getattr(cfg, key)) is int for key in ("seed", *_COUNT_KEYS))
+    assert all(math.isfinite(x) and x > 0 for row in cfg.matern for x in row)
 
 
 def test_failed_fallback_on_large_grid_is_numerical(tmp_path, monkeypatch):
