@@ -1,5 +1,8 @@
 """Experiment configuration: flat key-value files plus CLI overrides.
 
+``SETTINGS`` is the one place an experiment key is declared; the defaults,
+``check``, the config-file keys and the CLI flags all derive from it.
+
 Config files are a flat subset of TOML: ``key = value`` lines where value is
 an integer, a float, or a double-quoted string; no key takes a boolean.
 Comments start with ``#``.  Every key can be overridden by the CLI flag of
@@ -11,28 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .grf import SAMPLERS, TRANSFORMS
-
-DEFAULTS = {
-    "rows": 32,
-    "cols": 32,
-    "train": 100,
-    "test": 100,
-    "bins": 100,   # N: sample-grid intervals
-    "depth": 10,   # K: landscape levels kept
-    "cost": 1.0,
-    "threads": 1,
-    "out": "fieldscape-out",
-    "models": "M1:identity,M2:square,M3:absolute",
-    "matern": "5:1,10:1,5:2",
-    "sigma2": 1.0,
-    "spacing": 1.0,
-    "sampler": "circulant",
-}
-
-_COUNT_KEYS = ("rows", "cols", "train", "test", "bins", "depth", "threads")
 
 
 def parse_flat_config(text: str, source: str = "<config>") -> dict:
@@ -71,64 +56,97 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict:
     return out
 
 
-def _parse_models(raw: str) -> list[tuple[str, str]]:
-    models = []
+def _entries(raw: str, key: str, form: str) -> list[tuple[str, str, str]]:
+    """(entry, left, right) for each nonblank comma-separated ``left:right`` entry of a text value."""
+    entries = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         parts = item.split(":")
         if len(parts) != 2:
-            raise ConfigError(f"model entry {item!r} is not 'name:transform'")
-        name, transform = parts[0].strip(), parts[1].strip()
+            raise ConfigError(f"{key} entry {item!r} is not {form!r}")
+        entries.append((item, parts[0].strip(), parts[1].strip()))
+    if not entries:
+        raise ConfigError(f"need at least one {key} entry")
+    return entries
+
+
+def _parse_models(raw: str) -> tuple[tuple[str, str], ...]:
+    models = tuple((name, transform) for _, name, transform in _entries(raw, "model", "name:transform"))
+    for name, transform in models:
         if transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {transform!r} in model {name!r}")
-        models.append((name, transform))
-    if len(models) < 1:
-        raise ConfigError("need at least one model")
     if len({name for name, _ in models}) != len(models):
         raise ConfigError("model names must be unique")
     return models
 
 
-def _parse_matern_rows(raw: str) -> list[tuple[float, float]]:
+def _parse_matern_rows(raw: str) -> tuple[tuple[float, float], ...]:
     rows = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"matern entry {item!r} is not 'eta:nu'")
+    for item, eta, nu in _entries(raw, "matern", "eta:nu"):
         try:
-            eta, nu = float(parts[0]), float(parts[1])
+            eta, nu = float(eta), float(nu)
         except ValueError:
             raise ConfigError(f"matern entry {item!r} is not numeric") from None
         if not all(math.isfinite(x) and x > 0 for x in (eta, nu)):
             raise ConfigError(f"matern entry {item!r} must be finite and positive")
         rows.append((eta, nu))
-    if not rows:
-        raise ConfigError("need at least one matern row")
-    return rows
+    return tuple(rows)
+
+
+def _parse_sampler(raw: str) -> str:
+    if raw not in SAMPLERS:
+        raise ConfigError(f"unknown sampler {raw!r}; available: {sorted(SAMPLERS)}")
+    return raw
+
+
+class Setting(NamedTuple):
+    """One experiment key: its default, its ``--key`` help and, for a text key, its parser."""
+
+    default: int | float | str
+    help: str
+    parse: Callable[[str], object] | None = None
+
+
+SETTINGS = {
+    "rows": Setting(32, "grid rows"),
+    "cols": Setting(32, "grid columns"),
+    "train": Setting(100, "training samples per class"),
+    "test": Setting(100, "test samples per class"),
+    "bins": Setting(100, "sample-grid intervals (N)"),
+    "depth": Setting(10, "landscape levels kept (K)"),
+    "cost": Setting(1.0, "SVM cost parameter"),
+    "threads": Setting(1, "worker threads for per-sample work"),
+    "out": Setting("fieldscape-out", "output directory", Path),
+    "models": Setting("M1:identity,M2:square,M3:absolute", 'model list, e.g. "M1:identity,M2:square"', _parse_models),
+    "matern": Setting("5:1,10:1,5:2", 'matern rows, e.g. "5:1,10:1"', _parse_matern_rows),
+    "sigma2": Setting(1.0, "field variance"),
+    "spacing": Setting(1.0, "grid spacing in eta units"),
+    "sampler": Setting("circulant", f"field sampler, one of {', '.join(SAMPLERS)}", _parse_sampler),
+}
+
+DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
+_COUNT_KEYS = tuple(key for key, setting in SETTINGS.items() if isinstance(setting.default, int))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    rows: int = DEFAULTS["rows"]
-    cols: int = DEFAULTS["cols"]
-    train: int = DEFAULTS["train"]
-    test: int = DEFAULTS["test"]
-    bins: int = DEFAULTS["bins"]
-    depth: int = DEFAULTS["depth"]
-    cost: float = DEFAULTS["cost"]
-    threads: int = DEFAULTS["threads"]
-    out: Path = Path(DEFAULTS["out"])
-    models: tuple[tuple[str, str], ...] = ()
-    matern: tuple[tuple[float, float], ...] = ()
-    sigma2: float = DEFAULTS["sigma2"]
-    spacing: float = DEFAULTS["spacing"]
-    sampler: str = DEFAULTS["sampler"]
+    rows: int
+    cols: int
+    train: int
+    test: int
+    bins: int
+    depth: int
+    cost: float
+    threads: int
+    out: Path
+    models: tuple[tuple[str, str], ...]
+    matern: tuple[tuple[float, float], ...]
+    sigma2: float
+    spacing: float
+    sampler: str
 
 
 def _integer(key: str, value) -> int:
@@ -141,55 +159,42 @@ def _integer(key: str, value) -> int:
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
+def check(key: str, value=None):
+    """The config value of ``key`` set to ``value``; None means the default.
+
+    An integer key must be a positive integer and a float key finite and
+    positive; a text key's value goes through the key's parser.
+    """
+    default, _, parse = SETTINGS[key]
+    if value is None:
+        value = default
+    if isinstance(default, str):
+        return parse(str(value))
+    if isinstance(default, int):
+        value = _integer(key, value)
+        if value < 1:
+            raise ConfigError(f"{key} must be positive, got {value}")
+        return value
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be finite and positive, got {value}")
+    return value
+
+
 def build_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw mapping (file plus overrides) into an ExperimentConfig."""
-    known = set(DEFAULTS) | {"seed"}
-    unknown = set(mapping) - known
+    unknown = set(mapping) - {"seed", *SETTINGS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seed" not in mapping or mapping["seed"] is None:
+    if mapping.get("seed") is None:
         raise ConfigError("seed is mandatory; wall-clock seeding is not supported")
-
-    merged = dict(DEFAULTS)
-    merged.update({k: v for k, v in mapping.items() if v is not None})
-
-    seed = _integer("seed", merged["seed"])
+    seed = _integer("seed", mapping["seed"])
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-
-    for key in _COUNT_KEYS:
-        merged[key] = _integer(key, merged[key])
-        if merged[key] < 1:
-            raise ConfigError(f"{key} must be positive, got {merged[key]}")
-
-    for key in ("cost", "sigma2", "spacing"):
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{key} must be a number, got {merged[key]!r}") from None
-        if not (math.isfinite(merged[key]) and merged[key] > 0):
-            raise ConfigError(f"{key} must be finite and positive, got {merged[key]}")
-
-    if merged["sampler"] not in SAMPLERS:
-        raise ConfigError(f"unknown sampler {merged['sampler']!r}; available: {sorted(SAMPLERS)}")
-
-    return ExperimentConfig(
-        seed=seed,
-        rows=merged["rows"],
-        cols=merged["cols"],
-        train=merged["train"],
-        test=merged["test"],
-        bins=merged["bins"],
-        depth=merged["depth"],
-        cost=merged["cost"],
-        threads=merged["threads"],
-        out=Path(str(merged["out"])),
-        models=tuple(_parse_models(str(merged["models"]))),
-        matern=tuple(_parse_matern_rows(str(merged["matern"]))),
-        sigma2=merged["sigma2"],
-        spacing=merged["spacing"],
-        sampler=str(merged["sampler"]),
-    )
+    return ExperimentConfig(seed=seed, **{key: check(key, mapping.get(key)) for key in SETTINGS})
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

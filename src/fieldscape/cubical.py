@@ -61,9 +61,6 @@ class ScalarField:
             and np.array_equal(self.values, other.values)
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.values.tobytes()))
-
 
 def make_generic(field: ScalarField) -> ScalarField:
     """Resolve ties so that all vertices are pairwise distinct in the order used downstream.

@@ -13,6 +13,7 @@ definitions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,12 +24,13 @@ from .cubical import ScalarField
 from .errors import ConfigError, FactorizationError
 
 CHOLESKY_VERTEX_GUARD = 4096
+MAX_PAD_FACTOR = 8  # the circulant torus grows to at most 2 * MAX_PAD_FACTOR times the grid per axis
 COV_JITTER = 1e-10  # times sigma2, added to the diagonal before factorizing
 
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Range eta (grid-spacing units), smoothness nu, variance sigma2, grid step."""
+    """Range eta (grid-spacing units), smoothness nu, variance sigma2, grid step; all finite and positive."""
 
     eta: float
     nu: float
@@ -38,8 +40,8 @@ class MaternParams:
     def __post_init__(self):
         for name in ("eta", "nu", "sigma2", "spacing"):
             value = float(getattr(self, name))
-            if not value > 0:
-                raise ValueError(f"MaternParams.{name} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"MaternParams.{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
 
 
@@ -142,20 +144,18 @@ def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) ->
     return np.fft.fft2(kernel).real  # kernel is even in both axes
 
 
-def sample_field_circulant(
-    p: MaternParams, rows: int, cols: int, seed, max_pad_factor: int = 8
-) -> ScalarField:
+def sample_field_circulant(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
     """FFT sampler by circulant embedding on an enlarged torus.
 
     The torus starts at twice the grid and doubles until the embedded
-    covariance is nonnegative definite; beyond ``max_pad_factor`` it falls
+    covariance is nonnegative definite; beyond ``MAX_PAD_FACTOR`` it falls
     back to the Cholesky sampler with a warning, or raises
     FactorizationError when the grid exceeds the Cholesky guard.  Same law
     as the dense sampler, not bit-identical to it.
     """
     rng = _as_generator(seed)
     factor = 1
-    while factor <= max_pad_factor:
+    while factor <= MAX_PAD_FACTOR:
         tr, tc = 2 * factor * rows, 2 * factor * cols
         lam = _circulant_eigenvalues(p, tr, tc)
         floor = -1e-10 * lam.max()
@@ -168,11 +168,11 @@ def sample_field_circulant(
         factor *= 2
     if rows * cols > CHOLESKY_VERTEX_GUARD:
         raise FactorizationError(
-            f"circulant embedding not nonnegative definite up to pad factor {max_pad_factor}, "
+            f"circulant embedding not nonnegative definite up to pad factor {MAX_PAD_FACTOR}, "
             f"and {rows}x{cols} exceeds the Cholesky fallback's guard ({CHOLESKY_VERTEX_GUARD} vertices)"
         )
     warnings.warn(
-        f"circulant embedding not nonnegative definite up to pad factor {max_pad_factor}; "
+        f"circulant embedding not nonnegative definite up to pad factor {MAX_PAD_FACTOR}; "
         "falling back to the Cholesky sampler",
         RuntimeWarning,
         stacklevel=2,

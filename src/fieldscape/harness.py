@@ -249,6 +249,10 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
 
     rows: dict[tuple[str, str], list[dict]] = {}
     for entry in _read_records(manifest, MANIFEST_COLUMNS):
+        # every read and write stays inside the output tree: no absolute path, no '..'
+        parts = Path(entry["path"]).parts
+        if parts[:1] != ("fields",) or len(parts) < 2 or ".." in parts:
+            raise ValueError(f"{manifest}: path {entry['path']!r} is not a relative path under fields/ without '..'")
         rows.setdefault((entry["eta"], entry["nu"]), []).append(entry)
     for entries in rows.values():
         _pipeline_row(cfg, out, entries)

@@ -61,9 +61,6 @@ class SampleGrid:
             return NotImplemented
         return np.array_equal(self.ts, other.ts)
 
-    def __hash__(self):
-        return hash(self.ts.tobytes())
-
 
 @dataclass(frozen=True, eq=False)
 class LandscapeVector:

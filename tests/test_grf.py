@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fieldscape import grf
 from fieldscape.cubical import ScalarField
 from fieldscape.errors import ConfigError
 from fieldscape.grf import (
@@ -105,6 +106,13 @@ class TestMaternCov:
         with pytest.raises(ValueError):
             matern_cov(-1.0, MaternParams(eta=5, nu=1))
 
+    @pytest.mark.parametrize("name", ["eta", "nu", "sigma2", "spacing"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_params_rejected(self, name, value):
+        """An infinite range or smoothness would give constant fields, an infinite variance NaN spectra."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MaternParams(**{"eta": 4.0, "nu": 1.0, name: value})
+
 
 class TestCholeskySampler:
     def test_seed_determinism(self):
@@ -179,10 +187,11 @@ class TestCirculantSampler:
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.max(np.abs(emp - cov) / se) < 5.0
 
-    def test_fallback_warns_and_still_samples(self):
+    def test_fallback_warns_and_still_samples(self, monkeypatch):
         p = MaternParams(eta=5, nu=1)
+        monkeypatch.setattr(grf, "MAX_PAD_FACTOR", 0)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            field = sample_field_circulant(p, 4, 4, 11, max_pad_factor=0)
+            field = sample_field_circulant(p, 4, 4, 11)
         assert field.values.shape == (4, 4)
 
     def test_runtime_trend_subquadratic(self):

@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 from fieldscape import grf
 from fieldscape.classify import train_calibrated
-from fieldscape.cli import main
-from fieldscape.config import _COUNT_KEYS, DEFAULTS, ExperimentConfig, build_config, load_config, parse_flat_config
+from fieldscape.cli import _config_from_args, build_parser, main
+from fieldscape.config import (
+    _COUNT_KEYS,
+    DEFAULTS,
+    SETTINGS,
+    ExperimentConfig,
+    build_config,
+    load_config,
+    parse_flat_config,
+)
 from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
@@ -47,6 +55,10 @@ def tiny_config(out, **kw) -> ExperimentConfig:
     )
     base.update(kw)
     return build_config(base)
+
+
+# a valid non-default value of each text key; a new text key needs one here
+NON_DEFAULT_TEXT = {"out": "elsewhere", "models": "A:square", "matern": "4:1", "sampler": "cholesky"}
 
 
 class TestConfig:
@@ -104,6 +116,20 @@ class TestConfig:
         path.write_text('seed = 5\nrows = 8\ncols = 8\nmatern = "4:1"\n')
         cfg = load_config(path, {"rows": 16, "out": str(tmp_path / "o")})
         assert cfg.rows == 16 and cfg.cols == 8 and cfg.seed == 5
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_flag_and_file_agree(self, tmp_path, key):
+        """A non-default value set through --key or a config file gives one config, on every command."""
+        default = SETTINGS[key].default
+        text = isinstance(default, str)
+        value = NON_DEFAULT_TEXT[key] if text else default + 1
+        path = tmp_path / "c.toml"
+        path.write_text(f"seed = 3\n{key} = " + (f'"{value}"' if text else repr(value)) + "\n")
+        from_file = load_config(path)
+        assert from_file != build_config({"seed": 3})
+        for command in ("simulate", "experiment", "pipeline"):
+            args = build_parser().parse_args([command, "--seed", "3", f"--{key}", str(value)])
+            assert _config_from_args(args) == from_file
 
 
 class TestSimulate:
@@ -237,38 +263,65 @@ def test_golden_output_digest(tmp_path, run, digest):
 LANDSCAPE = ["landscape", "--vectors", "{src}/v", "--out", "{out}/avg.csv"]
 VECTORIZE = ["vectorize", "--diagrams", "{src}/d", "--out", "{out}", "--t0", "0", "--t1", "3"]
 EXPERIMENT = ["experiment", "--config", "{src}/c.toml", "--out", "{out}"]
+SIMULATE = ["simulate", "--seed", "1", "--models", "M1:identity", "--matern", "4:1", "--out", "{out}"]
+CLASSIFY = ["classify", "--train-pos", "{src}/p", "--train-neg", "{src}/n", "--test-pos", "{src}/p",
+            "--test-neg", "{src}/n", "--model-out", "{out}/model.txt"]
+# three separable vectors per class, enough for the calibration folds
+VECTORS = {f"{cls}/{i}.csv": f"N,K,t0,tN\n2,1,0,1\nindex,value\n{index},{i + 1}\n"
+           for cls, index in (("p", 1), ("n", 4)) for i in range(3)}
+FIELD = "1,3\n0,2,1\n"
 MALFORMED_INPUTS = [
-    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n", LANDSCAPE, id="vector-index-minus-one"),
-    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n99,5\n", LANDSCAPE, id="vector-index-past-end"),
-    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n1,nan\n", LANDSCAPE, id="vector-nan-value"),
-    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n1,5\n1,7\n", LANDSCAPE, id="vector-index-repeated"),
-    pytest.param("v/a.csv", "N,K,t0,tN\n2,1,0,1\nindex,value\n100000000000000000000,5\n", LANDSCAPE,
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n"}, LANDSCAPE, "input",
+                 id="vector-index-minus-one"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n99,5\n"}, LANDSCAPE, "input",
+                 id="vector-index-past-end"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n1,nan\n"}, LANDSCAPE, "input", id="vector-nan-value"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n1,5\n1,7\n"}, LANDSCAPE, "input",
+                 id="vector-index-repeated"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n100000000000000000000,5\n"}, LANDSCAPE, "input",
                  id="vector-index-past-int64"),
-    pytest.param("v/a.csv", "N,K,t0,tN\n1000000000,1000,0,1\nindex,value\n", LANDSCAPE, id="vector-size-too-large"),
-    pytest.param("d/a.csv", "degree,birth,death\n0,nan,1\n", VECTORIZE, id="diagram-nan-birth"),
-    pytest.param("d/a.csv", "degree,birth,death\n0,2,1\n", VECTORIZE, id="diagram-death-before-birth"),
-    pytest.param("run/manifest.csv", "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n",
-                 ["pipeline", "--seed", "1", "--out", "{src}/run"], id="manifest-without-path"),
-    pytest.param("empty.csv", "", ["plot", "{src}/empty.csv", "--out", "{out}"], id="plot-empty-file"),
-    pytest.param("c.toml", "seed = 1e400\n", EXPERIMENT, id="config-seed-overflows-to-inf"),
-    pytest.param("c.toml", "seed = 1\nrows = inf\n", EXPERIMENT, id="config-rows-inf"),
-    pytest.param("c.toml", "seed = 1.7\n", EXPERIMENT, id="config-seed-fractional"),
-    pytest.param("c.toml", "seed = 1\ntrain = 2.5\n", EXPERIMENT, id="config-train-fractional"),
-    pytest.param("c.toml", "seed = 1\ncost = nan\n", EXPERIMENT, id="config-cost-nan"),
-    pytest.param("c.toml", "seed = 1\nsigma2 = inf\n", EXPERIMENT, id="config-sigma2-inf"),
-    pytest.param("c.toml", "seed = 1\nspacing = 1" + "0" * 400 + "\n", EXPERIMENT, id="config-spacing-past-float"),
-    pytest.param("c.toml", 'seed = 1\nmatern = "4:inf"\n', EXPERIMENT, id="config-matern-nu-inf"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n1000000000,1000,0,1\nindex,value\n"}, LANDSCAPE, "input",
+                 id="vector-size-too-large"),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,nan,1\n"}, VECTORIZE, "input", id="diagram-nan-birth"),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,2,1\n"}, VECTORIZE, "input", id="diagram-death-before-birth"),
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n"},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-without-path"),
+    # the pipeline would read victim.csv from outside its tree, then overwrite it with a vector file
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/../../victim.csv\n",
+                  "run/fields/a.csv": FIELD, "victim.csv": FIELD},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-path-leaves-tree"),
+    pytest.param({"empty.csv": ""}, ["plot", "{src}/empty.csv", "--out", "{out}"], "input", id="plot-empty-file"),
+    pytest.param({"c.toml": "seed = 1e400\n"}, EXPERIMENT, "config", id="config-seed-overflows-to-inf"),
+    pytest.param({"c.toml": "seed = 1\nrows = inf\n"}, EXPERIMENT, "config", id="config-rows-inf"),
+    pytest.param({"c.toml": "seed = 1.7\n"}, EXPERIMENT, "config", id="config-seed-fractional"),
+    pytest.param({"c.toml": "seed = 1\ntrain = 2.5\n"}, EXPERIMENT, "config", id="config-train-fractional"),
+    pytest.param({"c.toml": "seed = 1\ncost = nan\n"}, EXPERIMENT, "config", id="config-cost-nan"),
+    pytest.param({"c.toml": "seed = 1\nsigma2 = inf\n"}, EXPERIMENT, "config", id="config-sigma2-inf"),
+    pytest.param({"c.toml": "seed = 1\nspacing = 1" + "0" * 400 + "\n"}, EXPERIMENT, "config",
+                 id="config-spacing-past-float"),
+    pytest.param({"c.toml": 'seed = 1\nmatern = "4:inf"\n'}, EXPERIMENT, "config", id="config-matern-nu-inf"),
+    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "0"], "config", id="flag-samples-zero"),
+    pytest.param({}, SIMULATE + ["--grid", "", "--samples", "1"], "config", id="flag-grid-empty"),
+    pytest.param({}, SIMULATE + ["--grid", "4x4", "--sampler", "bogus"], "config", id="flag-sampler-unknown"),
+    pytest.param(VECTORS, CLASSIFY + ["--cost", "nan"], "config", id="flag-cost-nan"),
+    pytest.param(VECTORS, CLASSIFY + ["--cost", "inf"], "config", id="flag-cost-inf"),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE + ["--bins", "0"], "config",
+                 id="flag-bins-zero"),
 ]
 
 
-@pytest.mark.parametrize("rel, content, argv", MALFORMED_INPUTS)
-def test_malformed_input_exits_2(tmp_path, capsys, rel, content, argv):
+@pytest.mark.parametrize("files, argv, error", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
+    """Exit 2 with a one-line error, every input file left as it was."""
     src = tmp_path / "in"
-    (src / rel).parent.mkdir(parents=True, exist_ok=True)
-    (src / rel).write_text(content)
+    for rel, content in files.items():
+        (src / rel).parent.mkdir(parents=True, exist_ok=True)
+        (src / rel).write_bytes(content.encode())
     assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(("input error:", "config error:")) and "Traceback" not in err
+    assert err.startswith(f"{error} error:") and "Traceback" not in err
+    assert {rel: (src / rel).read_bytes().decode() for rel in files} == files
 
 
 @pytest.mark.parametrize("command", ["experiment", "pipeline"])
