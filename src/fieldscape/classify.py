@@ -225,7 +225,15 @@ def _fold_indices(y: np.ndarray) -> list[np.ndarray]:
 
 
 def train_calibrated(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
-    """Final model trained on all data; sigmoid fit on pooled out-of-fold scores."""
+    """Final model trained on all data; sigmoid fit on pooled out-of-fold scores.
+
+    Each class needs at least two samples, so that every fold's complement
+    holds both classes; fewer is bad input and raises ValueError.
+    """
+    smallest = int(min(np.sum(data.y > 0), np.sum(data.y < 0)))
+    if smallest < 2:
+        raise ValueError(f"calibration needs at least 2 training samples per class for its {FOLDS}-fold "
+                         f"split; the smallest class has {smallest}")
     scores = np.empty(len(data))
     for fold in _fold_indices(data.y):
         rest = np.setdiff1d(np.arange(len(data)), fold)

@@ -13,9 +13,12 @@ in that graph,
 
 "Below v" means lower ``vertex_rank``, the (value, row-major index) order
 that also sorts the filtration, so the census and the persistence diagram
-break value ties the same way.  The lower link of a grid vertex is a
-subgraph of a 4-cycle, so all counts come from one 256-entry lookup table
-and the whole census costs O(vertices).
+break value ties the same way.  The lower link is read from
+``cubical.cell_owners``, the owner array the filtration sorts on: a link
+node is an incident edge owned by v, and a link arc an incident face owned
+by v.  The lower link of a grid vertex is a subgraph of a 4-cycle, so all
+counts come from one 256-entry lookup table and the whole census costs
+O(vertices).
 """
 
 from __future__ import annotations
@@ -25,42 +28,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import ScalarField, vertex_rank, write_table
+from .cubical import ScalarField, cell_owners, vertex_rank, write_table
 from .persistence import PersistenceDiagram
 
-# link node order N, E, S, W; arc i joins nodes i and (i+1) % 4 and is carried
-# by the NE, SE, SW, NW face respectively
-_LINK_ARCS = ((0, 1), (1, 2), (2, 3), (3, 0))
+# link bit b is the cell at grid offset _LINK_OFFSETS[b] from the vertex: the
+# nodes are the N, E, S, W edges, and arc i is the NE, SE, SW, NW face, which
+# joins nodes i and (i + 1) % 4
+_LINK_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1), (-1, 1), (1, 1), (1, -1), (-1, -1))
 
 
 def _build_link_tables() -> tuple[np.ndarray, np.ndarray]:
-    comp = np.zeros(256, dtype=np.int8)
-    cyc = np.zeros(256, dtype=np.int8)
-    for state in range(256):
-        vbits, ebits = state & 0xF, state >> 4
-        nodes = [i for i in range(4) if vbits >> i & 1]
-        arcs = [
-            arc
-            for i, arc in enumerate(_LINK_ARCS)
-            if ebits >> i & 1 and vbits >> arc[0] & 1 and vbits >> arc[1] & 1
-        ]
-        parent = list(range(4))
+    """Components and cycles of each of the 256 lower links.
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        merges = 0
-        for a, b in arcs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                merges += 1
-        c = len(nodes) - merges
-        comp[state] = c
-        cyc[state] = len(arcs) - len(nodes) + c
-    return comp, cyc
+    A subgraph of the 4-cycle is a forest unless it is the whole cycle, so
+    components = nodes - arcs + cycles.
+    """
+    bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    nodes = bits[:, :4]
+    arcs = bits[:, 4:] & nodes & np.roll(nodes, -1, axis=1)
+    cyc = arcs.sum(axis=1) == 4
+    comp = nodes.sum(axis=1) - arcs.sum(axis=1) + cyc
+    return comp.astype(np.int8), cyc.astype(np.int8)
 
 
 _LINK_COMPONENTS, _LINK_CYCLES = _build_link_tables()
@@ -109,28 +97,13 @@ def detect_critical(field: ScalarField) -> CriticalCensus:
     """Census of critical events from each vertex's 3x3 neighborhood only."""
     rank = vertex_rank(field)
     rows, cols = field.rows, field.cols
-    # off-grid neighbors rank above every vertex, so they are never below
-    padded = np.full((rows + 2, cols + 2), rows * cols, dtype=np.int64)
-    padded[1:-1, 1:-1] = rank
-
-    def below(dr: int, dc: int) -> np.ndarray:
-        """Whether the neighbor at offset (dr, dc) is below each vertex."""
-        return padded[1 + dr : rows + 1 + dr, 1 + dc : cols + 1 + dc] < rank
-
-    lo_n, lo_e, lo_s, lo_w = below(-1, 0), below(0, 1), below(1, 0), below(0, -1)
-    links = (
-        lo_n,
-        lo_e,
-        lo_s,
-        lo_w,
-        lo_n & lo_e & below(-1, 1),
-        lo_s & lo_e & below(1, 1),
-        lo_s & lo_w & below(1, -1),
-        lo_n & lo_w & below(-1, -1),
-    )
+    # vertex (r, c) sits at (2r + 1, 2c + 1); off-grid cells are owned by no vertex
+    owner = np.full((2 * rows + 1, 2 * cols + 1), -1, dtype=np.int64)
+    owner[1:-1, 1:-1] = cell_owners(rank)
     state = np.zeros((rows, cols), dtype=np.int16)
-    for bit, present in enumerate(links):
-        state |= present.astype(np.int16) << bit
+    for bit, (dr, dc) in enumerate(_LINK_OFFSETS):
+        in_star = owner[1 + dr : 1 + dr + 2 * rows : 2, 1 + dc : 1 + dc + 2 * cols : 2] == rank
+        state |= in_star.astype(np.int16) << bit
 
     # events per vertex and index: a component starts, c - 1 merges, y holes fill
     mult = np.empty((rows, cols, 3), dtype=np.int64)

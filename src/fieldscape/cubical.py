@@ -12,6 +12,15 @@ stored values are broken by index, never by perturbing the numbers.
 filtration here and the local census in ``critical`` compare vertices only
 through it.  Cells are filtered by (value, dim, anchor), which places every
 cell after its boundary.
+
+All cells of a rows x cols grid live in one (2 rows - 1) x (2 cols - 1) cell
+grid, the layout of Cubical Ripser (Kaji, Sudo and Ahara, arXiv:2005.12692).
+Grid position (i, j) holds a vertex when i and j are both even, an edge when
+exactly one is odd (vertical when i is), and a face when both are odd; its
+anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
+its odd axes: (above, below) across an odd row, (left, right) across an odd
+column, so a face lists (top, bottom, left, right) edges and an edge its two
+vertices.  ``cell_owners`` fills that grid with each cell's owner.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidFieldError
 
-# orientation codes used in cell sort keys; vertices and faces share ORIENT_H
+# orientation codes of CubicalFiltration.orients; vertices and faces share ORIENT_H
 ORIENT_H = 0
 ORIENT_V = 1
 
@@ -155,102 +164,77 @@ class CubicalFiltration:
         return [int(b) for b in self.boundary[i] if b >= 0]
 
 
+def cell_owners(rank: np.ndarray) -> np.ndarray:
+    """Rank of each cell's owner, its boundary vertex of highest rank, on the cell grid.
+
+    ``rank`` is a ``vertex_rank`` array.  The filtration sorts on the result
+    and the census reads each vertex's lower link from it.
+    """
+    rows, cols = rank.shape
+    owner = np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64)
+    owner[::2, ::2] = rank
+    owner[::2, 1::2] = np.maximum(rank[:, :-1], rank[:, 1:])
+    # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
+    owner[1::2] = np.maximum(owner[:-1:2], owner[2::2])
+    return owner
+
+
 def build_filtration(field: ScalarField) -> CubicalFiltration:
     """Assemble all cells with max-extension values and sort into filtration order.
 
     Each cell is owned by its boundary vertex of highest ``vertex_rank`` and
-    takes that vertex's value.  Sort key is (owner rank, dim, anchor row,
-    anchor col, orientation), which is (value, owning vertex, ...) since rank
-    follows (value, index).  When all vertex values are distinct this is
-    exactly (value, dim, anchor); with repeated values it additionally keeps
-    each vertex's lower star contiguous, which the critical-event census
-    requires.  Lower-dimensional cells precede their cofaces at equal value,
-    so the order is always a valid filtration.  Deterministic: identical
-    fields give identical orderings.
+    takes that vertex's value.  Sort key is (owner rank, dim, grid position),
+    which is (value, owning vertex, ...) since rank follows (value, index).
+    The cells tied on (owner, dim) are the at most four edges or four faces
+    of one lower star, and for them row-major grid order is (anchor row,
+    anchor col, orientation).  When all vertex values are distinct the order
+    is exactly (value, dim, anchor); with repeated values it additionally
+    keeps each vertex's lower star contiguous, which the critical-event
+    census requires.  Lower-dimensional cells precede their cofaces at equal
+    value, so the order is always a valid filtration.  Deterministic:
+    identical fields give identical orderings.
     """
     rank = vertex_rank(field)
-    rows, cols = field.rows, field.cols
-    vidx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    owner = cell_owners(rank)
+    h, w = owner.shape
+    i, j = np.ogrid[:h, :w]
+    dim = (i % 2 + j % 2).astype(np.int8)
+    order = np.lexsort((dim.ravel(), owner.ravel()))
+    row, col = np.divmod(order, w)  # grid position of each sorted cell
+    # sorted position of each grid id; the trailing -1 keeps the -1 padding
+    pos = np.full(h * w + 1, -1, dtype=np.int64)
+    pos[order] = np.arange(h * w)
 
-    n_v = rows * cols
-    n_eh = rows * (cols - 1)
-    n_ev = (rows - 1) * cols
-    n_f = (rows - 1) * (cols - 1)
-    n = n_v + n_eh + n_ev + n_f
-
-    owner = np.empty(n, dtype=np.int64)  # rank of the owning vertex
-    dim = np.empty(n, dtype=np.int8)
-    arow = np.empty(n, dtype=np.int32)
-    acol = np.empty(n, dtype=np.int32)
-    orient = np.zeros(n, dtype=np.int8)
-    bnd = np.full((n, 4), -1, dtype=np.int64)  # natural ids, remapped after sorting
-
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    owner_h = np.maximum(rank[:, :-1], rank[:, 1:])
-
-    # vertices, natural ids [0, n_v)
-    owner[:n_v] = rank.ravel()
-    dim[:n_v] = 0
-    arow[:n_v] = rr.ravel()
-    acol[:n_v] = cc.ravel()
-
-    # horizontal edges (r, c)-(r, c+1), natural ids [n_v, n_v + n_eh)
-    if n_eh:
-        s = slice(n_v, n_v + n_eh)
-        owner[s] = owner_h.ravel()
-        dim[s] = 1
-        arow[s] = rr[:, :-1].ravel()
-        acol[s] = cc[:, :-1].ravel()
-        orient[s] = ORIENT_H
-        bnd[s, 0] = vidx[:, :-1].ravel()
-        bnd[s, 1] = vidx[:, 1:].ravel()
-
-    # vertical edges (r, c)-(r+1, c), natural ids [n_v + n_eh, n_v + n_eh + n_ev)
-    if n_ev:
-        s = slice(n_v + n_eh, n_v + n_eh + n_ev)
-        owner[s] = np.maximum(rank[:-1, :], rank[1:, :]).ravel()
-        dim[s] = 1
-        arow[s] = rr[:-1, :].ravel()
-        acol[s] = cc[:-1, :].ravel()
-        orient[s] = ORIENT_V
-        bnd[s, 0] = vidx[:-1, :].ravel()
-        bnd[s, 1] = vidx[1:, :].ravel()
-
-    # faces anchored at (r, c), natural ids [n - n_f, n); owned like their top or bottom edge
-    if n_f:
-        s = slice(n - n_f, n)
-        owner[s] = np.maximum(owner_h[:-1, :], owner_h[1:, :]).ravel()
-        dim[s] = 2
-        arow[s] = rr[:-1, :-1].ravel()
-        acol[s] = cc[:-1, :-1].ravel()
-        eh_id = n_v + (rr[:, :-1] * (cols - 1) + cc[:, :-1])
-        ev_id = n_v + n_eh + (rr[:-1, :] * cols + cc[:-1, :])
-        bnd[s, 0] = eh_id[:-1, :].ravel()   # top edge
-        bnd[s, 1] = eh_id[1:, :].ravel()    # bottom edge
-        bnd[s, 2] = ev_id[:, :-1].ravel()   # left edge
-        bnd[s, 3] = ev_id[:, 1:].ravel()    # right edge
-
-    order = np.lexsort((orient, acol, arow, dim, owner))
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-
-    bnd_sorted = bnd[order]
-    mask = bnd_sorted >= 0
-    bnd_sorted[mask] = pos[bnd_sorted[mask]]
-
-    by_rank = np.empty(n_v, dtype=np.int64)
-    by_rank[rank.ravel()] = np.arange(n_v)
-    crit = by_rank[owner[order]]
+    by_rank = np.empty(rank.size, dtype=np.int64)
+    by_rank[rank.ravel()] = np.arange(rank.size)
+    crit = by_rank[owner.ravel()[order]]
 
     return CubicalFiltration(
         values=field.values.ravel()[crit],
-        dims=dim[order],
-        anchor_rows=arow[order],
-        anchor_cols=acol[order],
-        orients=orient[order],
-        boundary=bnd_sorted,
+        dims=dim.ravel()[order],
+        anchor_rows=(row // 2).astype(np.int32),
+        anchor_cols=(col // 2).astype(np.int32),
+        orients=np.where(row % 2 > col % 2, ORIENT_V, ORIENT_H).astype(np.int8),
+        boundary=pos[_grid_facets(h, w)[order]],
         crit_vertex=crit,
     )
+
+
+def _grid_facets(h: int, w: int) -> np.ndarray:
+    """Facet grid ids of each cell of an h x w cell grid, one -1 padded row of 4 per grid id.
+
+    (above, below) across an odd row, then (left, right) across an odd column.
+    Kept out of ``build_filtration`` so that its temporaries are freed before
+    the remap to sorted positions, which keeps that function's peak memory down.
+    """
+    ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    bnd = np.full((h, w, 4), -1, dtype=np.int64)
+    bnd[1::2, :, 0] = ids[:-1:2]
+    bnd[1::2, :, 1] = ids[2::2]
+    left_right = np.stack((ids[:, :-1:2], ids[:, 2::2]), axis=-1)
+    bnd[::2, 1::2, :2] = left_right[::2]
+    bnd[1::2, 1::2, 2:] = left_right[1::2]
+    return bnd.reshape(-1, 4)
 
 
 def sublevel_complex(filt: CubicalFiltration, a: float) -> np.ndarray:

@@ -12,6 +12,7 @@ calibration parameters likewise come from the training split only.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -180,7 +181,19 @@ def write_report_csv(rows: list[ReportRow], path) -> None:
 
 
 def read_report_csv(path) -> list[dict]:
-    return _read_records(path, REPORT_COLUMNS)
+    """Report rows as dicts of their text fields.
+
+    Values the writer never writes raise ValueError: accuracy or calibration
+    outside [0, 100], and eta or nu not finite and positive.
+    """
+    rows = _read_records(path, REPORT_COLUMNS)
+    for row in rows:
+        eta, nu, accuracy, calibration = (float(row[key]) for key in REPORT_COLUMNS[1:])
+        if not (0.0 < eta < math.inf and 0.0 < nu < math.inf
+                and 0.0 <= accuracy <= 100.0 and 0.0 <= calibration <= 100.0):
+            raise ValueError(f"{path}: row {row['comparison']!r} needs eta and nu finite and positive, "
+                             f"accuracy and calibration in [0, 100]")
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:

@@ -179,6 +179,14 @@ class TestPlatt:
         expected = (n_pos * hi + n_neg * lo) / (n_pos + n_neg)
         assert abs(p - expected) < 1e-6
 
+    @pytest.mark.parametrize("n_pos, n_neg", [(1, 5), (1, 1), (4, 0)])
+    def test_class_below_two_samples_is_bad_input(self, n_pos, n_neg):
+        """A class too small for every fold complement to hold it is a ValueError, not a numerical failure."""
+        X = np.arange(n_pos + n_neg, dtype=float)[:, None]
+        y = np.hstack([np.ones(n_pos), -np.ones(n_neg)])
+        with pytest.raises(ValueError, match=f"3-fold split; the smallest class has {min(n_pos, n_neg)}$"):
+            train_calibrated(LabeledSet(X=X, y=y))
+
 
 class TestEvaluate:
     def _perfect_model(self):

@@ -1,6 +1,8 @@
 from itertools import permutations
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldscape.critical import (
     CriticalCensus,
@@ -104,6 +106,29 @@ def test_census_agreement_randomized():
     for _ in range(150):
         field = random_field(rng, 8, 8, ties=bool(rng.integers(2)))
         assert detect_critical(field) == critical_values_from_diagram(diagram_of(field))
+
+
+@st.composite
+def tied_fields(draw) -> ScalarField:
+    """Fields up to 6x6 with many value ties, signed zeros among them."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    flat = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
+    return ScalarField.from_flat(rows, cols, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_fields())
+@example(ScalarField.from_flat(1, 5, [0.0, -0.0, 2.0, -0.0, 0.0]))
+@example(ScalarField.from_flat(4, 1, [-0.0, 2.0, 0.0, -1.0]))
+def test_census_is_the_euler_characteristic_of_each_lower_star(field):
+    """At every vertex, the census's n0 - n1 + n2 is V - E + F over the cells whose crit_vertex it is."""
+    filt = build_filtration(field)
+    star = np.zeros(field.rows * field.cols, dtype=np.int64)
+    np.add.at(star, filt.crit_vertex, 1 - 2 * (filt.dims.astype(np.int64) % 2))
+    local = np.zeros_like(star)
+    for ev in detect_critical(field).events:
+        local[ev.row * field.cols + ev.col] += (-1) ** ev.index * ev.multiplicity
+    assert local.tolist() == star.tolist()
 
 
 def _census_key(field: ScalarField):

@@ -270,6 +270,8 @@ CLASSIFY = ["classify", "--train-pos", "{src}/p", "--train-neg", "{src}/n", "--t
 VECTORS = {f"{cls}/{i}.csv": f"N,K,t0,tN\n2,1,0,1\nindex,value\n{index},{i + 1}\n"
            for cls, index in (("p", 1), ("n", 4)) for i in range(3)}
 FIELD = "1,3\n0,2,1\n"
+PLOT_REPORT = ["plot", "{src}/r.csv", "--out", "{out}"]
+REPORT = "comparison,eta,nu,accuracy,calibration\nM1 v M2,{},{},{},90.0\n"
 MALFORMED_INPUTS = [
     pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n"}, LANDSCAPE, "input",
                  id="vector-index-minus-one"),
@@ -292,6 +294,16 @@ MALFORMED_INPUTS = [
                   "run/fields/a.csv": FIELD, "victim.csv": FIELD},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-path-leaves-tree"),
     pytest.param({"empty.csv": ""}, ["plot", "{src}/empty.csv", "--out", "{out}"], "input", id="plot-empty-file"),
+    pytest.param({"r.csv": REPORT.format(5, 1, "nan")}, PLOT_REPORT, "input", id="plot-report-accuracy-nan"),
+    pytest.param({"r.csv": REPORT.format(5, 1, "1e9")}, PLOT_REPORT, "input", id="plot-report-accuracy-1e9"),
+    pytest.param({"r.csv": REPORT.format(5, 1, "-40")}, PLOT_REPORT, "input", id="plot-report-accuracy-negative"),
+    pytest.param({"r.csv": REPORT.format(0, 1, 95.0)}, PLOT_REPORT, "input", id="plot-report-eta-zero"),
+    pytest.param({"r.csv": REPORT.format(5, "inf", 95.0)}, PLOT_REPORT, "input", id="plot-report-nu-inf"),
+    pytest.param({}, ["experiment", "--seed", "1", "--grid", "6x6", "--train", "1", "--test", "2",
+                      "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", "{out}"], "input",
+                 id="experiment-one-training-sample-per-class"),
+    pytest.param({rel: text for rel, text in VECTORS.items() if rel not in ("p/1.csv", "p/2.csv")}, CLASSIFY,
+                 "input", id="classify-one-positive-against-three-negatives"),
     pytest.param({"c.toml": "seed = 1e400\n"}, EXPERIMENT, "config", id="config-seed-overflows-to-inf"),
     pytest.param({"c.toml": "seed = 1\nrows = inf\n"}, EXPERIMENT, "config", id="config-rows-inf"),
     pytest.param({"c.toml": "seed = 1.7\n"}, EXPERIMENT, "config", id="config-seed-fractional"),
