@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, TrainingError
-from .landscape import LandscapeVector, SampleGrid, read_sparse, write_sparse
+from .landscape import LandscapeVector, SampleGrid, check_compatible, read_sparse, write_sparse
 
 KKT_TOL = 1e-7
 MAX_EPOCHS = 20000
@@ -53,10 +53,7 @@ class LabeledSet:
     def from_vectors(cls, vectors: list[LandscapeVector], labels) -> "LabeledSet":
         if not vectors:
             raise ValueError("empty vector list")
-        grid, depth = vectors[0].grid, vectors[0].depth
-        for v in vectors[1:]:
-            if v.depth != depth or v.grid != grid:
-                raise ValueError("landscape vectors disagree on grid or depth")
+        grid, depth = check_compatible(vectors)
         X = np.stack([v.entries for v in vectors])
         return cls(X=X, y=np.asarray(labels, dtype=np.float64), grid=grid, depth=depth)
 
@@ -224,16 +221,16 @@ def _fold_indices(y: np.ndarray) -> list[np.ndarray]:
     return [np.nonzero(assignment == f)[0] for f in range(FOLDS)]
 
 
-def train_calibrated(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
-    """Final model trained on all data; sigmoid fit on pooled out-of-fold scores.
-
-    Each class needs at least two samples, so that every fold's complement
-    holds both classes; fewer is bad input and raises ValueError.
-    """
-    smallest = int(min(np.sum(data.y > 0), np.sum(data.y < 0)))
+def check_class_size(smallest: int) -> None:
+    """ValueError unless the smallest class has 2 samples, so every fold's complement holds both classes."""
     if smallest < 2:
         raise ValueError(f"calibration needs at least 2 training samples per class for its {FOLDS}-fold "
                          f"split; the smallest class has {smallest}")
+
+
+def train_calibrated(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
+    """Final model trained on all data; sigmoid fit on pooled out-of-fold scores."""
+    check_class_size(int(min(np.sum(data.y > 0), np.sum(data.y < 0))))
     scores = np.empty(len(data))
     for fold in _fold_indices(data.y):
         rest = np.setdiff1d(np.arange(len(data)), fold)

@@ -65,7 +65,7 @@ class CriticalEvent:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalCensus:
     events: tuple[CriticalEvent, ...]
 
@@ -88,9 +88,6 @@ class CriticalCensus:
         if not isinstance(other, CriticalCensus):
             return NotImplemented
         return self.value_index_multiset() == other.value_index_multiset()
-
-    def __hash__(self):
-        return hash(frozenset(self.value_index_multiset().items()))
 
 
 def detect_critical(field: ScalarField) -> CriticalCensus:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from .classify import EvalReport, LabeledSet, evaluate, train_calibrated
+from .classify import EvalReport, LabeledSet, check_class_size, evaluate, train_calibrated
 from .config import ExperimentConfig
 from .critical import detect_critical, write_census_csv
 from .cubical import ScalarField, build_filtration, read_field_csv, read_table, write_field_csv, write_table
@@ -202,6 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     Also writes per-model average landscape vectors and pairwise differences
     for plotting.
     """
+    check_class_size(cfg.train)
     out = Path(cfg.out)
     (out / "averages").mkdir(parents=True, exist_ok=True)
     (out / "differences").mkdir(parents=True, exist_ok=True)
@@ -266,6 +267,8 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         parts = Path(entry["path"]).parts
         if parts[:1] != ("fields",) or len(parts) < 2 or ".." in parts:
             raise ValueError(f"{manifest}: path {entry['path']!r} is not a relative path under fields/ without '..'")
+        if entry["split"] not in ("train", "test"):
+            raise ValueError(f"{manifest}: split {entry['split']!r} is neither 'train' nor 'test'")
         rows.setdefault((entry["eta"], entry["nu"]), []).append(entry)
     for entries in rows.values():
         _pipeline_row(cfg, out, entries)

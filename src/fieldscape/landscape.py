@@ -167,7 +167,8 @@ def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> Land
     return vectorize_bars(diagram.bars(0), diagram.bars(1), grid, depth)
 
 
-def _check_compatible(vectors) -> tuple[SampleGrid, int]:
+def check_compatible(vectors) -> tuple[SampleGrid, int]:
+    """The (grid, depth) of a nonempty vector list; ValueError if two vectors disagree on either."""
     head = vectors[0]
     for v in vectors[1:]:
         if v.depth != head.depth or v.grid != head.grid:
@@ -180,7 +181,7 @@ def average(vectors) -> LandscapeVector:
     vectors = list(vectors)
     if not vectors:
         raise ValueError("cannot average zero vectors")
-    grid, depth = _check_compatible(vectors)
+    grid, depth = check_compatible(vectors)
     mean = np.zeros_like(vectors[0].entries)
     for i, v in enumerate(vectors, start=1):
         mean += (v.entries - mean) / i
@@ -189,7 +190,7 @@ def average(vectors) -> LandscapeVector:
 
 def difference(a: LandscapeVector, b: LandscapeVector) -> LandscapeVector:
     """a - b entrywise; the result can be negative and is not a landscape."""
-    _check_compatible([a, b])
+    check_compatible([a, b])
     return LandscapeVector(grid=a.grid, depth=a.depth, entries=a.entries - b.entries)
 
 

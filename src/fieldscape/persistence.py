@@ -1,21 +1,23 @@
 """Persistent homology of cubical sublevel filtrations, degrees 0 and 1.
 
 ``compute_persistence`` needs no boundary-matrix reduction, because the
-complex is a full rectangle in the plane.  Degree 0 follows the elder rule:
-union-find over the vertices takes the edges in filtration order, each
-component is named by its oldest vertex (smallest sorted index), and an edge
-joining two components kills the younger root.  Degree 1 follows Alexander
-duality: the dual graph has one node per face plus an outer node standing
-for the unbounded region, and one edge per primal edge, joining the faces on
-either side of it (a border edge reaches the outer node).  Union-find over
-that graph takes the edges in reverse filtration order with the roles of old
-and young swapped: the outer node is the oldest, the larger sorted index
-survives, and an edge joining two dual components is the birth of the cycle
-that the younger root face kills.  Every edge merges in exactly one of the
-two passes, since E = (V - 1) + F on a rectangle.  See Garin et al.,
-"Duality in persistent homology of images" (arXiv:2005.04597), and Kaji, Sudo
-and Ahara, "Cubical Ripser" (arXiv:2005.12692).  The pairs are exactly those
-of the standard column reduction on the same filtration order.
+complex is a full rectangle in the plane.  One elder rule, ``_elder_rule``,
+serves both degrees: union-find takes the links of a graph in order, names
+each component by its smallest node, and a link joining two components kills
+the larger root.  Cells are numbered among the cells of their own dimension.
+Degree 0 runs the rule on the vertices, joined by the edges in filtration
+order.  Degree 1 follows Alexander duality and runs it on the dual graph: one
+node per face plus an outer node for the unbounded region, and one link per
+primal edge joining the faces on either side of it (a border edge reaches the
+outer node), taken in reverse filtration order.  The outer node is node 0 and
+face j is node F - j, so a later face is the elder and the rule reads the
+same way; a merging edge is the birth of the cycle that its killed face
+closes.  The one invariant is that both graphs are connected: n - 1 merges on
+n nodes, V - 1 and F, so every edge merges in exactly one pass, since
+E = (V - 1) + F on a rectangle.  See Garin et al., "Duality in persistent
+homology of images" (arXiv:2005.04597), and Kaji, Sudo and Ahara, "Cubical
+Ripser" (arXiv:2005.12692).  The pairs are exactly those of the standard
+column reduction on the same filtration order.
 
 The reduced-homology convention drops the one essential component (born at
 the global minimum); on a full rectangle every degree-1 class dies, so the
@@ -69,26 +71,19 @@ class PersistenceDiagram:
         return [(p.birth, p.death) for p in self.pairs if p.degree == degree and p.death > p.birth]
 
 
-def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
-    n = filt.n_cells
-    dims = filt.dims
-    boundary = filt.boundary
-    values = filt.values
-    vertices = np.nonzero(dims == 0)[0]
-    edges = np.nonzero(dims == 1)[0]
-    faces = np.nonzero(dims == 2)[0]
+def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find over nodes ``0..n_nodes-1`` taking the (u, v) rows of ``links`` in order.
 
-    # raw (birth cell, death cell) pairs kept as flat lists per degree: 10^5
-    # small tuples or lists cost more in garbage collection than the passes
-    births0: list[int] = []
-    deaths0: list[int] = []
-    births1: list[int] = []
-    deaths1: list[int] = []
-
-    # degree 0: edges in filtration order, the older (smaller) root survives;
-    # find() is inlined with path halving, about 20 % faster than a helper call
-    parent = list(range(n))
-    for e, u, v in zip(edges.tolist(), boundary[edges, 0].tolist(), boundary[edges, 1].tolist()):
+    Each component is named by its smallest node, its elder; a link joining
+    two components kills the larger root.  Returns the positions of the
+    merging links and the roots they kill.  The graph must be connected:
+    AssertionError unless exactly ``n_nodes - 1`` links merge.
+    """
+    # flat lists: 10^5 small tuples cost more in garbage collection than the
+    # pass; find() is inlined with path halving, 20 % faster than a call
+    at, killed = [], []
+    parent = list(range(n_nodes))
+    for i, u, v in zip(range(len(links)), links[:, 0].tolist(), links[:, 1].tolist()):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -97,41 +92,43 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
             if u > v:
                 u, v = v, u
             parent[v] = u
-            births0.append(v)
-            deaths0.append(e)
-    if len(births0) != len(vertices) - 1:
-        raise AssertionError(f"expected one essential component, found {len(vertices) - len(births0)}")
+            at.append(i)
+            killed.append(v)
+    if len(at) != n_nodes - 1:
+        raise AssertionError(f"{n_nodes} nodes but {len(at)} merges: the graph is not connected")
+    return np.array(at, dtype=np.int64), np.array(killed, dtype=np.int64)
 
-    # degree 1: the dual graph's nodes are the faces plus the outer node n,
-    # its edges join the two faces on either side of a primal edge.  Face
-    # boundary rows list the top, bottom, left and right edges, so a face is
-    # side 0 of its top and left edges and side 1 of its bottom and right
-    # ones; a border edge keeps the outer node on its open side.
-    cofaces = np.full((2, n), n, dtype=np.int64)
-    face_edges = boundary[faces]
+
+def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
+    dims = filt.dims
+    boundary = filt.boundary
+    values = filt.values
+    vertices = np.nonzero(dims == 0)[0]
+    edges = np.nonzero(dims == 1)[0]
+    faces = np.nonzero(dims == 2)[0]
+    n_faces = len(faces)
+    # compact labels: each cell's position among the cells of its dimension
+    local = np.empty(filt.n_cells, dtype=np.int64)
+    for cells in (vertices, edges, faces):
+        local[cells] = np.arange(len(cells))
+
+    # degree 0: the primal graph, edges in filtration order
+    at, killed = _elder_rule(local[boundary[edges, :2]], len(vertices))
+    raw = [(vertices[killed], edges[at])]
+
+    # degree 1: the dual graph, edges in reverse filtration order, the outer
+    # node 0 and face j node F - j.  Face boundary rows list the top, bottom,
+    # left and right edges: a face is side 0 of its top and left edges and side
+    # 1 of its bottom and right ones; a border edge keeps the outer node.
+    cofaces = np.zeros((len(edges), 2), dtype=np.int64)
     for slot, side in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        cofaces[side, face_edges[:, slot]] = faces
-    # edges in reverse filtration order, the older (larger) root survives
-    parent = list(range(n + 1))
-    rev_edges = edges[::-1]
-    for e, f, g in zip(rev_edges.tolist(), cofaces[0, rev_edges].tolist(), cofaces[1, rev_edges].tolist()):
-        while parent[f] != f:
-            parent[f] = f = parent[parent[f]]
-        while parent[g] != g:
-            parent[g] = g = parent[parent[g]]
-        if f != g:
-            if f > g:
-                f, g = g, f
-            parent[f] = g
-            births1.append(e)
-            deaths1.append(f)
-    if len(births1) != len(faces):
-        raise AssertionError(f"{len(faces)} faces killed {len(births1)} cycles")
+        cofaces[local[boundary[faces, slot]], side] = n_faces - np.arange(n_faces)
+    at, killed = _elder_rule(cofaces[::-1], n_faces + 1)
+    raw.append((edges[::-1][at], faces[n_faces - killed]))
 
     crit = filt.crit_vertex
     pairs = []
-    for degree, raw in enumerate(((births0, deaths0), (births1, deaths1))):
-        b, d = (np.array(cells, dtype=np.int64) for cells in raw)
+    for degree, (b, d) in enumerate(raw):
         keep = crit[b] != crit[d]  # same lower star: zero persistence by construction
         b, d = b[keep], d[keep]
         pairs += [

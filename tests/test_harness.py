@@ -293,6 +293,11 @@ MALFORMED_INPUTS = [
                                       "4,1,M1,train,0,1:0.0.0.0,fields/../../victim.csv\n",
                   "run/fields/a.csv": FIELD, "victim.csv": FIELD},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-path-leaves-tree"),
+    # the pipeline would take the misspelled split for test data and vectorize it on the training grid
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,trian,1,1:0.0.0.1,fields/a.csv\n",
+                  "run/fields/a.csv": FIELD},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-split-unknown"),
     pytest.param({"empty.csv": ""}, ["plot", "{src}/empty.csv", "--out", "{out}"], "input", id="plot-empty-file"),
     pytest.param({"r.csv": REPORT.format(5, 1, "nan")}, PLOT_REPORT, "input", id="plot-report-accuracy-nan"),
     pytest.param({"r.csv": REPORT.format(5, 1, "1e9")}, PLOT_REPORT, "input", id="plot-report-accuracy-1e9"),
@@ -334,6 +339,23 @@ def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
     err = capsys.readouterr().err
     assert err.startswith(f"{error} error:") and "Traceback" not in err
     assert {rel: (src / rel).read_bytes().decode() for rel in files} == files
+
+
+ONE_TRAINING_SAMPLE = ["--seed", "1", "--grid", "8x8", "--train", "1", "--test", "2",
+                       "--models", "M1:identity,M2:square", "--matern", "5:1"]
+
+
+def test_experiment_with_one_training_sample_writes_nothing(tmp_path, capsys):
+    """The class-size rule of the calibration runs before any field is drawn or any directory made."""
+    out = tmp_path / "out"
+    assert main(["experiment", *ONE_TRAINING_SAMPLE, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_one_training_sample_suffices_without_calibration(tmp_path, command):
+    assert main([command, *ONE_TRAINING_SAMPLE, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", ["experiment", "pipeline"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
 from fieldscape.persistence import (
+    _elder_rule,
     betti_curve,
     betti_oracle,
     compute_persistence,
@@ -94,6 +95,31 @@ def test_union_find_matches_reference_reduction(field):
 def test_duality_edge_cases_match_reference(rows, cols, flat):
     """No faces, or nothing but ties: the outer node and tie order carry everything."""
     assert_matches_reference(ScalarField.from_flat(rows, cols, flat))
+
+
+class TestElderRule:
+    """The one union-find loop, on hand-built graphs: (u, v) link rows over nodes 0..n-1."""
+
+    def test_path_in_order(self):
+        at, killed = _elder_rule(np.array([[0, 1], [1, 2], [2, 3]]), 4)
+        assert at.tolist() == [0, 1, 2] and killed.tolist() == [1, 2, 3]
+
+    def test_closing_link_of_a_cycle_merges_nothing(self):
+        at, killed = _elder_rule(np.array([[0, 1], [1, 2], [2, 0], [2, 3]]), 4)
+        assert at.tolist() == [0, 1, 3] and killed.tolist() == [1, 2, 3]
+
+    def test_younger_root_dies(self):
+        # {1, 3} and {0, 2} form first; the link 3-2 joins roots 1 and 0 and kills 1
+        at, killed = _elder_rule(np.array([[3, 1], [2, 0], [3, 2]]), 4)
+        assert at.tolist() == [0, 1, 2] and killed.tolist() == [3, 2, 1]
+
+    def test_single_node_needs_no_link(self):
+        at, killed = _elder_rule(np.empty((0, 2), dtype=np.int64), 1)
+        assert at.tolist() == [] and killed.tolist() == []
+
+    def test_disconnected_graph_raises(self):
+        with pytest.raises(AssertionError, match="not connected"):
+            _elder_rule(np.array([[0, 1], [2, 3], [3, 2]]), 4)
 
 
 class TestBettiOracle:
