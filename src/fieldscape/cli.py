@@ -72,7 +72,6 @@ def _field_csvs(directory: Path) -> list[Path]:
 
 def _cmd_ph(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for path in _field_csvs(Path(args.fields)):
         write_diagram_csv(diagram_of_field(read_field_csv(path)), out / path.name)
     print(out)
@@ -90,11 +89,10 @@ def _cmd_vectorize(args) -> int:
     if (args.t0 is None) != (args.t1 is None):
         raise ConfigError("--t0 and --t1 go together")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = _field_csvs(Path(args.diagrams))
     diagrams = [_read_diagram(p) for p in paths]
     bounds = None if args.t0 is None else (args.t0, args.t1)
-    vectors = vectorize_row(diagrams, diagrams, bins, depth, threads=1, bounds=bounds)
+    vectors = vectorize_row(diagrams, diagrams, bins, depth, bounds=bounds)
     for path, vec in zip(paths, vectors):
         write_vector_csv(vec, out / path.name)
     print(out)
@@ -108,7 +106,6 @@ def _cmd_landscape(args) -> int:
         other = average([read_vector_csv(p) for p in _field_csvs(Path(args.diff))])
         result = difference(result, other)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_vector_csv(result, out)
     print(out)
     return 0
@@ -125,7 +122,6 @@ def _cmd_classify(args) -> int:
     model = train_calibrated(train, C=cost)
     report = evaluate(model, test)
     if args.model_out:
-        Path(args.model_out).parent.mkdir(parents=True, exist_ok=True)
         write_model(model, train.grid, train.depth, args.model_out)
     print(f"accuracy,{report.accuracy:.1f}")
     print(f"calibration,{report.calibration:.1f}")

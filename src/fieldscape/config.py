@@ -92,6 +92,9 @@ def _parse_matern_rows(raw: str) -> tuple[tuple[float, float], ...]:
         if not all(math.isfinite(x) and x > 0 for x in (eta, nu)):
             raise ConfigError(f"matern entry {item!r} must be finite and positive")
         rows.append((eta, nu))
+    # rows that print alike would share their output files
+    if len({(format(eta, "g"), format(nu, "g")) for eta, nu in rows}) != len(rows):
+        raise ConfigError("matern rows must be distinct to 6 significant digits")
     return tuple(rows)
 
 

@@ -262,8 +262,9 @@ def read_table(path, header: str | None = None) -> list[list[str]]:
 
 
 def write_table(path, header: str, rows, end: str = "\n") -> None:
-    """The header line, then each row's fields joined by commas; ``end`` closes every line."""
+    """The header line, then each row's fields joined by commas; ``end`` closes every line.  Makes missing parents."""
     lines = [header, *(",".join(row) for row in rows)]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(end.join(lines) + end)
 
 

@@ -1,9 +1,10 @@
 """End-to-end experiment runner: simulate, persist, vectorize, classify, report.
 
-Every sample is drawn from its own Philox substream keyed by (matern row,
-model, split, sample index), so reruns and different thread counts produce
-byte-identical outputs.  Work is parallelized over samples with results
-collected in manifest order.
+Every field is one ``Sample`` record, listed by ``_samples`` from the config or
+by ``run_pipeline`` from its manifest and grouped into matern rows by ``_rows``.
+Each runner maps one per-sample step on ``threads`` workers, in manifest order:
+simulate over all samples, experiment and pipeline over one row at a time.  Each
+drawn sample has its own Philox substream, keyed by (row, model, split, index).
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;
@@ -17,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import EvalReport, LabeledSet, check_class_size, evaluate, train_calibrated
 from .config import ExperimentConfig
@@ -78,21 +80,40 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _sample_jobs(cfg: ExperimentConfig):
-    """Every (row, model, split, index) of the experiment, in manifest order."""
-    jobs = []
-    for row_i, (eta, nu) in enumerate(cfg.matern):
-        for model_i, spec in enumerate(model_specs(cfg, eta, nu)):
-            for split_i, (split, count) in enumerate((("train", cfg.train), ("test", cfg.test))):
-                for sample_i in range(count):
-                    jobs.append((row_i, eta, nu, model_i, spec, split_i, split, sample_i))
-    return jobs
+class Sample(NamedTuple):
+    """One field: ``key`` is its substream key, empty when read from a manifest; ``path`` is under the output."""
+
+    eta: float
+    nu: float
+    model: str
+    split: str
+    key: tuple[int, ...]
+    path: Path
 
 
-def _draw(cfg: ExperimentConfig, job) -> ScalarField:
-    row_i, _eta, _nu, model_i, spec, split_i, _split, sample_i = job
-    rng = substream(cfg.seed, row_i, model_i, split_i, sample_i)
-    return sample_model(spec, cfg.rows, cfg.cols, rng, sampler=cfg.sampler)
+def _samples(cfg: ExperimentConfig) -> list[Sample]:
+    """Every sample of the experiment, in manifest order."""
+    return [
+        Sample(eta, nu, name, split, (row_i, model_i, split_i, i),
+               Path("fields", row_label(eta, nu), name, f"{split}-{i:04d}.csv"))
+        for row_i, (eta, nu) in enumerate(cfg.matern)
+        for model_i, (name, _) in enumerate(cfg.models)
+        for split_i, (split, count) in enumerate((("train", cfg.train), ("test", cfg.test)))
+        for i in range(count)
+    ]
+
+
+def _rows(samples: list[Sample]) -> dict[tuple[float, float], list[Sample]]:
+    """The samples grouped by matern row (eta, nu), rows in order of first appearance."""
+    rows: dict[tuple[float, float], list[Sample]] = {}
+    for sample in samples:
+        rows.setdefault((sample.eta, sample.nu), []).append(sample)
+    return rows
+
+
+def _draw(cfg: ExperimentConfig, sample: Sample) -> ScalarField:
+    spec = model_specs(cfg, sample.eta, sample.nu)[sample.key[1]]
+    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), sampler=cfg.sampler)
 
 
 def _read_records(path, columns) -> list[dict]:
@@ -106,27 +127,15 @@ def _read_records(path, columns) -> list[dict]:
 def run_simulate(cfg: ExperimentConfig) -> Path:
     """Write one field CSV per sample plus a manifest listing every substream."""
     out = Path(cfg.out)
-    fields_dir = out / "fields"
-    fields_dir.mkdir(parents=True, exist_ok=True)
-
-    jobs = _sample_jobs(cfg)
-    fields = _parallel_map(lambda job: _draw(cfg, job), jobs, cfg.threads)
-
-    manifest_rows = []
-    for job, field in zip(jobs, fields):
-        row_i, eta, nu, model_i, spec, split_i, split, sample_i = job
-        rel = Path(row_label(eta, nu)) / spec.name / f"{split}-{sample_i:04d}.csv"
-        path = fields_dir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_field_csv(field, path)
-        manifest_rows.append((
-            _fmt_g(eta), _fmt_g(nu), spec.name, split, str(sample_i),
-            f"{cfg.seed}:{row_i}.{model_i}.{split_i}.{sample_i}", str(Path("fields") / rel),
-        ))
-
+    samples = _samples(cfg)
+    _parallel_map(lambda s: write_field_csv(_draw(cfg, s), out / s.path), samples, cfg.threads)
     manifest = out / "manifest.csv"
     # CRLF line ends keep manifests byte-identical to those of earlier versions
-    write_table(manifest, ",".join(MANIFEST_COLUMNS), manifest_rows, end="\r\n")
+    write_table(manifest, ",".join(MANIFEST_COLUMNS), (
+        (_fmt_g(s.eta), _fmt_g(s.nu), s.model, s.split, str(s.key[3]),
+         f"{cfg.seed}:{'.'.join(map(str, s.key))}", str(s.path))
+        for s in samples
+    ), end="\r\n")
     return manifest
 
 
@@ -136,25 +145,23 @@ def diagram_of_field(field: ScalarField) -> PersistenceDiagram:
 
 
 def vectorize_row(train: list[PersistenceDiagram], diagrams: list[PersistenceDiagram], bins: int, depth: int,
-                  threads: int, bounds: tuple[float, float] | None = None) -> list[LandscapeVector]:
+                  bounds: tuple[float, float] | None = None) -> list[LandscapeVector]:
     """The per-row step: landscape vectors of ``diagrams`` on the grid ``train`` spans.
 
     ``train`` is the row's training split; ``diagrams`` holds both splits.
     ``bounds`` replaces the scan of ``train`` with explicit grid ends.
     """
     grid = default_grid(train, bins, bounds)
-    return _parallel_map(lambda d: vectorize(d, grid, depth), diagrams, threads)
+    return [vectorize(d, grid, depth) for d in diagrams]
 
 
-def _row_vectors(cfg: ExperimentConfig, row_i: int) -> dict[tuple[str, str], list[LandscapeVector]]:
+def _experiment_row(cfg: ExperimentConfig, samples: list[Sample]) -> dict[tuple[str, str], list[LandscapeVector]]:
     """Landscape vectors of one matern row, keyed by (model name, split), in sample order."""
-    jobs = [job for job in _sample_jobs(cfg) if job[0] == row_i]
-    fields = _parallel_map(lambda job: _draw(cfg, job), jobs, cfg.threads)
-    diagrams = _parallel_map(diagram_of_field, fields, cfg.threads)
-    train = [d for job, d in zip(jobs, diagrams) if job[6] == "train"]
+    diagrams = _parallel_map(lambda s: diagram_of_field(_draw(cfg, s)), samples, cfg.threads)
+    train = [d for s, d in zip(samples, diagrams) if s.split == "train"]
     vectors: dict[tuple[str, str], list[LandscapeVector]] = {}
-    for job, vec in zip(jobs, vectorize_row(train, diagrams, cfg.bins, cfg.depth, cfg.threads)):
-        vectors.setdefault((job[4].name, job[6]), []).append(vec)
+    for sample, vec in zip(samples, vectorize_row(train, diagrams, cfg.bins, cfg.depth)):
+        vectors.setdefault((sample.model, sample.split), []).append(vec)
     return vectors
 
 
@@ -204,13 +211,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """
     check_class_size(cfg.train)
     out = Path(cfg.out)
-    (out / "averages").mkdir(parents=True, exist_ok=True)
-    (out / "differences").mkdir(parents=True, exist_ok=True)
-
     names = [name for name, _ in cfg.models]
     report_rows: list[ReportRow] = []
-    for row_i, (eta, nu) in enumerate(cfg.matern):
-        vectors = _row_vectors(cfg, row_i)
+    for (eta, nu), samples in _rows(_samples(cfg)).items():
+        vectors = _experiment_row(cfg, samples)
         label = row_label(eta, nu)
 
         averages = {}
@@ -230,23 +234,21 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return report
 
 
-def _pipeline_row(cfg: ExperimentConfig, out: Path, entries: list[dict]) -> None:
-    """Diagram, census and vector files of one matern row's manifest entries."""
-    fields = _parallel_map(lambda e: read_field_csv(out / e["path"]), entries, cfg.threads)
-    diagrams = _parallel_map(diagram_of_field, fields, cfg.threads)
-    censuses = _parallel_map(detect_critical, fields, cfg.threads)
-    train = [d for e, d in zip(entries, diagrams) if e["split"] == "train"]
-    vectors = vectorize_row(train, diagrams, cfg.bins, cfg.depth, cfg.threads)
-    for entry, diagram, census, vec in zip(entries, diagrams, censuses, vectors):
-        rel = Path(entry["path"]).relative_to("fields")
-        for sub, writer, obj in (
-            ("diagrams", write_diagram_csv, diagram),
-            ("censuses", write_census_csv, census),
-            ("vectors", write_vector_csv, vec),
-        ):
-            path = out / sub / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            writer(obj, path)
+def _pipeline_row(cfg: ExperimentConfig, out: Path, samples: list[Sample]) -> None:
+    """Diagram, census and vector files of one matern row's samples."""
+
+    def step(sample: Sample):
+        field = read_field_csv(out / sample.path)
+        return diagram_of_field(field), detect_critical(field)
+
+    diagrams, censuses = zip(*_parallel_map(step, samples, cfg.threads))
+    train = [d for s, d in zip(samples, diagrams) if s.split == "train"]
+    vectors = vectorize_row(train, diagrams, cfg.bins, cfg.depth)
+    for sample, diagram, census, vec in zip(samples, diagrams, censuses, vectors):
+        rel = sample.path.relative_to("fields")
+        write_diagram_csv(diagram, out / "diagrams" / rel)
+        write_census_csv(census, out / "censuses" / rel)
+        write_vector_csv(vec, out / "vectors" / rel)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Path:
@@ -260,16 +262,22 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     manifest = out / "manifest.csv"
     if not manifest.exists():
         run_simulate(cfg)
-
-    rows: dict[tuple[str, str], list[dict]] = {}
+    samples: dict[Path, Sample] = {}
     for entry in _read_records(manifest, MANIFEST_COLUMNS):
+        path = Path(entry["path"])
         # every read and write stays inside the output tree: no absolute path, no '..'
-        parts = Path(entry["path"]).parts
-        if parts[:1] != ("fields",) or len(parts) < 2 or ".." in parts:
+        if path.parts[:1] != ("fields",) or len(path.parts) < 2 or ".." in path.parts:
             raise ValueError(f"{manifest}: path {entry['path']!r} is not a relative path under fields/ without '..'")
         if entry["split"] not in ("train", "test"):
             raise ValueError(f"{manifest}: split {entry['split']!r} is neither 'train' nor 'test'")
-        rows.setdefault((entry["eta"], entry["nu"]), []).append(entry)
-    for entries in rows.values():
-        _pipeline_row(cfg, out, entries)
+        # two NaN keys never compare equal, so a NaN would split its matern row
+        eta, nu = float(entry["eta"]), float(entry["nu"])
+        if not (0.0 < eta < math.inf and 0.0 < nu < math.inf):
+            raise ValueError(f"{manifest}: eta {entry['eta']!r} and nu {entry['nu']!r} must be finite and positive")
+        # a repeated path would have its outputs written twice, the second over the first
+        if path in samples:
+            raise ValueError(f"{manifest}: path {entry['path']!r} is listed twice")
+        samples[path] = Sample(eta, nu, entry["model"], entry["split"], (), path)
+    for row in _rows(list(samples.values())).values():
+        _pipeline_row(cfg, out, row)
     return out

@@ -26,11 +26,13 @@ from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
 from fieldscape.harness import (
+    MANIFEST_COLUMNS,
     REFERENCE_REPORT_CELLS,
     _draw,
+    _experiment_row,
     _labeled,
-    _row_vectors,
-    _sample_jobs,
+    _rows,
+    _samples,
     compare_models,
     diagram_of_field,
     model_specs,
@@ -204,9 +206,10 @@ class TestExperiment:
 
     def test_train_test_hygiene(self, tmp_path):
         cfg = tiny_config(tmp_path / "h")
-        vectors = _row_vectors(cfg, 0)
-        train_only = [diagram_of_field(_draw(cfg, job)) for job in _sample_jobs(cfg)
-                      if job[0] == 0 and job[6] == "train"]
+        row = next(iter(_rows(_samples(cfg)).values()))
+        vectors = _experiment_row(cfg, row)
+        train_only = [diagram_of_field(_draw(cfg, s)) for s in _samples(cfg)
+                      if s.key[0] == 0 and s.split == "train"]
         expected_grid = default_grid(train_only, cfg.bins)
         assert sorted(vectors) == [("M1", "test"), ("M1", "train"), ("M2", "test"), ("M2", "train")]
         for vecs in vectors.values():
@@ -298,6 +301,16 @@ MALFORMED_INPUTS = [
                                       "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,trian,1,1:0.0.0.1,fields/a.csv\n",
                   "run/fields/a.csv": FIELD},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-split-unknown"),
+    # a NaN eta never equals itself, so it cannot name a matern row
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\n"
+                                      "nan,1,M1,train,0,1:0.0.0.0,fields/a.csv\n",
+                  "run/fields/a.csv": FIELD},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-eta-not-finite"),
+    # the second entry's outputs would overwrite the first's, dropping a sample
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,test,0,1:0.0.1.0,fields/a.csv\n",
+                  "run/fields/a.csv": FIELD},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-path-repeated"),
     pytest.param({"empty.csv": ""}, ["plot", "{src}/empty.csv", "--out", "{out}"], "input", id="plot-empty-file"),
     pytest.param({"r.csv": REPORT.format(5, 1, "nan")}, PLOT_REPORT, "input", id="plot-report-accuracy-nan"),
     pytest.param({"r.csv": REPORT.format(5, 1, "1e9")}, PLOT_REPORT, "input", id="plot-report-accuracy-1e9"),
@@ -318,6 +331,11 @@ MALFORMED_INPUTS = [
     pytest.param({"c.toml": "seed = 1\nspacing = 1" + "0" * 400 + "\n"}, EXPERIMENT, "config",
                  id="config-spacing-past-float"),
     pytest.param({"c.toml": 'seed = 1\nmatern = "4:inf"\n'}, EXPERIMENT, "config", id="config-matern-nu-inf"),
+    # both rows would write the same field files
+    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "1", "--matern", "4:1,4.0:1"], "config",
+                 id="flag-matern-repeated"),
+    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "1", "--matern", "4:1,4.0000001:1"], "config",
+                 id="flag-matern-rows-print-alike"),
     pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "0"], "config", id="flag-samples-zero"),
     pytest.param({}, SIMULATE + ["--grid", "", "--samples", "1"], "config", id="flag-grid-empty"),
     pytest.param({}, SIMULATE + ["--grid", "4x4", "--sampler", "bogus"], "config", id="flag-sampler-unknown"),
@@ -339,6 +357,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
     err = capsys.readouterr().err
     assert err.startswith(f"{error} error:") and "Traceback" not in err
     assert {rel: (src / rel).read_bytes().decode() for rel in files} == files
+
+
+def test_manifest_rows_group_on_values_not_text(tmp_path):
+    """``4`` and ``4.0`` are one matern row, so the test sample is vectorized on the training sample's grid."""
+    run = tmp_path / "run"
+    (run / "fields").mkdir(parents=True)
+    (run / "fields" / "a.csv").write_text(FIELD)
+    (run / "fields" / "b.csv").write_text("2,2\n0,3\n2,1\n")
+    (run / "manifest.csv").write_text("eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4.0,1,M1,test,0,1:0.0.1.0,fields/b.csv\n")
+    assert main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)]) == 0
+    train, test = (read_vector_csv(run / "vectors" / name) for name in ("a.csv", "b.csv"))
+    assert test.grid == train.grid
 
 
 ONE_TRAINING_SAMPLE = ["--seed", "1", "--grid", "8x8", "--train", "1", "--test", "2",
@@ -408,6 +439,44 @@ def test_reader_fuzz_exits_cleanly(data, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# field files the fuzzed manifests point at: two readable, one empty diagram, one malformed
+FUZZ_FIELDS = {"a.csv": FIELD, "b.csv": "2,2\n0,3\n2,1\n", "c.csv": "1,1\n5\n", "d.csv": "2,2\n1,2\n"}
+_FUZZ_PATH = st.one_of(
+    st.sampled_from([f"fields/{name}" for name in FUZZ_FIELDS]),
+    st.sampled_from(["fields/./a.csv", "fields/none.csv", "fields/../fields/a.csv", "/a.csv", "fields", "a.csv"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _manifest_text(draw):
+    """Arbitrary text, or the manifest header over entries of few eta/nu values, splits and paths."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=200))
+    value = st.sampled_from(["4", "4.0", "5"]) | _NUM
+    split = st.sampled_from(["train", "train", "test", "trian"])
+    entry = _row(value, value, st.sampled_from(["M1", "M2"]), split, _INT, st.just("1:0.0.0.0"), _FUZZ_PATH)
+    return draw(st.sampled_from(["\n", "\r\n"])).join([",".join(MANIFEST_COLUMNS), *draw(st.lists(entry, max_size=6))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_manifest_text())
+def test_manifest_fuzz_exits_cleanly(text):
+    """No manifest crashes the pipeline: exit 0 or 2, never a traceback, every input file left as it was."""
+    inputs = {"manifest.csv": text, **{f"fields/{name}": content for name, content in FUZZ_FIELDS.items()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        for rel, content in inputs.items():
+            (run / rel).parent.mkdir(parents=True, exist_ok=True)
+            (run / rel).write_bytes(content.encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "2", "--out", str(run)])
+        assert {rel: (run / rel).read_bytes().decode() for rel in inputs} == inputs
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
 
