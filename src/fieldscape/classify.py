@@ -205,13 +205,6 @@ def fit_sigmoid(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     raise CalibrationError(f"sigmoid fit did not converge in {SIGMOID_MAX_ITER} iterations")
 
 
-def platt_calibrate(model: ClassifierModel, holdout: LabeledSet) -> tuple[float, float]:
-    """Fit (A, B) on held-out decision values; A < 0 for a positively oriented model."""
-    if len(holdout) == 0:
-        raise ValueError("empty holdout set")
-    return fit_sigmoid(model.decision(holdout.X), holdout.y)
-
-
 def _fold_indices(y: np.ndarray) -> list[np.ndarray]:
     """Deterministic stratified folds: round-robin within each class in input order."""
     assignment = np.empty(len(y), dtype=np.int64)

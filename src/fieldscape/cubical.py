@@ -21,6 +21,9 @@ anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
 its odd axes: (above, below) across an odd row, (left, right) across an odd
 column, so a face lists (top, bottom, left, right) edges and an edge its two
 vertices.  ``cell_owners`` fills that grid with each cell's owner.
+``CubicalFiltration`` keeps four arrays per sorted cell: value, dimension,
+facets and owner.  Anchors and orientations are grid positions, which the
+sort reads and the record does not keep.
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidFieldError
-
-# orientation codes of CubicalFiltration.orients; vertices and faces share ORIENT_H
-ORIENT_H = 0
-ORIENT_V = 1
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
@@ -98,70 +96,25 @@ def vertex_rank(field: ScalarField) -> np.ndarray:
     return rank.reshape(field.rows, field.cols)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One cell of the complex: a vertex, an edge, or a square face.
-
-    ``anchor`` is the top-left vertex; edges carry an 'h'/'v' orientation.
-    The value equals the maximum of the boundary vertices (the vertex's own
-    value for dim 0).
-    """
-
-    dim: int
-    anchor: tuple[int, int]
-    orientation: str | None
-    value: float
-
-
+@dataclass(frozen=True, eq=False)
 class CubicalFiltration:
-    """All cells of the grid complex sorted into filtration order.
+    """All cells of the grid complex sorted into filtration order: four arrays indexed by sorted position.
 
-    Cells are indexed by their sorted position.  ``boundary[i]`` lists the
-    sorted indices of cell i's boundary cells (-1 padding), and
-    ``crit_vertex[i]`` is the row-major index of the boundary vertex of
-    highest ``vertex_rank``, whose value the cell attains (the cell belongs
-    to that vertex's lower star).
+    ``values[i]`` is cell i's value and ``dims[i]`` its dimension.
+    ``boundary[i]`` lists the sorted indices of cell i's facets, -1 padded
+    to four.  ``crit_vertex[i]`` is the row-major index of cell i's owner,
+    the boundary vertex of highest ``vertex_rank``, whose value the cell
+    attains (the cell belongs to that vertex's lower star).
     """
 
-    def __init__(self, values, dims, anchor_rows, anchor_cols, orients, boundary, crit_vertex):
-        self.values = values
-        self.dims = dims
-        self.anchor_rows = anchor_rows
-        self.anchor_cols = anchor_cols
-        self.orients = orients
-        self.boundary = boundary
-        self.crit_vertex = crit_vertex
+    values: np.ndarray  # float64
+    dims: np.ndarray  # int8
+    boundary: np.ndarray  # (n_cells, 4) int64
+    crit_vertex: np.ndarray  # int64
 
     @property
     def n_cells(self) -> int:
         return len(self.values)
-
-    def cell_counts(self) -> tuple[int, int, int]:
-        """(V, E, F) of the full complex."""
-        return (
-            int(np.sum(self.dims == 0)),
-            int(np.sum(self.dims == 1)),
-            int(np.sum(self.dims == 2)),
-        )
-
-    def euler_characteristic(self) -> int:
-        v, e, f = self.cell_counts()
-        return v - e + f
-
-    def cell(self, i: int) -> Cell:
-        d = int(self.dims[i])
-        orientation = None
-        if d == 1:
-            orientation = "v" if self.orients[i] == ORIENT_V else "h"
-        return Cell(
-            dim=d,
-            anchor=(int(self.anchor_rows[i]), int(self.anchor_cols[i])),
-            orientation=orientation,
-            value=float(self.values[i]),
-        )
-
-    def boundary_of(self, i: int) -> list[int]:
-        return [int(b) for b in self.boundary[i] if b >= 0]
 
 
 def cell_owners(rank: np.ndarray) -> np.ndarray:
@@ -200,7 +153,6 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     i, j = np.ogrid[:h, :w]
     dim = (i % 2 + j % 2).astype(np.int8)
     order = np.lexsort((dim.ravel(), owner.ravel()))
-    row, col = np.divmod(order, w)  # grid position of each sorted cell
     # sorted position of each grid id; the trailing -1 keeps the -1 padding
     pos = np.full(h * w + 1, -1, dtype=np.int64)
     pos[order] = np.arange(h * w)
@@ -212,9 +164,6 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     return CubicalFiltration(
         values=field.values.ravel()[crit],
         dims=dim.ravel()[order],
-        anchor_rows=(row // 2).astype(np.int32),
-        anchor_cols=(col // 2).astype(np.int32),
-        orients=np.where(row % 2 > col % 2, ORIENT_V, ORIENT_H).astype(np.int8),
         boundary=pos[_grid_facets(h, w)[order]],
         crit_vertex=crit,
     )
@@ -259,6 +208,15 @@ def read_table(path, header: str | None = None) -> list[list[str]]:
             raise ValueError(f"{path}: expected header {header!r}")
         lines = lines[1:]
     return [ln.split(",") for ln in lines]
+
+
+def parse_number(path, column: str, text: str, kind=float):
+    """``kind(text)`` for one field of a table; ValueError naming the file and the column if it does not convert."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: {column} must be {noun}, got {text!r}") from None
 
 
 def write_table(path, header: str, rows, end: str = "\n") -> None:

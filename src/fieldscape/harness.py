@@ -23,7 +23,15 @@ from typing import NamedTuple
 from .classify import EvalReport, LabeledSet, check_class_size, evaluate, train_calibrated
 from .config import ExperimentConfig
 from .critical import detect_critical, write_census_csv
-from .cubical import ScalarField, build_filtration, read_field_csv, read_table, write_field_csv, write_table
+from .cubical import (
+    ScalarField,
+    build_filtration,
+    parse_number,
+    read_field_csv,
+    read_table,
+    write_field_csv,
+    write_table,
+)
 from .grf import MaternParams, ModelSpec, sample_model, substream
 from .landscape import (
     LandscapeVector,
@@ -195,7 +203,7 @@ def read_report_csv(path) -> list[dict]:
     """
     rows = _read_records(path, REPORT_COLUMNS)
     for row in rows:
-        eta, nu, accuracy, calibration = (float(row[key]) for key in REPORT_COLUMNS[1:])
+        eta, nu, accuracy, calibration = (parse_number(path, key, row[key]) for key in REPORT_COLUMNS[1:])
         if not (0.0 < eta < math.inf and 0.0 < nu < math.inf
                 and 0.0 <= accuracy <= 100.0 and 0.0 <= calibration <= 100.0):
             raise ValueError(f"{path}: row {row['comparison']!r} needs eta and nu finite and positive, "
@@ -271,7 +279,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         if entry["split"] not in ("train", "test"):
             raise ValueError(f"{manifest}: split {entry['split']!r} is neither 'train' nor 'test'")
         # two NaN keys never compare equal, so a NaN would split its matern row
-        eta, nu = float(entry["eta"]), float(entry["nu"])
+        eta, nu = (parse_number(manifest, key, entry[key]) for key in ("eta", "nu"))
         if not (0.0 < eta < math.inf and 0.0 < nu < math.inf):
             raise ValueError(f"{manifest}: eta {entry['eta']!r} and nu {entry['nu']!r} must be finite and positive")
         # a repeated path would have its outputs written twice, the second over the first

@@ -1,4 +1,4 @@
-"""Persistence landscapes, their discretization, and sparse encoding.
+"""Persistence landscapes, their discretization, and their index/value files.
 
 The level-k landscape of a set of (birth, death) bars evaluates to the k-th
 largest tent value max(0, min(t - birth, death - t)) at each t.  Levels are
@@ -7,8 +7,8 @@ nonincreasing in k and each level is 1-Lipschitz.
 The flattened vector samples levels 1..K at grid points t_0 < ... < t_N for
 degree 0, then degree 1, giving length 2(N+1)K: degree-0 level 1 at
 t_0..t_N, degree-0 level 2, ..., degree-1 level K at t_0..t_N.  Landscape
-vectors are mostly zero once K exceeds the effective depth, so a sparse
-(index, value) encoding is provided for classifier input and file export.
+vectors are mostly zero once K exceeds the effective depth, so vector files
+list only the nonzero entries as (index, value) lines.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import read_table, write_table
+from .cubical import parse_number, read_table, write_table
 from .persistence import PersistenceDiagram
 
 VECTOR_HEADER = "N,K,t0,tN"
@@ -46,6 +46,8 @@ class SampleGrid:
             raise ValueError("need at least one interval")
         if not t1 > t0:
             raise ValueError(f"need t0 < tN, got [{t0}, {t1}]")
+        if not np.isfinite(t1 - t0):
+            raise ValueError(f"grid span [{t0}, {t1}] is not finite")
         return cls(np.linspace(t0, t1, n_intervals + 1))
 
     @property
@@ -194,19 +196,6 @@ def difference(a: LandscapeVector, b: LandscapeVector) -> LandscapeVector:
     return LandscapeVector(grid=a.grid, depth=a.depth, entries=a.entries - b.entries)
 
 
-def sparsify(v: LandscapeVector) -> list[tuple[int, float]]:
-    """(index, value) pairs of the nonzero entries; exact round trip."""
-    idx = np.nonzero(v.entries)[0]
-    return [(int(i), float(v.entries[i])) for i in idx]
-
-
-def densify(pairs, grid: SampleGrid, depth: int) -> LandscapeVector:
-    entries = np.zeros(2 * grid.n_points * depth)
-    for i, val in pairs:
-        entries[i] = val
-    return LandscapeVector(grid=grid, depth=depth, entries=entries)
-
-
 def default_grid(diagrams, n_intervals: int, bounds: tuple[float, float] | None = None) -> SampleGrid:
     """Uniform grid spanning the extreme birth and death over the diagrams.
 
@@ -252,14 +241,16 @@ def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
     if len(rows) < 2 or rows[1] != ["index", "value"] or len(rows[0]) != header.count(",") + 1:
         raise ValueError(f"{path}: not a {header} index/value file")
     meta, body = rows[0], rows[2:]
-    n, k, rest = int(meta[0]), int(meta[1]), [float(x) for x in meta[2:]]
+    columns = header.split(",")
+    n, k = (parse_number(path, column, x, int) for column, x in zip(columns, meta[:2]))
+    rest = [parse_number(path, column, x) for column, x in zip(columns[2:], meta[2:])]
     size = 2 * (n + 1) * k
     if n < 1 or k < 1 or size > MAX_ENTRIES or not np.all(np.isfinite(rest)):
         raise ValueError(f"{path}: bad meta line {','.join(meta)!r}")
     if any(len(row) != 2 for row in body):
         raise ValueError(f"{path}: index/value lines need two fields")
-    idx = [int(i) for i, _ in body]
-    vals = np.array([float(v) for _, v in body], dtype=np.float64)
+    idx = [parse_number(path, "index", i, int) for i, _ in body]
+    vals = np.array([parse_number(path, "value", v) for _, v in body], dtype=np.float64)
     if not all(0 <= i < size for i in idx) or not np.all(np.isfinite(vals)):
         raise ValueError(f"{path}: index outside [0, {size}) or non-finite value")
     if len(set(idx)) != len(idx):

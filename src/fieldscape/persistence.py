@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import CubicalFiltration, read_table, sublevel_complex, write_table
+from .cubical import CubicalFiltration, parse_number, read_table, sublevel_complex, write_table
 
 DIAGRAM_HEADER = "degree,birth,death"
 
@@ -62,9 +62,6 @@ class PersistenceDiagram:
 
     pairs: tuple[PersistencePair, ...]
     essential_min: float
-
-    def in_degree(self, degree: int) -> list[PersistencePair]:
-        return [p for p in self.pairs if p.degree == degree]
 
     def bars(self, degree: int) -> list[tuple[float, float]]:
         """(birth, death) intervals with positive length, landscape input."""
@@ -205,13 +202,15 @@ def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
 def read_diagram_csv(path) -> list[tuple[int, float, float]]:
     """Parsed (degree, birth, death) rows; enough for landscape vectorization.
 
-    Degrees other than 0 and 1, non-finite values and death < birth raise
-    ValueError.
+    Lines without three fields, fields that are not numbers, degrees other
+    than 0 and 1, non-finite values and death < birth raise ValueError.
     """
     out = []
     for row in read_table(path, DIAGRAM_HEADER):
-        d, b, dd = row
-        degree, birth, death = int(d), float(b), float(dd)
+        if len(row) != 3:
+            raise ValueError(f"{path}: every line needs the 3 fields {DIAGRAM_HEADER}, got {','.join(row)!r}")
+        degree = parse_number(path, "degree", row[0], int)
+        birth, death = parse_number(path, "birth", row[1]), parse_number(path, "death", row[2])
         if degree not in (0, 1) or not -np.inf < birth <= death < np.inf:
             raise ValueError(f"{path}: bad pair {','.join(row)!r}")
         out.append((degree, birth, death))

@@ -27,7 +27,14 @@ from fieldscape.grf import (
     substream,
 )
 from fieldscape.harness import diagram_of_field, read_report_csv, run_experiment
-from fieldscape.landscape import SampleGrid, default_grid, densify, sparsify, vectorize, vectorize_bars
+from fieldscape.landscape import (
+    SampleGrid,
+    default_grid,
+    read_vector_csv,
+    vectorize,
+    vectorize_bars,
+    write_vector_csv,
+)
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
 from test_grf import kv_quadrature
@@ -133,8 +140,8 @@ def test_landscape_laws_1000_diagrams():
     _ok("landscape laws (1000 diagrams: dominance, Lipschitz, oracle-exact)")
 
 
-def test_vector_shape_and_sparse_round_trip():
-    """Vector length is 2(N+1)K; sparse encoding round-trips exactly."""
+def test_vector_shape_and_sparse_round_trip(tmp_path):
+    """Vector length is 2(N+1)K; the sparse vector file round-trips exactly."""
     rng = np.random.default_rng(1004)
     for _ in range(60):
         n = int(rng.integers(1, 51))
@@ -143,7 +150,8 @@ def test_vector_shape_and_sparse_round_trip():
         bars = [(b, b + float(rng.uniform(0.01, 1.0))) for b in rng.uniform(0, 2, rng.integers(0, 8))]
         vec = vectorize_bars(bars, bars[::-1], grid, k)
         assert len(vec.entries) == 2 * (n + 1) * k
-        assert densify(sparsify(vec), grid, k) == vec
+        write_vector_csv(vec, tmp_path / "vec.csv")
+        assert read_vector_csv(tmp_path / "vec.csv") == vec
     _ok("vector shape 2(N+1)K and exact sparse round trip (N <= 50, K <= 8)")
 
 

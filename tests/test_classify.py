@@ -8,7 +8,6 @@ from fieldscape.classify import (
     LabeledSet,
     evaluate,
     fit_sigmoid,
-    platt_calibrate,
     primal_objective,
     read_model,
     train_calibrated,
@@ -16,7 +15,7 @@ from fieldscape.classify import (
     write_model,
 )
 from fieldscape.errors import TrainingError
-from fieldscape.landscape import LandscapeVector, SampleGrid, densify, sparsify
+from fieldscape.landscape import SampleGrid
 
 
 def qp_oracle(X, y, C):
@@ -122,23 +121,6 @@ class TestTrainSvm:
         probe = np.abs(rng.standard_normal((60, 5)))
         assert np.array_equal(base.predict(probe), scaled.predict(gamma * probe))
 
-    def test_sparse_dense_equivalence(self):
-        rng = np.random.default_rng(55)
-        grid = SampleGrid.uniform(0.0, 1.0, 9)
-        vecs = []
-        for _ in range(12):
-            entries = np.maximum(rng.standard_normal(2 * 10 * 2), 0.0)
-            entries[rng.random(len(entries)) < 0.6] = 0.0
-            vecs.append(LandscapeVector(grid=grid, depth=2, entries=entries))
-        labels = [1.0] * 6 + [-1.0] * 6
-        dense = LabeledSet.from_vectors(vecs, labels)
-        via_sparse = LabeledSet.from_vectors(
-            [densify(sparsify(v), grid, 2) for v in vecs], labels
-        )
-        a = train_svm(dense, C=1.0)
-        b = train_svm(via_sparse, C=1.0)
-        assert np.array_equal(a.w, b.w) and a.b == b.b
-
     def test_degenerate_data_rejected(self):
         X = np.ones((6, 3))
         y = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
@@ -156,7 +138,7 @@ class TestPlatt:
         X = np.vstack([rng.normal(-2, 0.3, (20, 1)), rng.normal(2, 0.3, (20, 1))])
         y = np.hstack([-np.ones(20), np.ones(20)])
         model = train_svm(LabeledSet(X=X, y=y), C=10.0)
-        a, b = platt_calibrate(model, LabeledSet(X=X, y=y))
+        a, b = fit_sigmoid(model.decision(X), y)
         assert a < 0  # positively oriented decision function
         calibrated = ClassifierModel(w=model.w, b=model.b, C=model.C, platt=(a, b))
         p = calibrated.prob_positive(X)

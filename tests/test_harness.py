@@ -287,7 +287,17 @@ MALFORMED_INPUTS = [
                  id="vector-index-past-int64"),
     pytest.param({"v/a.csv": "N,K,t0,tN\n1000000000,1000,0,1\nindex,value\n"}, LANDSCAPE, "input",
                  id="vector-size-too-large"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\nx,1,0,1\nindex,value\n"}, LANDSCAPE, "input", id="vector-meta-not-a-number"),
+    pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n1.5,5\n"}, LANDSCAPE, "input",
+                 id="vector-index-fractional"),
     pytest.param({"d/a.csv": "degree,birth,death\n0,nan,1\n"}, VECTORIZE, "input", id="diagram-nan-birth"),
+    pytest.param({"d/a.csv": "degree,birth,death\nx,1,2\n"}, VECTORIZE, "input", id="diagram-degree-not-a-number"),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1\n"}, VECTORIZE, "input", id="diagram-line-short"),
+    # an infinite span, or one that overflows, gives numpy warnings inside linspace
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE[:5] + ["--t0=-inf", "--t1=inf"], "input",
+                 id="vectorize-span-infinite", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE[:5] + ["--t0=-1e308", "--t1=1e308"],
+                 "input", id="vectorize-span-overflows", marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     pytest.param({"d/a.csv": "degree,birth,death\n0,2,1\n"}, VECTORIZE, "input", id="diagram-death-before-birth"),
     pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream\n4,1,M1,train,0,1:0.0.0.0\n"},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-without-path"),
@@ -306,6 +316,9 @@ MALFORMED_INPUTS = [
                                       "nan,1,M1,train,0,1:0.0.0.0,fields/a.csv\n",
                   "run/fields/a.csv": FIELD},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-eta-not-finite"),
+    pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\nabc,1,M1,train,0,x,fields/a.csv\n",
+                  "run/fields/a.csv": FIELD},
+                 ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-eta-not-a-number"),
     # the second entry's outputs would overwrite the first's, dropping a sample
     pytest.param({"run/manifest.csv": "eta,nu,model,split,index,substream,path\n"
                                       "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,test,0,1:0.0.1.0,fields/a.csv\n",
@@ -316,6 +329,7 @@ MALFORMED_INPUTS = [
     pytest.param({"r.csv": REPORT.format(5, 1, "1e9")}, PLOT_REPORT, "input", id="plot-report-accuracy-1e9"),
     pytest.param({"r.csv": REPORT.format(5, 1, "-40")}, PLOT_REPORT, "input", id="plot-report-accuracy-negative"),
     pytest.param({"r.csv": REPORT.format(0, 1, 95.0)}, PLOT_REPORT, "input", id="plot-report-eta-zero"),
+    pytest.param({"r.csv": REPORT.format("abc", 1, 90)}, PLOT_REPORT, "input", id="plot-report-eta-not-a-number"),
     pytest.param({"r.csv": REPORT.format(5, "inf", 95.0)}, PLOT_REPORT, "input", id="plot-report-nu-inf"),
     pytest.param({}, ["experiment", "--seed", "1", "--grid", "6x6", "--train", "1", "--test", "2",
                       "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", "{out}"], "input",
@@ -346,17 +360,45 @@ MALFORMED_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("files, argv, error", MALFORMED_INPUTS)
-def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
-    """Exit 2 with a one-line error, every input file left as it was."""
+def _run_on_files(tmp_path, files, argv) -> int:
+    """Write ``files`` under ``tmp_path/in``, then run the CLI with ``{src}`` and ``{out}`` filled in."""
     src = tmp_path / "in"
     for rel, content in files.items():
         (src / rel).parent.mkdir(parents=True, exist_ok=True)
         (src / rel).write_bytes(content.encode())
-    assert main([arg.format(src=src, out=tmp_path / "out") for arg in argv]) == 2
+    return main([arg.format(src=src, out=tmp_path / "out") for arg in argv])
+
+
+@pytest.mark.parametrize("files, argv, error", MALFORMED_INPUTS)
+def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
+    """Exit 2 with a one-line error, every input file left as it was."""
+    assert _run_on_files(tmp_path, files, argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{error} error:") and "Traceback" not in err
-    assert {rel: (src / rel).read_bytes().decode() for rel in files} == files
+    assert {rel: (tmp_path / "in" / rel).read_bytes().decode() for rel in files} == files
+
+
+# the file and the column that the error of each unreadable field names
+UNREADABLE_FIELDS = {
+    "vector-meta-not-a-number": ("v/a.csv", "N"),
+    "vector-index-fractional": ("v/a.csv", "index"),
+    "diagram-degree-not-a-number": ("d/a.csv", "degree"),
+    "diagram-line-short": ("d/a.csv", "death"),
+    "manifest-eta-not-a-number": ("run/manifest.csv", "eta"),
+    "plot-report-eta-not-a-number": ("r.csv", "eta"),
+}
+
+
+@pytest.mark.parametrize("files, argv, name, column", [
+    pytest.param(*case.values[:2], *UNREADABLE_FIELDS[case.id], id=case.id)
+    for case in MALFORMED_INPUTS if case.id in UNREADABLE_FIELDS
+])
+def test_unreadable_field_names_its_file_and_column(tmp_path, capsys, files, argv, name, column):
+    assert _run_on_files(tmp_path, files, argv) == 2
+    err = capsys.readouterr().err
+    path = str(tmp_path / "in" / name)
+    assert path in err
+    assert column in err.partition(path)[2]
 
 
 def test_manifest_rows_group_on_values_not_text(tmp_path):
@@ -416,6 +458,13 @@ def _file_text(draw, command):
         return draw(st.text(max_size=200))
     if command == "vectorize":
         lines = ["degree,birth,death", *draw(st.lists(_row(_INT, _NUM, _NUM), max_size=6))]
+    elif command == "ph":
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        lines = [draw(_row(st.just(str(rows)), st.just(str(cols)))),
+                 *draw(st.lists(_row(*[_NUM] * cols), min_size=rows, max_size=rows + 1))]
+    elif command == "plot":
+        comparison = st.sampled_from(["M1 v M2", ""]) | st.text(max_size=4)
+        lines = [REPORT.splitlines()[0], *draw(st.lists(_row(comparison, _NUM, _NUM, _NUM, _NUM), max_size=4))]
     else:
         size = st.integers(-1, 8).map(str) | _INT
         lines = ["N,K,t0,tN", draw(_row(size, size, _NUM, _NUM)), "index,value",
@@ -424,18 +473,20 @@ def _file_text(draw, command):
 
 
 @settings(max_examples=500, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["vectorize", "landscape"]))
+@given(data=st.data(), command=st.sampled_from(["vectorize", "landscape", "ph", "plot"]))
 def test_reader_fuzz_exits_cleanly(data, command):
-    """No diagram or vector file crashes the CLI: exit 0 or 2, never a traceback."""
+    """No diagram, vector, field or report file crashes the CLI: exit 0 or 2, never a traceback."""
     text = data.draw(_file_text(command))
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "in"
         src.mkdir()
         (src / "a.csv").write_text(text)
-        if command == "vectorize":
-            argv = ["vectorize", "--diagrams", str(src), "--out", f"{tmp}/out", "--bins", "4", "--depth", "2"]
-        else:
-            argv = ["landscape", "--vectors", str(src), "--out", f"{tmp}/out/avg.csv"]
+        argv = {
+            "vectorize": ["vectorize", "--diagrams", str(src), "--out", f"{tmp}/out", "--bins", "4", "--depth", "2"],
+            "landscape": ["landscape", "--vectors", str(src), "--out", f"{tmp}/out/avg.csv"],
+            "ph": ["ph", "--fields", str(src), "--out", f"{tmp}/out"],
+            "plot": ["plot", str(src / "a.csv"), "--out", f"{tmp}/out"],
+        }[command]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

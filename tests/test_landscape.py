@@ -10,12 +10,10 @@ from fieldscape.landscape import (
     SampleGrid,
     average,
     default_grid,
-    densify,
     difference,
     eval_landscape,
     max_depth,
     read_vector_csv,
-    sparsify,
     vectorize,
     vectorize_bars,
     write_vector_csv,
@@ -190,23 +188,31 @@ class TestAverageDifference:
 
 
 class TestSparsify:
-    def test_zero_vector(self):
-        v = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
-        assert sparsify(v) == []
+    """Vector files list the nonzero entries only, as index,value lines."""
 
-    def test_single_entry(self):
+    def test_zero_vector(self, tmp_path):
+        v = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
+        write_vector_csv(v, tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_text().splitlines()[3:] == []
+        assert read_vector_csv(tmp_path / "v.csv") == v
+
+    def test_single_entry(self, tmp_path):
         v = LandscapeVector(
             grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.array([0, 1, 0, 0, 0, 0.0])
         )
-        assert sparsify(v) == [(1, 1.0)]
+        write_vector_csv(v, tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_text().splitlines()[3:] == ["1,1"]
+        assert read_vector_csv(tmp_path / "v.csv") == v
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
-    def test_round_trip_exact(self, entries):
+    def test_round_trip_exact(self, tmp_path_factory, entries):
         v = LandscapeVector(
             grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.array(entries)
         )
-        assert densify(sparsify(v), v.grid, v.depth) == v
+        path = tmp_path_factory.mktemp("sparse") / "v.csv"
+        write_vector_csv(v, path)
+        assert read_vector_csv(path) == v
 
 
 class TestDefaultGrid:

@@ -24,14 +24,14 @@ def diagram_of(field: ScalarField):
 class TestComputePersistence:
     def test_1x3_single_merge(self):
         d = diagram_of(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
-        assert [(p.birth, p.death) for p in d.in_degree(0)] == [(1.0, 2.0)]
-        assert d.in_degree(1) == []
+        assert [(p.birth, p.death) for p in d.pairs if p.degree == 0] == [(1.0, 2.0)]
+        assert [p for p in d.pairs if p.degree == 1] == []
         assert d.essential_min == 0.0
 
     def test_ring_single_loop(self, ring_field):
         d = diagram_of(ring_field)
-        assert d.in_degree(0) == []
-        assert [(p.birth, p.death) for p in d.in_degree(1)] == [(8.0, 10.0)]
+        assert [p for p in d.pairs if p.degree == 0] == []
+        assert [(p.birth, p.death) for p in d.pairs if p.degree == 1] == [(8.0, 10.0)]
 
     def test_monotone_bowl_is_empty(self):
         # 3x3 sampling of x^2 + y^2 centered at a corner: unique minimum,
