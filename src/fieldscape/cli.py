@@ -3,7 +3,8 @@
 Subcommands mirror the pipeline stages: ``simulate``, ``ph``, ``landscape``,
 ``vectorize``, ``classify``, ``experiment``, ``pipeline``, ``plot``.  Exit
 codes: 0 on success, 2 for configuration problems (bad flags, bad config
-file, malformed input files), 3 for numerical failures.
+file, malformed input files, a problem too large to allocate), 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -13,12 +13,13 @@ in that graph,
 
 "Below v" means lower ``vertex_rank``, the (value, row-major index) order
 that also sorts the filtration, so the census and the persistence diagram
-break value ties the same way.  The lower link is read from
-``cubical.cell_owners``, the owner array the filtration sorts on: a link
-node is an incident edge owned by v, and a link arc an incident face owned
-by v.  The lower link of a grid vertex is a subgraph of a 4-cycle, so all
-counts come from one 256-entry lookup table and the whole census costs
-O(vertices).
+break value ties the same way.  The census counts the (owner, dim) key of
+``cubical.lower_stars``, the key the filtration sorts on: v's link nodes are
+the e edges it owns and its link arcs the f faces it owns.  A face v owns
+also makes v the owner of the face's two edges at v, so the lower link is a
+subgraph of the 4-cycle: a forest unless all four faces are there.  Hence
+y = [f == 4] and c = e - f + y, with no lookup table, and the whole census
+costs O(vertices).
 """
 
 from __future__ import annotations
@@ -28,31 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import ScalarField, cell_owners, vertex_rank, write_table
+from .cubical import ScalarField, lower_stars, vertex_rank, write_table
 from .persistence import PersistenceDiagram
-
-# link bit b is the cell at grid offset _LINK_OFFSETS[b] from the vertex: the
-# nodes are the N, E, S, W edges, and arc i is the NE, SE, SW, NW face, which
-# joins nodes i and (i + 1) % 4
-_LINK_OFFSETS = ((-1, 0), (0, 1), (1, 0), (0, -1), (-1, 1), (1, 1), (1, -1), (-1, -1))
-
-
-def _build_link_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Components and cycles of each of the 256 lower links.
-
-    A subgraph of the 4-cycle is a forest unless it is the whole cycle, so
-    components = nodes - arcs + cycles.
-    """
-    bits = np.arange(256)[:, None] >> np.arange(8) & 1
-    nodes = bits[:, :4]
-    arcs = bits[:, 4:] & nodes & np.roll(nodes, -1, axis=1)
-    cyc = arcs.sum(axis=1) == 4
-    comp = nodes.sum(axis=1) - arcs.sum(axis=1) + cyc
-    return comp.astype(np.int8), cyc.astype(np.int8)
-
-
-_LINK_COMPONENTS, _LINK_CYCLES = _build_link_tables()
-
 
 @dataclass(frozen=True)
 class CriticalEvent:
@@ -93,20 +71,14 @@ class CriticalCensus:
 def detect_critical(field: ScalarField) -> CriticalCensus:
     """Census of critical events from each vertex's 3x3 neighborhood only."""
     rank = vertex_rank(field)
-    rows, cols = field.rows, field.cols
-    # vertex (r, c) sits at (2r + 1, 2c + 1); off-grid cells are owned by no vertex
-    owner = np.full((2 * rows + 1, 2 * cols + 1), -1, dtype=np.int64)
-    owner[1:-1, 1:-1] = cell_owners(rank)
-    state = np.zeros((rows, cols), dtype=np.int16)
-    for bit, (dr, dc) in enumerate(_LINK_OFFSETS):
-        in_star = owner[1 + dr : 1 + dr + 2 * rows : 2, 1 + dc : 1 + dc + 2 * cols : 2] == rank
-        state |= in_star.astype(np.int16) << bit
+    owner, dim = lower_stars(rank)
+    # cells of each dimension in each vertex's lower star: 1 vertex, e edges, f faces
+    star = np.bincount((3 * owner + dim).ravel(), minlength=3 * rank.size).reshape(-1, 3)[rank]
+    e, f = star[..., 1], star[..., 2]
+    y = f == 4
 
     # events per vertex and index: a component starts, c - 1 merges, y holes fill
-    mult = np.empty((rows, cols, 3), dtype=np.int64)
-    mult[..., 0] = (state & 0xF) == 0
-    mult[..., 1] = np.maximum(_LINK_COMPONENTS[state] - 1, 0)
-    mult[..., 2] = _LINK_CYCLES[state]
+    mult = np.stack((e == 0, np.maximum(e - f + y - 1, 0), y), axis=-1)
     r, c, index = np.nonzero(mult)
     events = zip(r.tolist(), c.tolist(), field.values[r, c].tolist(), index.tolist(), mult[r, c, index].tolist())
     return CriticalCensus(events=tuple(CriticalEvent(*ev) for ev in events))

@@ -20,7 +20,8 @@ exactly one is odd (vertical when i is), and a face when both are odd; its
 anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
 its odd axes: (above, below) across an odd row, (left, right) across an odd
 column, so a face lists (top, bottom, left, right) edges and an edge its two
-vertices.  ``cell_owners`` fills that grid with each cell's owner.
+vertices.  ``lower_stars`` fills that grid with each cell's owner and
+dimension, the key that the filtration sorts on and the census counts.
 ``CubicalFiltration`` keeps four arrays per sorted cell: value, dimension,
 facets and owner.  Anchors and orientations are grid positions, which the
 sort reads and the record does not keep.
@@ -117,11 +118,13 @@ class CubicalFiltration:
         return len(self.values)
 
 
-def cell_owners(rank: np.ndarray) -> np.ndarray:
-    """Rank of each cell's owner, its boundary vertex of highest rank, on the cell grid.
+def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner rank and dimension of each cell, on the cell grid: the key of every lower star.
 
-    ``rank`` is a ``vertex_rank`` array.  The filtration sorts on the result
-    and the census reads each vertex's lower link from it.
+    ``rank`` is a ``vertex_rank`` array.  A cell's owner is its boundary
+    vertex of highest rank, so the cells of owner r are the lower star of the
+    vertex of rank r.  The filtration sorts on (owner, dim) and the census
+    counts it.
     """
     rows, cols = rank.shape
     owner = np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64)
@@ -129,7 +132,8 @@ def cell_owners(rank: np.ndarray) -> np.ndarray:
     owner[::2, 1::2] = np.maximum(rank[:, :-1], rank[:, 1:])
     # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
     owner[1::2] = np.maximum(owner[:-1:2], owner[2::2])
-    return owner
+    i, j = np.ogrid[: owner.shape[0], : owner.shape[1]]
+    return owner, (i % 2 + j % 2).astype(np.int8)
 
 
 def build_filtration(field: ScalarField) -> CubicalFiltration:
@@ -148,10 +152,8 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     identical fields give identical orderings.
     """
     rank = vertex_rank(field)
-    owner = cell_owners(rank)
+    owner, dim = lower_stars(rank)
     h, w = owner.shape
-    i, j = np.ogrid[:h, :w]
-    dim = (i % 2 + j % 2).astype(np.int8)
     order = np.lexsort((dim.ravel(), owner.ravel()))
     # sorted position of each grid id; the trailing -1 keeps the -1 padding
     pos = np.full(h * w + 1, -1, dtype=np.int64)

@@ -1,7 +1,9 @@
 """Deterministic SVG rendering of landscape vectors and experiment reports.
 
 SVGs are assembled by hand with fixed-precision coordinates so identical
-inputs produce byte-identical files; no timestamps, no generated ids.
+inputs produce byte-identical files; no timestamps, no generated ids.  Text
+taken from the inputs (a report's comparison, a file's stem) is XML-escaped,
+and a character that XML cannot hold becomes U+FFFD.
 Landscape plots overlay the K level polylines per degree (sample value on x,
 persistence on y); vectors with negative entries (differences) get a
 symmetric y-axis.
@@ -9,6 +11,8 @@ symmetric y-axis.
 
 from __future__ import annotations
 
+import html
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,15 @@ _LEVEL_COLORS = (
     "#1b4f72", "#1f618d", "#2471a3", "#2980b9", "#5499c7",
     "#7fb3d5", "#a9cce3", "#d4e6f1", "#85c1e9", "#3498db",
 )
+
+
+# characters that XML 1.0 does not allow anywhere in a document
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _text(s: str) -> str:
+    """``s`` as SVG text content: markup characters escaped, characters XML cannot hold as U+FFFD."""
+    return html.escape(_NOT_XML.sub("\ufffd", s), quote=False)
 
 
 def _fmt(x: float) -> str:
@@ -53,7 +66,7 @@ def _panel(vec: LandscapeVector, degree: int, x0: float, ymin: float, ymax: floa
         f'<rect x="{_fmt(px0)}" y="{_fmt(py1)}" width="{_fmt(px1 - px0)}" '
         f'height="{_fmt(py0 - py1)}" fill="none" stroke="#888" stroke-width="0.8"/>',
         f'<text x="{_fmt((px0 + px1) / 2)}" y="{_fmt(py1 - 3)}" font-size="11" '
-        f'text-anchor="middle" font-family="sans-serif">{label}</text>',
+        f'text-anchor="middle" font-family="sans-serif">{_text(label)}</text>',
         f'<text x="{_fmt(px0)}" y="{_fmt(py0 + 14)}" font-size="9" font-family="sans-serif">{_fmt(t0)}</text>',
         f'<text x="{_fmt(px1)}" y="{_fmt(py0 + 14)}" font-size="9" text-anchor="end" '
         f'font-family="sans-serif">{_fmt(t1)}</text>',
@@ -138,7 +151,7 @@ def render_report_svg(rows: list[dict], path) -> None:
         label = f"{row['comparison']} ({row['eta']},{row['nu']})"
         parts.append(
             f'<text x="{_fmt(x + bar_w + gap / 2)}" y="{_fmt(py0 + 12)}" font-size="8" '
-            f'text-anchor="middle" font-family="sans-serif">{label}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_text(label)}</text>'
         )
         x += 2 * bar_w + gap + group_gap
     parts.append("</svg>")

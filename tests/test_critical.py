@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from fieldscape.critical import (
     locality_gap_demo,
     write_census_csv,
 )
-from fieldscape.cubical import ScalarField, build_filtration
+from fieldscape.cubical import ScalarField, build_filtration, vertex_rank
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
 from conftest import random_field
@@ -129,6 +129,52 @@ def test_census_is_the_euler_characteristic_of_each_lower_star(field):
     for ev in detect_critical(field).events:
         local[ev.row * field.cols + ev.col] += (-1) ** ev.index * ev.multiplicity
     assert local.tolist() == star.tolist()
+
+
+def _lower_link_events(rank: np.ndarray, r: int, c: int) -> list[tuple[int, int]]:
+    """(index, multiplicity) at vertex (r, c) from its lower link, built and counted by brute force.
+
+    Nodes are the N, E, S, W neighbours of lower rank; the NE, SE, SW, NW face
+    joins its two edge-neighbours when its other three corners are all lower.
+    A union-find counts components, and every arc that closes a loop is a cycle.
+    """
+    rows, cols = rank.shape
+
+    def lower(dr, dc):
+        return 0 <= r + dr < rows and 0 <= c + dc < cols and rank[r + dr, c + dc] < rank[r, c]
+
+    sides = [(-1, 0), (0, 1), (1, 0), (0, -1)]
+    nodes = [i for i, side in enumerate(sides) if lower(*side)]
+    parent = {i: i for i in nodes}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    cycles = 0
+    for i, (a, b) in enumerate(zip(sides, sides[1:] + sides[:1])):
+        if lower(*a) and lower(*b) and lower(a[0] + b[0], a[1] + b[1]):
+            ra, rb = find(i), find((i + 1) % 4)
+            cycles += ra == rb
+            parent[ra] = rb
+    components = len({find(i) for i in nodes})
+    mult = [int(not nodes), max(components - 1, 0), cycles]
+    return [(index, m) for index, m in enumerate(mult) if m]
+
+
+def test_census_counts_the_components_and_cycles_of_each_lower_link():
+    """All 2**8 3x3 fields with centre 0 and neighbours +-1: at every vertex the census is
+    [empty link] minima, components - 1 saddles and cycles maxima of its lower link."""
+    for signs in product((-1.0, 1.0), repeat=8):
+        vals = np.insert(np.array(signs), 4, 0.0).reshape(3, 3)
+        field = ScalarField(3, 3, vals)
+        rank = vertex_rank(field)
+        found: dict = {}
+        for ev in detect_critical(field).events:
+            found.setdefault((ev.row, ev.col), []).append((ev.index, ev.multiplicity))
+        for r, c in product(range(3), range(3)):
+            assert sorted(found.get((r, c), [])) == _lower_link_events(rank, r, c), (signs, r, c)
 
 
 def _census_key(field: ScalarField):

@@ -235,7 +235,7 @@ def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
     """On tied fields (signed zeros included) the vertex cells come in (value, index) order,
     each cell's crit_vertex is its top vertex in that order, and its value is that vertex's
     value, bit for bit.  A cell's vertices are read through its facets, so the owners of
-    ``cell_owners`` are checked against the facets of ``_grid_facets``."""
+    ``lower_stars`` are checked against the facets of ``_grid_facets``."""
     flat = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
     filt = build_filtration(ScalarField.from_flat(rows, cols, flat))
     order = sorted(range(rows * cols), key=lambda v: (flat[v], v))

@@ -4,6 +4,7 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldscape import grf
-from fieldscape.classify import train_calibrated
+from fieldscape.classify import read_model, train_calibrated
 from fieldscape.cli import _config_from_args, build_parser, main
 from fieldscape.config import (
     _COUNT_KEYS,
@@ -463,12 +464,14 @@ def _file_text(draw, command):
         lines = [draw(_row(st.just(str(rows)), st.just(str(cols)))),
                  *draw(st.lists(_row(*[_NUM] * cols), min_size=rows, max_size=rows + 1))]
     elif command == "plot":
-        comparison = st.sampled_from(["M1 v M2", ""]) | st.text(max_size=4)
+        comparison = st.sampled_from(["M1 v M2", "", "M1 <v> & M2", "M1\x01"]) | st.text(max_size=4)
         lines = [REPORT.splitlines()[0], *draw(st.lists(_row(comparison, _NUM, _NUM, _NUM, _NUM), max_size=4))]
     else:
         size = st.integers(-1, 8).map(str) | _INT
-        lines = ["N,K,t0,tN", draw(_row(size, size, _NUM, _NUM)), "index,value",
-                 *draw(st.lists(_row(_INT, _NUM), max_size=6))]
+        meta = _row(size, size, _NUM, _NUM)
+        if command == "classify":  # also the grid of the vectors it joins, so that the fit runs
+            meta |= st.just(VECTORS["p/0.csv"].splitlines()[1])
+        lines = ["N,K,t0,tN", draw(meta), "index,value", *draw(st.lists(_row(_INT, _NUM), max_size=6))]
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
@@ -490,7 +493,48 @@ def test_reader_fuzz_exits_cleanly(data, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        if command == "plot" and code == 0:
+            minidom.parse(f"{tmp}/out/a.svg")  # well-formed
     assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_plot_escapes_text_from_its_inputs(tmp_path):
+    """A report's comparison and a vector file's stem reach the SVG as text, markup characters included;
+    a control character, which XML cannot hold, becomes U+FFFD."""
+    files = {"r.csv": "comparison,eta,nu,accuracy,calibration\nM1 <v> & M2,5,1,90.0,80.0\nM1\x01,5,1,90.0,80.0\n",
+             "a&b.csv": VECTORS["p/0.csv"]}
+    assert _run_on_files(tmp_path, files, ["plot", "{src}/r.csv", "{src}/a&b.csv", "--out", "{out}"]) == 0
+
+    def texts(name):
+        svg = minidom.parse(str(tmp_path / "out" / name))
+        return [node.firstChild.data for node in svg.getElementsByTagName("text")]
+
+    assert {"M1 <v> & M2 (5,1)", "M1\ufffd (5,1)"} <= set(texts("r.svg"))
+    assert "a&b (degree 0)" in texts("a&b.svg")
+
+
+CLASSIFY_ROLES = ("train-pos", "train-neg", "test-pos", "test-neg")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), role=st.sampled_from(CLASSIFY_ROLES))
+def test_classify_fuzz_exits_cleanly(data, role):
+    """One drawn vector file beside the three separable vectors of a class: exit 0, 2 or 3, never a
+    traceback, and after exit 0 a model file that reads back."""
+    files = {f"{r}/{rel[2:]}": text for r in CLASSIFY_ROLES for rel, text in VECTORS.items()
+             if rel[0] == ("p" if r.endswith("pos") else "n")}
+    files[f"{role}/x.csv"] = data.draw(_file_text("classify"))
+    argv = ["classify", *(arg for r in CLASSIFY_ROLES for arg in (f"--{r}", f"{{src}}/{r}")),
+            "--model-out", "{out}/model.txt"]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = _run_on_files(Path(tmp), files, argv)
+        if code == 0:
+            model, n, k = read_model(Path(tmp) / "out" / "model.txt")
+            assert (n, k) == (2, 1) and len(model.w) == 6
+    assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 
 
@@ -585,6 +629,21 @@ def test_failed_fallback_on_large_grid_is_numerical(tmp_path, monkeypatch):
             "--models", "M1:identity", "--matern", "4:1"]
     assert main(argv + ["--out", str(tmp_path / "a")]) == 3
     assert main(argv + ["--sampler", "cholesky", "--out", str(tmp_path / "b")]) == 2
+
+
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    """A grid whose spectrum cannot be allocated is bad input: one error line, no traceback.  The
+    allocation failure is simulated, so the test allocates nothing large."""
+    def unable(p, rows, cols):
+        raise MemoryError(f"Unable to allocate spectrum for a {rows}x{cols} torus")
+
+    monkeypatch.setattr(grf, "_circulant_eigenvalues", unable)
+    argv = ["experiment", "--seed", "1", "--grid", "16x16", "--samples", "2", "--matern", "5:1",
+            "--models", "M1:identity,M2:square", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Unable to allocate") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestCli:
