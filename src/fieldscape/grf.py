@@ -2,8 +2,11 @@
 
 Two exact samplers: a dense Cholesky factorization (ground truth, guarded to
 small grids) and circulant embedding on an enlarged torus via FFT (the fast
-path, O(n log n)).  Both are driven by Philox counter-based generators so
-per-sample substreams are reproducible and safe to draw in parallel.
+path, O(n log n)).  Each is split into a ``FieldLaw``, built once per
+covariance by ``field_law`` (the circulant spectrum or the Cholesky factor,
+with the fallback warning, once per law), and its cheap ``draw``.  Draws are
+driven by Philox counter-based generators so per-sample substreams are
+reproducible and safe to draw in parallel from one shared law.
 
 Model classes are pointwise transformations of the Gaussian field.  The
 built-in M1/M2/M3 assignments (identity, square, absolute) are illustrative
@@ -82,15 +85,12 @@ def matern_cov(d, p: MaternParams) -> np.ndarray | float:
     pos = scaled > 0
     if np.any(pos):
         s = scaled[pos]
-        vals = (
-            p.sigma2
-            * (2.0 ** (1.0 - p.nu) / special.gamma(p.nu))
-            * s**p.nu
-            * special.kv(p.nu, s)
-        )
-        # K_nu overflows for denormal-tiny s where the true limit is sigma2;
-        # at huge s it underflows to the correct 0
-        out[pos] = np.where(np.isfinite(vals), vals, p.sigma2)
+        kv = special.kv(p.nu, s)
+        # K_nu overflows only at tiny s, where the limit is sigma2; s**nu
+        # overflows only at large s, where K_nu underflows and the limit is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = p.sigma2 * (2.0 ** (1.0 - p.nu) / special.gamma(p.nu)) * s**p.nu * kv
+        out[pos] = np.where(np.isfinite(vals), vals, np.where(np.isinf(kv), p.sigma2, 0.0))
     return out.reshape(d.shape) if d.ndim else float(out[0])
 
 
@@ -118,20 +118,46 @@ def covariance_matrix(p: MaternParams, rows: int, cols: int) -> np.ndarray:
     return matern_cov(dist, p)
 
 
-def sample_field_cholesky(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
-    """Exact sampler via dense Cholesky; guarded to small grids."""
-    n = rows * cols
-    if n > CHOLESKY_VERTEX_GUARD:
+@dataclass(frozen=True, eq=False)
+class FieldLaw:
+    """The law of a Matern Gaussian field on a rows x cols grid, factored once for many draws.
+
+    On the circulant path ``pad_factor`` is the torus pad factor and ``root``
+    holds sqrt(lam / (tr * tc)) on the tr x tc torus.  On the dense path
+    ``pad_factor`` is None and ``root`` is the lower Cholesky factor of the
+    jittered covariance.  ``root`` is read-only, so threads may share a law.
+    """
+
+    rows: int
+    cols: int
+    pad_factor: int | None
+    root: np.ndarray
+
+    def __post_init__(self):
+        self.root.flags.writeable = False
+
+    def draw(self, seed) -> ScalarField:
+        """One field from a Generator, or from the master substream of an integer seed."""
+        rng = _as_generator(seed)
+        rows, cols = self.rows, self.cols
+        if self.pad_factor is None:
+            z = self.root @ rng.standard_normal(rows * cols)
+            return ScalarField(rows, cols, z.reshape(rows, cols))
+        shape = self.root.shape
+        eps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return ScalarField(rows, cols, np.fft.fft2(self.root * eps).real[:rows, :cols])
+
+
+def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
+    if rows * cols > CHOLESKY_VERTEX_GUARD:
         raise ValueError(f"{rows}x{cols} exceeds the dense factorization guard ({CHOLESKY_VERTEX_GUARD} vertices)")
-    rng = _as_generator(seed)
     cov = covariance_matrix(p, rows, cols)
     cov[np.diag_indices_from(cov)] += COV_JITTER * p.sigma2
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"covariance not positive definite after jitter: {exc}") from exc
-    z = chol @ rng.standard_normal(n)
-    return ScalarField(rows, cols, z.reshape(rows, cols))
+    return FieldLaw(rows, cols, None, chol)
 
 
 def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) -> np.ndarray:
@@ -144,27 +170,13 @@ def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) ->
     return np.fft.fft2(kernel).real  # kernel is even in both axes
 
 
-def sample_field_circulant(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
-    """FFT sampler by circulant embedding on an enlarged torus.
-
-    The torus starts at twice the grid and doubles until the embedded
-    covariance is nonnegative definite; beyond ``MAX_PAD_FACTOR`` it falls
-    back to the Cholesky sampler with a warning, or raises
-    FactorizationError when the grid exceeds the Cholesky guard.  Same law
-    as the dense sampler, not bit-identical to it.
-    """
-    rng = _as_generator(seed)
+def _circulant_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
     factor = 1
     while factor <= MAX_PAD_FACTOR:
         tr, tc = 2 * factor * rows, 2 * factor * cols
         lam = _circulant_eigenvalues(p, tr, tc)
-        floor = -1e-10 * lam.max()
-        if lam.min() >= floor:
-            lam = np.maximum(lam, 0.0)
-            eps = rng.standard_normal((tr, tc)) + 1j * rng.standard_normal((tr, tc))
-            spectrum = np.sqrt(lam / (tr * tc))
-            draw = np.fft.fft2(spectrum * eps)
-            return ScalarField(rows, cols, draw.real[:rows, :cols])
+        if lam.min() >= -1e-10 * lam.max():
+            return FieldLaw(rows, cols, factor, np.sqrt(np.maximum(lam, 0.0) / (tr * tc)))
         factor *= 2
     if rows * cols > CHOLESKY_VERTEX_GUARD:
         raise FactorizationError(
@@ -175,28 +187,66 @@ def sample_field_circulant(p: MaternParams, rows: int, cols: int, seed) -> Scala
         f"circulant embedding not nonnegative definite up to pad factor {MAX_PAD_FACTOR}; "
         "falling back to the Cholesky sampler",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return sample_field_cholesky(p, rows, cols, rng)
+    return _cholesky_law(p, rows, cols)
 
 
 SAMPLERS = {
-    "circulant": sample_field_circulant,
-    "cholesky": sample_field_cholesky,
+    "circulant": _circulant_law,
+    "cholesky": _cholesky_law,
 }
 
 
-def sample_model(spec: ModelSpec, rows: int, cols: int, seed, sampler: str = "circulant") -> ScalarField:
-    """Draw the Gaussian field and apply the model's pointwise transform."""
+def field_law(p: MaternParams, rows: int, cols: int, sampler: str = "circulant") -> FieldLaw:
+    """The law of one Matern field on a rows x cols grid under ``sampler``, built for many draws.
+
+    Every field of one covariance draws from one law, so the spectrum or the
+    factor is built once and each ``draw`` costs only its random numbers and
+    one FFT or one matrix product.  The fallback warning and any
+    FactorizationError come from here, once per law.
+    """
+    try:
+        build = SAMPLERS[sampler]
+    except KeyError:
+        raise ConfigError(f"unknown sampler {sampler!r}; available: {sorted(SAMPLERS)}") from None
+    return build(p, rows, cols)
+
+
+def sample_field_cholesky(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
+    """Exact sampler via dense Cholesky; guarded to small grids."""
+    return _cholesky_law(p, rows, cols).draw(seed)
+
+
+def sample_field_circulant(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
+    """FFT sampler by circulant embedding on an enlarged torus.
+
+    The torus starts at twice the grid and doubles until the embedded
+    covariance is nonnegative definite; beyond ``MAX_PAD_FACTOR`` it falls
+    back to the Cholesky sampler with a warning, or raises
+    FactorizationError when the grid exceeds the Cholesky guard.  Same law
+    as the dense sampler, not bit-identical to it.  This builds the law for
+    one draw; ``field_law(p, rows, cols).draw(seed)`` gives the same field,
+    and many draws from one law pay for the spectrum, and warn, only once.
+    """
+    return _circulant_law(p, rows, cols).draw(seed)
+
+
+def sample_model(spec: ModelSpec, rows: int, cols: int, seed, sampler: str = "circulant", *,
+                 law: FieldLaw | None = None) -> ScalarField:
+    """Draw the Gaussian field and apply the model's pointwise transform.
+
+    ``law`` is ``field_law(spec.matern, rows, cols, sampler)`` built once by a
+    caller that draws many fields of one covariance; without it this call
+    builds its own.
+    """
     try:
         transform = TRANSFORMS[spec.transform]
     except KeyError:
         raise ConfigError(
             f"unknown transform {spec.transform!r}; available: {sorted(TRANSFORMS)}"
         ) from None
-    try:
-        draw = SAMPLERS[sampler]
-    except KeyError:
-        raise ConfigError(f"unknown sampler {sampler!r}; available: {sorted(SAMPLERS)}") from None
-    gauss = draw(spec.matern, rows, cols, seed)
+    if law is None:
+        law = field_law(spec.matern, rows, cols, sampler)
+    gauss = law.draw(seed)
     return ScalarField(rows, cols, transform(gauss.values))

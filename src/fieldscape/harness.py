@@ -2,9 +2,12 @@
 
 Every field is one ``Sample`` record, listed by ``_samples`` from the config or
 by ``run_pipeline`` from its manifest and grouped into matern rows by ``_rows``.
-Each runner maps one per-sample step on ``threads`` workers, in manifest order:
-simulate over all samples, experiment and pipeline over one row at a time.  Each
-drawn sample has its own Philox substream, keyed by (row, model, split, index).
+Each runner maps one per-sample step on ``threads`` workers over one row at a
+time, in manifest order.  All models of a row share one Matern covariance, so
+simulate and experiment build one field law per row (the circulant spectrum or
+Cholesky factor, see ``grf.field_law``) and draw every field of the row from
+it; only the current row's law is alive.  Each drawn sample has its own Philox
+substream, keyed by (row, model, split, index).
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;
@@ -32,7 +35,7 @@ from .cubical import (
     write_field_csv,
     write_table,
 )
-from .grf import MaternParams, ModelSpec, sample_model, substream
+from .grf import FieldLaw, MaternParams, ModelSpec, field_law, sample_model, substream
 from .landscape import (
     LandscapeVector,
     average,
@@ -119,9 +122,15 @@ def _rows(samples: list[Sample]) -> dict[tuple[float, float], list[Sample]]:
     return rows
 
 
-def _draw(cfg: ExperimentConfig, sample: Sample) -> ScalarField:
+def _row_law(cfg: ExperimentConfig, samples: list[Sample]) -> FieldLaw:
+    """The one field law every sample of a matern row draws from."""
+    params = MaternParams(eta=samples[0].eta, nu=samples[0].nu, sigma2=cfg.sigma2, spacing=cfg.spacing)
+    return field_law(params, cfg.rows, cfg.cols, cfg.sampler)
+
+
+def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw | None = None) -> ScalarField:
     spec = model_specs(cfg, sample.eta, sample.nu)[sample.key[1]]
-    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), sampler=cfg.sampler)
+    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), sampler=cfg.sampler, law=law)
 
 
 def _read_records(path, columns) -> list[dict]:
@@ -136,7 +145,8 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
     """Write one field CSV per sample plus a manifest listing every substream."""
     out = Path(cfg.out)
     samples = _samples(cfg)
-    _parallel_map(lambda s: write_field_csv(_draw(cfg, s), out / s.path), samples, cfg.threads)
+    for row in _rows(samples).values():
+        _simulate_row(cfg, out, row)
     manifest = out / "manifest.csv"
     # CRLF line ends keep manifests byte-identical to those of earlier versions
     write_table(manifest, ",".join(MANIFEST_COLUMNS), (
@@ -145,6 +155,12 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
         for s in samples
     ), end="\r\n")
     return manifest
+
+
+def _simulate_row(cfg: ExperimentConfig, out: Path, samples: list[Sample]) -> None:
+    """Field files of one matern row's samples, all drawn from the row's one law."""
+    law = _row_law(cfg, samples)
+    _parallel_map(lambda s: write_field_csv(_draw(cfg, s, law), out / s.path), samples, cfg.threads)
 
 
 def diagram_of_field(field: ScalarField) -> PersistenceDiagram:
@@ -165,7 +181,8 @@ def vectorize_row(train: list[PersistenceDiagram], diagrams: list[PersistenceDia
 
 def _experiment_row(cfg: ExperimentConfig, samples: list[Sample]) -> dict[tuple[str, str], list[LandscapeVector]]:
     """Landscape vectors of one matern row, keyed by (model name, split), in sample order."""
-    diagrams = _parallel_map(lambda s: diagram_of_field(_draw(cfg, s)), samples, cfg.threads)
+    law = _row_law(cfg, samples)
+    diagrams = _parallel_map(lambda s: diagram_of_field(_draw(cfg, s, law)), samples, cfg.threads)
     train = [d for s, d in zip(samples, diagrams) if s.split == "train"]
     vectors: dict[tuple[str, str], list[LandscapeVector]] = {}
     for sample, vec in zip(samples, vectorize_row(train, diagrams, cfg.bins, cfg.depth)):

@@ -21,8 +21,7 @@ from fieldscape.grf import (
     ModelSpec,
     bessel_k,
     covariance_matrix,
-    sample_field_cholesky,
-    sample_field_circulant,
+    field_law,
     sample_model,
     substream,
 )
@@ -161,18 +160,18 @@ def test_matern_sampler_fidelity():
     p = MaternParams(eta=5, nu=1, sigma2=1.0)
 
     cov4 = covariance_matrix(p, 4, 4)
+    law4 = field_law(p, 4, 4, "cholesky")
     rng = substream(1005)
-    draws = np.stack(
-        [sample_field_cholesky(p, 4, 4, rng).values.ravel() for _ in range(10_000)]
-    )
+    draws = np.stack([law4.draw(rng).values.ravel() for _ in range(10_000)])
     emp = draws.T @ draws / len(draws)
     se = np.sqrt((np.outer(np.diag(cov4), np.diag(cov4)) + cov4**2) / len(draws))
     worst4 = float(np.max(np.abs(emp - cov4) / se))
     assert worst4 < 5.0, f"cholesky vs analytic: {worst4:.2f} se"
 
     n = 4000
-    chol = np.stack([sample_field_cholesky(p, 8, 8, substream(1006, i)).values.ravel() for i in range(n)])
-    circ = np.stack([sample_field_circulant(p, 8, 8, substream(1007, i)).values.ravel() for i in range(n)])
+    chol_law, circ_law = field_law(p, 8, 8, "cholesky"), field_law(p, 8, 8)
+    chol = np.stack([chol_law.draw(substream(1006, i)).values.ravel() for i in range(n)])
+    circ = np.stack([circ_law.draw(substream(1007, i)).values.ravel() for i in range(n)])
     cov8 = covariance_matrix(p, 8, 8)
     emp_c = chol.T @ chol / n
     emp_f = circ.T @ circ / n
@@ -208,12 +207,13 @@ def test_bessel_accuracy():
 def _classification_run(spec_a, spec_b, n_train, n_test, rows, cols, seed,
                         bins=100, depth=10, cost=1.0):
     def draws(spec, class_key):
+        law = field_law(spec.matern, rows, cols)
         train = [
-            diagram_of_field(sample_model(spec, rows, cols, substream(seed, class_key, 0, i)))
+            diagram_of_field(sample_model(spec, rows, cols, substream(seed, class_key, 0, i), law=law))
             for i in range(n_train)
         ]
         test = [
-            diagram_of_field(sample_model(spec, rows, cols, substream(seed, class_key, 1, i)))
+            diagram_of_field(sample_model(spec, rows, cols, substream(seed, class_key, 1, i), law=law))
             for i in range(n_test)
         ]
         return train, test

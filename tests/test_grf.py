@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from fieldscape.grf import (
     ModelSpec,
     bessel_k,
     covariance_matrix,
+    field_law,
     matern_cov,
     sample_field_cholesky,
     sample_field_circulant,
@@ -106,6 +108,15 @@ class TestMaternCov:
         with pytest.raises(ValueError):
             matern_cov(-1.0, MaternParams(eta=5, nu=1))
 
+    @pytest.mark.parametrize("eta,nu,far", [(1.0, 100.0, 100.0), (2.0, 150.0, 20.0)])
+    def test_large_smoothness_tail_reaches_zero(self, eta, nu, far):
+        """At large nu, s**nu overflows where K_nu underflows: the covariance there is 0, not sigma2."""
+        p = MaternParams(eta=eta, nu=nu)
+        ds = np.linspace(0, 400, 4001)
+        cov = matern_cov(ds, p)
+        assert cov[0] == 1.0 and np.all(np.diff(cov) <= 0)
+        assert cov[-1] == 0.0 and matern_cov(far, p) == 0.0
+
     @pytest.mark.parametrize("name", ["eta", "nu", "sigma2", "spacing"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_params_rejected(self, name, value):
@@ -154,19 +165,21 @@ class TestCirculantSampler:
 
     def test_zero_mean(self):
         p = MaternParams(eta=4, nu=1)
+        law = field_law(p, 4, 4)
         rng = substream(41)
         total = np.zeros((4, 4))
         n = 5000
         for _ in range(n):
-            total += sample_field_circulant(p, 4, 4, rng).values
+            total += law.draw(rng).values
         assert np.max(np.abs(total / n)) < 5.0 / np.sqrt(n)
 
     def test_stationarity_by_displacement(self):
         # empirical covariance depends only on the displacement vector
         p = MaternParams(eta=3, nu=1)
+        law = field_law(p, 4, 4)
         rng = substream(42)
         n = 6000
-        draws = np.stack([sample_field_circulant(p, 4, 4, rng).values for _ in range(n)])
+        draws = np.stack([law.draw(rng).values for _ in range(n)])
         # same displacement (0, 1) at two locations
         c_a = np.mean(draws[:, 0, 0] * draws[:, 0, 1])
         c_b = np.mean(draws[:, 2, 2] * draws[:, 2, 3])
@@ -180,9 +193,10 @@ class TestCirculantSampler:
     def test_matches_cholesky_distribution(self):
         p = MaternParams(eta=5, nu=1)
         cov = covariance_matrix(p, 5, 5)
+        law = field_law(p, 5, 5)
         rng = substream(43)
         n = 4000
-        draws = np.stack([sample_field_circulant(p, 5, 5, rng).values.ravel() for _ in range(n)])
+        draws = np.stack([law.draw(rng).values.ravel() for _ in range(n)])
         emp = draws.T @ draws / n
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.max(np.abs(emp - cov) / se) < 5.0
@@ -212,6 +226,61 @@ class TestCirculantSampler:
         t_big = best_of_three(256)
         # vertex count grows 16x; O(n log n) predicts ~21x, quadratic 256x
         assert t_big < t_small * 80
+
+
+class TestFieldLaw:
+    """A law built once draws the same fields, bit for bit, as the one-off samplers.
+
+    The pinned digests are of the fields the samplers drew before they were
+    split into a law and a draw.
+    """
+
+    @staticmethod
+    def _same_draws(law, one_off, pinned):
+        keys = [(44, 0), (44, 1), (44, 2)]
+        fields = [law.draw(substream(*key)) for key in keys] + [law.draw(45)]
+        assert fields == [one_off(substream(*key)) for key in keys] + [one_off(45)]
+        assert hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest()[:16] == pinned
+
+    @pytest.mark.parametrize("eta,pad_factor,pinned", [
+        (1.0, 1, "d124e749a9f3f781"), (5.0, 2, "f020de6806111881"), (10.0, 4, "5667269d25224d11")],
+        ids=["pad1", "pad2", "pad4"])
+    def test_circulant_at_each_pad_factor(self, eta, pad_factor, pinned):
+        p = MaternParams(eta=eta, nu=1)
+        law = field_law(p, 16, 16)
+        assert law.pad_factor == pad_factor and law.root.shape == (32 * pad_factor, 32 * pad_factor)
+        self._same_draws(law, lambda seed: sample_field_circulant(p, 16, 16, seed), pinned)
+
+    def test_circulant_fallback_warns_once(self, monkeypatch):
+        p = MaternParams(eta=5, nu=1)
+        monkeypatch.setattr(grf, "MAX_PAD_FACTOR", 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            law = field_law(p, 5, 4)
+            for i in range(3):
+                law.draw(substream(44, i))
+        assert law.pad_factor is None
+        assert [w.category for w in caught] == [RuntimeWarning] and "falling back" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self._same_draws(law, lambda seed: sample_field_circulant(p, 5, 4, seed), "6d1a5be9e74a1261")
+            self._same_draws(law, lambda seed: sample_field_cholesky(p, 5, 4, seed), "6d1a5be9e74a1261")
+
+    def test_cholesky_sampler(self):
+        p = MaternParams(eta=5, nu=2)
+        law = field_law(p, 5, 4, "cholesky")
+        assert law.pad_factor is None and law.root.shape == (20, 20)
+        self._same_draws(law, lambda seed: sample_field_cholesky(p, 5, 4, seed), "5927e98ea771e2e9")
+
+    def test_model_draws_from_a_given_law(self):
+        spec = ModelSpec("M2", "square", MaternParams(eta=5, nu=1))
+        law = field_law(spec.matern, 6, 6)
+        assert sample_model(spec, 6, 6, 5, law=law) == sample_model(spec, 6, 6, 5)
+
+    def test_root_is_read_only(self):
+        law = field_law(MaternParams(eta=5, nu=1), 4, 4)
+        with pytest.raises(ValueError):
+            law.root[0, 0] = 0.0
 
 
 class TestSampleModel:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from xml.dom import minidom
 
@@ -644,6 +645,40 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("input error: Unable to allocate") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_large_smoothness_grid_simulates(tmp_path):
+    """At nu=100 the torus corners are far enough for s**nu to overflow; their covariance is 0, so it embeds."""
+    argv = ["simulate", "--seed", "1", "--grid", "64x64", "--samples", "1",
+            "--models", "M1:identity", "--matern", "1:100", "--out", str(tmp_path / "sim")]
+    assert main(argv) == 0
+
+
+def test_failed_embedding_warns_once_per_row(tmp_path, monkeypatch):
+    """Every field of a matern row draws from one law, so its Cholesky fallback warns once."""
+    monkeypatch.setattr(grf, "MAX_PAD_FACTOR", 0)
+    cfg = tiny_config(tmp_path / "run", matern="4:1,6:1", train=3, test=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(cfg)
+    fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(fallbacks) == len(cfg.matern) == 2
+    assert all("falling back" in str(w.message) for w in fallbacks)
+
+
+@pytest.mark.parametrize("run", [run_experiment, run_simulate])
+def test_one_spectrum_per_row_and_pad_factor(tmp_path, monkeypatch, run):
+    """At 16x16, eta=5 embeds at pad factor 2 and eta=10 at 4: 2 + 3 spectra, however many fields."""
+    built = []
+
+    def counting(p, rows, cols):
+        built.append((p.eta, rows))
+        return eigenvalues(p, rows, cols)
+
+    eigenvalues = grf._circulant_eigenvalues
+    monkeypatch.setattr(grf, "_circulant_eigenvalues", counting)
+    run(tiny_config(tmp_path / "run", rows=16, cols=16, matern="5:1,10:1", train=2, test=1))
+    assert built == [(5.0, 32), (5.0, 64), (10.0, 32), (10.0, 64), (10.0, 128)]
 
 
 class TestCli:
