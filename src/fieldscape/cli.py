@@ -27,7 +27,7 @@ from .harness import (
     vectorize_row,
 )
 from .landscape import average, difference, read_vector_csv, write_vector_csv
-from .persistence import PersistenceDiagram, PersistencePair, read_diagram_csv, write_diagram_csv
+from .persistence import PersistenceDiagram, read_diagram_csv, sorted_pairs, write_diagram_csv
 from .plot import render_report_svg, render_vector_svg
 
 
@@ -72,30 +72,31 @@ def _field_csvs(directory: Path) -> list[Path]:
 
 
 def _cmd_ph(args) -> int:
-    out = Path(args.out)
-    for path in _field_csvs(Path(args.fields)):
-        write_diagram_csv(diagram_of_field(read_field_csv(path)), out / path.name)
+    fields, out = Path(args.fields), Path(args.out)
+    for path in _field_csvs(fields):
+        write_diagram_csv(diagram_of_field(read_field_csv(path)), out / path.relative_to(fields))
     print(out)
     return 0
 
 
 def _read_diagram(path: Path) -> PersistenceDiagram:
     """A diagram CSV as a diagram; the file keeps neither cells nor the essential minimum."""
-    pairs = tuple(PersistencePair(deg, b, d, -1, -1) for deg, b, d in read_diagram_csv(path))
-    return PersistenceDiagram(pairs=pairs, essential_min=float("nan"))
+    columns = list(zip(*read_diagram_csv(path))) or [(), (), ()]  # degree, birth, death
+    cells = [-1] * len(columns[0])
+    return PersistenceDiagram(sorted_pairs(*columns, cells, cells), essential_min=float("nan"))
 
 
 def _cmd_vectorize(args) -> int:
     bins, depth = check("bins", args.bins), check("depth", args.depth)
     if (args.t0 is None) != (args.t1 is None):
         raise ConfigError("--t0 and --t1 go together")
-    out = Path(args.out)
-    paths = _field_csvs(Path(args.diagrams))
+    source, out = Path(args.diagrams), Path(args.out)
+    paths = _field_csvs(source)
     diagrams = [_read_diagram(p) for p in paths]
     bounds = None if args.t0 is None else (args.t0, args.t1)
     vectors = vectorize_row(diagrams, diagrams, bins, depth, bounds=bounds)
     for path, vec in zip(paths, vectors):
-        write_vector_csv(vec, out / path.name)
+        write_vector_csv(vec, out / path.relative_to(source))
     print(out)
     return 0
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
-from .grf import SAMPLERS, TRANSFORMS
+from .grf import SAMPLERS, TRANSFORMS, MaternParams
 
 
 def parse_flat_config(text: str, source: str = "<config>") -> dict:
@@ -89,8 +89,10 @@ def _parse_matern_rows(raw: str) -> tuple[tuple[float, float], ...]:
             eta, nu = float(eta), float(nu)
         except ValueError:
             raise ConfigError(f"matern entry {item!r} is not numeric") from None
-        if not all(math.isfinite(x) and x > 0 for x in (eta, nu)):
-            raise ConfigError(f"matern entry {item!r} must be finite and positive")
+        try:
+            MaternParams(eta, nu)  # finite and positive, nu with a normal covariance constant
+        except ValueError as exc:
+            raise ConfigError(f"matern entry {item!r}: {exc}") from None
         rows.append((eta, nu))
     # rows that print alike would share their output files
     if len({(format(eta, "g"), format(nu, "g")) for eta, nu in rows}) != len(rows):

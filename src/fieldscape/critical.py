@@ -20,6 +20,11 @@ also makes v the owner of the face's two edges at v, so the lower link is a
 subgraph of the 4-cycle: a forest unless all four faces are there.  Hence
 y = [f == 4] and c = e - f + y, with no lookup table, and the whole census
 costs O(vertices).
+
+A census keeps its events as one record array with the fields ``row``,
+``col``, ``value``, ``index`` and ``multiplicity`` in that order: one row per
+vertex and index with events, in row-major order.  Events recovered from a
+diagram have no vertex, row = col = -1.
 """
 
 from __future__ import annotations
@@ -32,35 +37,28 @@ import numpy as np
 from .cubical import ScalarField, lower_stars, vertex_rank, write_table
 from .persistence import PersistenceDiagram
 
-@dataclass(frozen=True)
-class CriticalEvent:
-    """Critical events hosted by one vertex; (-1, -1) marks value-only events."""
-
-    row: int
-    col: int
-    value: float
-    index: int
-    multiplicity: int = 1
+EVENT_DTYPE = np.dtype([("row", "i8"), ("col", "i8"), ("value", "f8"), ("index", "i8"), ("multiplicity", "i8")])
 
 
 @dataclass(frozen=True, eq=False)
 class CriticalCensus:
-    events: tuple[CriticalEvent, ...]
+    """Critical events as a record array of ``EVENT_DTYPE``; (-1, -1) marks value-only events.
+
+    Two censuses are equal when their (value, index) multisets are.
+    """
+
+    events: np.recarray
 
     @property
     def counts(self) -> tuple[int, int, int]:
         """(n0, n1, n2) totals with multiplicity."""
-        totals = [0, 0, 0]
-        for ev in self.events:
-            totals[ev.index] += ev.multiplicity
-        return tuple(totals)
+        ev = self.events
+        return tuple(int(n) for n in np.bincount(ev["index"], ev["multiplicity"], minlength=3))
 
     def value_index_multiset(self) -> Counter:
         """Multiset of (value, index) with multiplicity, the comparison key."""
-        out: Counter = Counter()
-        for ev in self.events:
-            out[(ev.value, ev.index)] += ev.multiplicity
-        return out
+        ev = self.events
+        return Counter(np.repeat(ev[["value", "index"]], ev["multiplicity"]).tolist())
 
     def __eq__(self, other):
         if not isinstance(other, CriticalCensus):
@@ -80,8 +78,7 @@ def detect_critical(field: ScalarField) -> CriticalCensus:
     # events per vertex and index: a component starts, c - 1 merges, y holes fill
     mult = np.stack((e == 0, np.maximum(e - f + y - 1, 0), y), axis=-1)
     r, c, index = np.nonzero(mult)
-    events = zip(r.tolist(), c.tolist(), field.values[r, c].tolist(), index.tolist(), mult[r, c, index].tolist())
-    return CriticalCensus(events=tuple(CriticalEvent(*ev) for ev in events))
+    return CriticalCensus(np.rec.fromarrays([r, c, field.values[r, c], index, mult[r, c, index]], dtype=EVENT_DTYPE))
 
 
 def critical_values_from_diagram(
@@ -95,15 +92,12 @@ def critical_values_from_diagram(
     """
     if essential_min is None:
         essential_min = diagram.essential_min
-    events = [CriticalEvent(-1, -1, float(essential_min), 0, 1)]
-    for p in diagram.pairs:
-        if p.degree == 0:
-            events.append(CriticalEvent(-1, -1, p.birth, 0, 1))
-            events.append(CriticalEvent(-1, -1, p.death, 1, 1))
-        else:
-            events.append(CriticalEvent(-1, -1, p.birth, 1, 1))
-            events.append(CriticalEvent(-1, -1, p.death, 2, 1))
-    return CriticalCensus(events=tuple(events))
+    # the essential minimum, then each pair's birth and death: index = degree at birth, degree + 1 at death
+    p = diagram.pairs
+    value = np.concatenate(([essential_min], np.column_stack((p["birth"], p["death"])).ravel()))
+    index = np.concatenate(([0], np.column_stack((p["degree"], p["degree"] + 1)).ravel()))
+    none = np.full(len(value), -1)
+    return CriticalCensus(events=np.rec.fromarrays([none, none, value, index, np.ones_like(none)], dtype=EVENT_DTYPE))
 
 
 # Two 1x5 fields with identical (value, index) censuses but different
@@ -127,9 +121,8 @@ def locality_gap_demo() -> tuple[ScalarField, ScalarField]:
 
 
 def write_census_csv(census: CriticalCensus, path) -> None:
-    """CSV with header ``row,col,value,index,multiplicity``."""
-    events = sorted(census.events, key=lambda e: (e.row, e.col, e.value, e.index))
-    rows = (
-        (str(e.row), str(e.col), format(e.value, ".17g"), str(e.index), str(e.multiplicity)) for e in events
-    )
+    """CSV with header ``row,col,value,index,multiplicity``, sorted by (row, col, value, index)."""
+    ev = census.events
+    events = ev[np.lexsort((ev["index"], ev["value"], ev["col"], ev["row"]))].tolist()
+    rows = ((str(r), str(c), format(v, ".17g"), str(i), str(m)) for r, c, v, i, m in events)
     write_table(path, "row,col,value,index,multiplicity", rows)

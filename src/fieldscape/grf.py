@@ -31,9 +31,17 @@ MAX_PAD_FACTOR = 8  # the circulant torus grows to at most 2 * MAX_PAD_FACTOR ti
 COV_JITTER = 1e-10  # times sigma2, added to the diagonal before factorizing
 
 
+def matern_coefficient(nu: float) -> float:
+    """The constant 2**(1 - nu) / Gamma(nu) of the Matern covariance."""
+    return 2.0 ** (1.0 - nu) / special.gamma(nu)
+
+
 @dataclass(frozen=True)
 class MaternParams:
-    """Range eta (grid-spacing units), smoothness nu, variance sigma2, grid step; all finite and positive."""
+    """Range eta (grid-spacing units), smoothness nu, variance sigma2, grid step; all finite and positive.
+
+    ``matern_coefficient(nu)`` must be a normal float: past nu of about 151 the covariance would fade to 0.
+    """
 
     eta: float
     nu: float
@@ -46,6 +54,8 @@ class MaternParams:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"MaternParams.{name} must be finite and positive, got {value}")
             object.__setattr__(self, name, value)
+        if not matern_coefficient(self.nu) >= np.finfo(float).tiny:
+            raise ValueError(f"MaternParams.nu = {self.nu:g}: 2**(1-nu)/Gamma(nu) is not a normal float")
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ def matern_cov(d, p: MaternParams) -> np.ndarray | float:
         # K_nu overflows only at tiny s, where the limit is sigma2; s**nu
         # overflows only at large s, where K_nu underflows and the limit is 0
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = p.sigma2 * (2.0 ** (1.0 - p.nu) / special.gamma(p.nu)) * s**p.nu * kv
+            vals = p.sigma2 * matern_coefficient(p.nu) * s**p.nu * kv
         out[pos] = np.where(np.isfinite(vals), vals, np.where(np.isinf(kv), p.sigma2, 0.0))
     return out.reshape(d.shape) if d.ndim else float(out[0])
 

@@ -118,17 +118,10 @@ def max_depth(bars) -> int:
     point, so a sweep over interval endpoints (closing before opening at
     ties) gives the exact depth M with levels k > M identically zero.
     """
-    events = []
-    for b, d in bars:
-        if d > b:
-            events.append((b, 1))
-            events.append((d, -1))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-    depth = best = 0
-    for _, step in events:
-        depth += step
-        best = max(best, depth)
-    return best
+    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
+    ends = np.concatenate((b[d > b], d[d > b]))
+    steps = np.repeat([1, -1], len(ends) // 2)
+    return int(np.cumsum(steps[np.lexsort((steps, ends))]).max(initial=0))
 
 
 def eval_landscape(bars, k: int, t: float) -> float:
@@ -144,10 +137,7 @@ def eval_landscape(bars, k: int, t: float) -> float:
 def _sample_levels(bars, ts: np.ndarray, depth: int) -> np.ndarray:
     """(depth, len(ts)) matrix of landscape levels 1..depth sampled at ts."""
     out = np.zeros((depth, len(ts)))
-    if not bars:
-        return out
-    b = np.asarray([bar[0] for bar in bars], dtype=np.float64)
-    d = np.asarray([bar[1] for bar in bars], dtype=np.float64)
+    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
     tents = np.minimum(ts[None, :] - b[:, None], d[:, None] - ts[None, :])
     np.maximum(tents, 0.0, out=tents)
     tents = -np.sort(-tents, axis=0)  # descending per sample point
@@ -165,7 +155,10 @@ def vectorize_bars(deg0_bars, deg1_bars, grid: SampleGrid, depth: int) -> Landsc
 
 
 def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> LandscapeVector:
-    """Sample both degrees' landscapes on the grid and flatten."""
+    """Sample both degrees' landscapes on the grid and flatten.
+
+    The bars are the diagram's (birth, death) columns per degree, zero-length pairs left out.
+    """
     return vectorize_bars(diagram.bars(0), diagram.bars(1), grid, depth)
 
 
@@ -205,9 +198,10 @@ def default_grid(diagrams, n_intervals: int, bounds: tuple[float, float] | None 
     if bounds is None:
         lo, hi = np.inf, -np.inf
         for diagram in diagrams:
-            for p in diagram.pairs:
-                lo = min(lo, p.birth)
-                hi = max(hi, p.death)
+            birth, death = diagram.pairs["birth"], diagram.pairs["death"]
+            if len(birth):  # argmin and argmax take the first extreme, as a scan does
+                lo = min(lo, birth[birth.argmin()])
+                hi = max(hi, death[death.argmax()])
         if not lo < hi:
             raise ValueError("every training diagram is empty, so no sample grid can be derived")
     else:

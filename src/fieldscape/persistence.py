@@ -23,6 +23,12 @@ The reduced-homology convention drops the one essential component (born at
 the global minimum); on a full rectangle every degree-1 class dies, so the
 diagram contains finite pairs only.
 
+A diagram keeps its pairs as one record array, one row per pair, with the
+fields ``degree`` (int8), ``birth``, ``death``, ``birth_cell`` and
+``death_cell`` in that order, the rows sorted by (degree, birth, death,
+birth_cell).  The package reads whole columns (``pairs["birth"]``); a single
+row is an ``np.record`` and reads as ``p.degree``.
+
 ``betti_oracle`` is an independent check that never touches the pairing: it
 counts components with union-find on a sublevel slice and recovers the number
 of holes from the Euler characteristic.
@@ -39,18 +45,16 @@ from .cubical import CubicalFiltration, parse_number, read_table, sublevel_compl
 DIAGRAM_HEADER = "degree,birth,death"
 
 
-@dataclass(frozen=True)
-class PersistencePair:
-    degree: int
-    birth: float
-    death: float
-    birth_cell: int  # sorted cell index in the filtration
-    death_cell: int
+# birth_cell and death_cell are sorted cell indices in the filtration, -1 when unknown
+PAIR_DTYPE = np.dtype([("degree", "i1"), ("birth", "f8"), ("death", "f8"), ("birth_cell", "i8"), ("death_cell", "i8")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """Finite (birth, death) pairs plus the omitted essential minimum.
+
+    ``pairs`` is a ``PAIR_DTYPE`` record array (see the module docstring);
+    equal diagrams agree in all five columns and in essential_min.
 
     Pairs whose birth and death cells lie in the same lower star (the death
     value is inherited from the birth vertex through the max rule) are
@@ -60,12 +64,27 @@ class PersistenceDiagram:
     with repeated values.
     """
 
-    pairs: tuple[PersistencePair, ...]
+    pairs: np.recarray
     essential_min: float
 
-    def bars(self, degree: int) -> list[tuple[float, float]]:
-        """(birth, death) intervals with positive length, landscape input."""
-        return [(p.birth, p.death) for p in self.pairs if p.degree == degree and p.death > p.birth]
+    def __eq__(self, other):
+        if not isinstance(other, PersistenceDiagram):
+            return NotImplemented
+        return np.array_equal(self.pairs, other.pairs) and self.essential_min == other.essential_min
+
+    def bars(self, degree: int) -> np.ndarray:
+        """(birth, death) rows of the pairs in ``degree`` with positive length, landscape input."""
+        p = self.pairs
+        birth, death = p["birth"], p["death"]
+        keep = (p["degree"] == degree) & (death > birth)
+        return np.column_stack((birth[keep], death[keep]))
+
+
+def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.recarray:
+    """The ``PAIR_DTYPE`` record array of these columns, rows sorted by (degree, birth, death, birth_cell)."""
+    columns = [np.asarray(column) for column in (degree, birth, death, birth_cell, death_cell)]
+    order = np.lexsort(columns[3::-1])  # stable: rows tied on all four keep their order
+    return np.rec.fromarrays([column[order] for column in columns], dtype=PAIR_DTYPE)
 
 
 def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,39 +142,13 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     at, killed = _elder_rule(cofaces[::-1], n_faces + 1)
     raw.append((edges[::-1][at], faces[n_faces - killed]))
 
-    crit = filt.crit_vertex
-    pairs = []
-    for degree, (b, d) in enumerate(raw):
-        keep = crit[b] != crit[d]  # same lower star: zero persistence by construction
-        b, d = b[keep], d[keep]
-        pairs += [
-            PersistencePair(degree=degree, birth=birth, death=death, birth_cell=bc, death_cell=dc)
-            for birth, death, bc, dc in zip(values[b].tolist(), values[d].tolist(), b.tolist(), d.tolist())
-        ]
-    pairs.sort(key=lambda p: (p.degree, p.birth, p.death, p.birth_cell))
+    keep = [filt.crit_vertex[b] != filt.crit_vertex[d] for b, d in raw]  # same lower star: zero persistence
+    degree = np.repeat(np.arange(2, dtype=np.int8), [np.count_nonzero(k) for k in keep])
+    b, d = (np.concatenate([cells[k] for cells, k in zip(side, keep)]) for side in zip(*raw))
+    pairs = sorted_pairs(degree, values[b], values[d], b, d)
 
     # the one surviving root is the oldest vertex
-    return PersistenceDiagram(pairs=tuple(pairs), essential_min=float(values[vertices[0]]))
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+    return PersistenceDiagram(pairs=pairs, essential_min=float(values[vertices[0]]))
 
 
 def betti_oracle(filt: CubicalFiltration, a: float) -> tuple[int, int]:
@@ -165,38 +158,40 @@ def betti_oracle(filt: CubicalFiltration, a: float) -> tuple[int, int]:
     recovered as beta0 - (V - E + F), valid because every component of a
     planar sublevel complex has trivial degree-2 homology.
     """
-    cells = sublevel_complex(filt, a)
-    k = len(cells)
+    k = len(sublevel_complex(filt, a))
     if k == 0:
         return (0, 0)
     dims = filt.dims[:k]
-    n_v = int(np.sum(dims == 0))
-    n_e = int(np.sum(dims == 1))
-    n_f = int(np.sum(dims == 2))
+    n_v, n_e, n_f = (int(np.count_nonzero(dims == dim)) for dim in range(3))
+    parent = list(range(k))
 
-    uf = _UnionFind(k)
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     components = n_v
-    for j in np.nonzero(dims == 1)[0]:
-        u, v = filt.boundary[j][0], filt.boundary[j][1]
-        if uf.union(int(u), int(v)):
+    for u, v in filt.boundary[:k][dims == 1, :2].tolist():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
             components -= 1
-    chi = n_v - n_e + n_f
-    return (components, components - chi)
+    return (components, components - (n_v - n_e + n_f))
 
 
 def betti_curve(diagram: PersistenceDiagram, a: float) -> tuple[int, int]:
     """Invert the diagram back to Betti numbers at threshold a (closed sublevel)."""
     if a < diagram.essential_min:
         return (0, 0)
-    beta0 = 1 + sum(1 for p in diagram.pairs if p.degree == 0 and p.birth <= a < p.death)
-    beta1 = sum(1 for p in diagram.pairs if p.degree == 1 and p.birth <= a < p.death)
-    return (beta0, beta1)
+    p = diagram.pairs
+    beta0, beta1 = np.bincount(p["degree"][(p["birth"] <= a) & (a < p["death"])], minlength=2).tolist()
+    return (1 + beta0, beta1)
 
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
-    """CSV with header ``degree,birth,death``, sorted by (degree, birth, death)."""
-    rows = sorted((p.degree, p.birth, p.death) for p in diagram.pairs)
-    write_table(path, DIAGRAM_HEADER, ((str(d), format(b, ".17g"), format(dd, ".17g")) for d, b, dd in rows))
+    """CSV with header ``degree,birth,death``, sorted by (degree, birth, death) as the pairs are."""
+    rows = ((str(d), format(b, ".17g"), format(dd, ".17g")) for d, b, dd, _, _ in diagram.pairs.tolist())
+    write_table(path, DIAGRAM_HEADER, rows)
 
 
 def read_diagram_csv(path) -> list[tuple[int, float, float]]:

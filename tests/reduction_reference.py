@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from fieldscape.cubical import CubicalFiltration
-from fieldscape.persistence import PersistenceDiagram, PersistencePair
+from fieldscape.persistence import PAIR_DTYPE, PersistenceDiagram
 
 
 def reference_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
@@ -72,17 +72,11 @@ def reference_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
         raise AssertionError(f"expected one essential component, found {unpaired_vertices}")
 
     crit = filt.crit_vertex
-    pairs = [
-        PersistencePair(
-            degree=deg,
-            birth=float(values[b]),
-            death=float(values[d]),
-            birth_cell=b,
-            death_cell=d,
-        )
+    rows = [
+        (deg, float(values[b]), float(values[d]), b, d)
         for (deg, b, d) in raw_pairs
         if crit[b] != crit[d]  # same lower star: zero persistence by construction
     ]
-    pairs.sort(key=lambda p: (p.degree, p.birth, p.death, p.birth_cell))
-
-    return PersistenceDiagram(pairs=tuple(pairs), essential_min=float(values[essential_cell]))
+    rows.sort(key=lambda row: row[:4])  # (degree, birth, death, birth_cell)
+    pairs = np.array(rows, dtype=PAIR_DTYPE).view(np.recarray)
+    return PersistenceDiagram(pairs=pairs, essential_min=float(values[essential_cell]))

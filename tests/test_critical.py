@@ -55,6 +55,13 @@ class TestDetectCritical:
         saddles = [e for e in census.events if e.index == 1]
         assert [(e.row, e.col, e.multiplicity) for e in saddles] == [(1, 1, 3)]
 
+    def test_record_fields_and_row_attributes(self, ring_field):
+        """The columns, their order and the per-row attributes that row-wise readers rely on."""
+        events = detect_critical(ring_field).events
+        assert events.dtype.names == ("row", "col", "value", "index", "multiplicity")
+        ev = events[-1]
+        assert (ev.row, ev.col, ev.value, ev.index, ev.multiplicity) == (1, 1, 10.0, 2, 1)
+
     def test_locality_of_decision(self):
         # events at the center vertex only depend on its 3x3 neighborhood
         rng = np.random.default_rng(22)
@@ -221,6 +228,7 @@ def test_census_csv(tmp_path, ring_field):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,value,index,multiplicity"
     assert len(lines) == 1 + len(census.events)
+    assert lines[1:] == ["0,0,1,0,1", "1,0,8,1,1", "1,1,10,2,1"]
 
 
 def test_detect_critical_linear_scaling():

@@ -117,6 +117,16 @@ class TestMaternCov:
         assert cov[0] == 1.0 and np.all(np.diff(cov) <= 0)
         assert cov[-1] == 0.0 and matern_cov(far, p) == 0.0
 
+    def test_smoothness_150_keeps_its_covariance(self):
+        cov = matern_cov([0.5, 1.0], MaternParams(eta=1.0, nu=150.0))
+        np.testing.assert_allclose(cov, [0.8818039831102182, 0.6050140378355172], rtol=1e-12)
+
+    @pytest.mark.parametrize("nu", [152.0, 155.0, 160.0, 200.0, 1e-320])
+    def test_smoothness_without_a_normal_constant_rejected(self, nu):
+        """A subnormal or zero 2**(1-nu)/Gamma(nu) would make the covariance 0 away from the origin."""
+        with pytest.raises(ValueError, match="not a normal float"):
+            MaternParams(eta=1.0, nu=nu)
+
     @pytest.mark.parametrize("name", ["eta", "nu", "sigma2", "spacing"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_params_rejected(self, name, value):

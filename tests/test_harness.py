@@ -45,7 +45,7 @@ from fieldscape.harness import (
     row_label,
 )
 from fieldscape.landscape import default_grid, read_vector_csv
-from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
+from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence, read_diagram_csv
 
 
 def sha(path) -> str:
@@ -101,6 +101,11 @@ class TestConfig:
         cfg = build_config({"seed": 1, "models": "A:identity,B:absolute", "matern": "2:1,3:0.5"})
         assert cfg.models == (("A", "identity"), ("B", "absolute"))
         assert cfg.matern == ((2.0, 1.0), (3.0, 0.5))
+
+    def test_matern_smoothness_needs_a_normal_constant(self):
+        assert build_config({"seed": 1, "matern": "1:150"}).matern == ((1.0, 150.0),)
+        with pytest.raises(ConfigError, match="'1:200'.*not a normal float"):
+            build_config({"seed": 1, "matern": "5:1,1:200"})
 
     def test_bad_model_entries(self):
         with pytest.raises(ConfigError):
@@ -654,6 +659,16 @@ def test_large_smoothness_grid_simulates(tmp_path):
     assert main(argv) == 0
 
 
+def test_smoothness_past_a_normal_constant_exits_2_before_writing(tmp_path, capsys):
+    """At nu=200 the covariance constant is 0, so the fields would be white noise."""
+    out = tmp_path / "sim"
+    argv = ["simulate", "--seed", "1", "--grid", "8x8", "--samples", "2",
+            "--models", "M1:identity", "--matern", "5:1,1:200", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: matern entry '1:200'")
+    assert not out.exists()
+
+
 def test_failed_embedding_warns_once_per_row(tmp_path, monkeypatch):
     """Every field of a matern row draws from one law, so its Cholesky fallback warns once."""
     monkeypatch.setattr(grf, "MAX_PAD_FACTOR", 0)
@@ -733,6 +748,27 @@ class TestCli:
             "landscape", "--vectors", str(vectors), "--diff", str(vectors), "--out", str(diff),
         ]) == 0
         assert not read_vector_csv(diff).entries.any()
+
+    def test_nested_inputs_keep_their_subdirectories(self, tmp_path):
+        """Same-named files in different subdirectories each get their own diagram and vector."""
+        out = tmp_path / "sim"
+        assert main([
+            "simulate", "--seed", "12", "--grid", "6x6", "--samples", "2",
+            "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", str(out),
+        ]) == 0
+        fields = sorted(p.relative_to(out / "fields") for p in (out / "fields").rglob("*.csv"))
+        assert len(fields) == 8 and len({p.name for p in fields}) == 4
+
+        diagrams, vectors = tmp_path / "diagrams", tmp_path / "vectors"
+        assert main(["ph", "--fields", str(out / "fields"), "--out", str(diagrams)]) == 0
+        assert sorted(p.relative_to(diagrams) for p in diagrams.rglob("*.csv")) == fields
+        for rel in fields:
+            want = diagram_of_field(read_field_csv(out / "fields" / rel))
+            assert read_diagram_csv(diagrams / rel) == [(p.degree, p.birth, p.death) for p in want.pairs]
+
+        assert main(["vectorize", "--diagrams", str(diagrams), "--out", str(vectors),
+                     "--bins", "8", "--depth", "2"]) == 0
+        assert sorted(p.relative_to(vectors) for p in vectors.rglob("*.csv")) == fields
 
     def test_classify_command(self, tmp_path):
         out = tmp_path / "sim"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
 from fieldscape.persistence import (
+    PersistenceDiagram,
     _elder_rule,
     betti_curve,
     betti_oracle,
@@ -39,7 +40,7 @@ class TestComputePersistence:
         xs = np.arange(3, dtype=float)
         vals = xs[:, None] ** 2 + xs[None, :] ** 2
         d = diagram_of(ScalarField(3, 3, vals))
-        assert d.pairs == ()
+        assert d.pairs.shape == (0,)
         assert d.essential_min == 0.0
 
     def test_pair_structure(self):
@@ -60,11 +61,33 @@ class TestComputePersistence:
         f = random_field(rng)
         assert diagram_of(f) == diagram_of(f)
 
+    def test_equality_reads_every_column_and_the_essential_minimum(self, ring_field):
+        d = diagram_of(ScalarField.from_flat(1, 5, [0.0, 3.0, 1.0, 4.0, 2.0]))
+        assert len(d.pairs) == 2
+        for name in d.pairs.dtype.names:
+            pairs = d.pairs.copy()
+            pairs[name][1] += 1
+            assert d != PersistenceDiagram(pairs, d.essential_min), name
+        assert d != PersistenceDiagram(d.pairs, d.essential_min + 1)
+        assert d != diagram_of(ring_field)
+
+    def test_record_fields_and_row_attributes(self, ring_field):
+        """The columns, their order and the per-row attributes that row-wise readers rely on."""
+        filt = build_filtration(ring_field)
+        d = compute_persistence(filt)
+        assert d.pairs.dtype.names == ("degree", "birth", "death", "birth_cell", "death_cell")
+        assert d.pairs.degree.dtype == np.int8
+        p = d.pairs[0]
+        assert (p.degree, p.birth, p.death) == (1, 8.0, 10.0)
+        assert (filt.dims[p.birth_cell], filt.dims[p.death_cell]) == (1, 2)
+        assert (filt.values[p.birth_cell], filt.values[p.death_cell]) == (8.0, 10.0)
+
 
 def assert_matches_reference(field: ScalarField):
     filt = build_filtration(field)
     got, want = compute_persistence(filt), reference_persistence(filt)
-    assert got.pairs == want.pairs  # all five fields of every pair
+    assert got.pairs.dtype == want.pairs.dtype
+    assert np.array_equal(got.pairs, want.pairs)  # all five fields of every pair
     assert got.essential_min == want.essential_min
 
 
