@@ -24,9 +24,8 @@ from .harness import (
     run_experiment,
     run_pipeline,
     run_simulate,
-    vectorize_row,
 )
-from .landscape import average, difference, read_vector_csv, write_vector_csv
+from .landscape import SampleGrid, average, default_grid, difference, read_vector_csv, vectorize, write_vector_csv
 from .persistence import PersistenceDiagram, read_diagram_csv, sorted_pairs, write_diagram_csv
 from .plot import render_report_svg, render_vector_svg
 
@@ -93,10 +92,9 @@ def _cmd_vectorize(args) -> int:
     source, out = Path(args.diagrams), Path(args.out)
     paths = _field_csvs(source)
     diagrams = [_read_diagram(p) for p in paths]
-    bounds = None if args.t0 is None else (args.t0, args.t1)
-    vectors = vectorize_row(diagrams, diagrams, bins, depth, bounds=bounds)
-    for path, vec in zip(paths, vectors):
-        write_vector_csv(vec, out / path.relative_to(source))
+    grid = default_grid(diagrams, bins) if args.t0 is None else SampleGrid(args.t0, args.t1, bins)
+    for path, diagram in zip(paths, diagrams):
+        write_vector_csv(vectorize(diagram, grid, depth), out / path.relative_to(source))
     print(out)
     return 0
 

@@ -81,20 +81,15 @@ def detect_critical(field: ScalarField) -> CriticalCensus:
     return CriticalCensus(np.rec.fromarrays([r, c, field.values[r, c], index, mult[r, c, index]], dtype=EVENT_DTYPE))
 
 
-def critical_values_from_diagram(
-    diagram: PersistenceDiagram, essential_min: float | None = None
-) -> CriticalCensus:
+def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
     """Recover the (value, index) census from a persistence diagram.
 
     Vertex locations are gone: the diagram knows which values hosted events
-    but not where.  The essential minimum is taken from the diagram unless
-    supplied explicitly.
+    but not where.
     """
-    if essential_min is None:
-        essential_min = diagram.essential_min
     # the essential minimum, then each pair's birth and death: index = degree at birth, degree + 1 at death
     p = diagram.pairs
-    value = np.concatenate(([essential_min], np.column_stack((p["birth"], p["death"])).ravel()))
+    value = np.concatenate(([diagram.essential_min], np.column_stack((p["birth"], p["death"])).ravel()))
     index = np.concatenate(([0], np.column_stack((p["degree"], p["degree"] + 1)).ravel()))
     none = np.full(len(value), -1)
     return CriticalCensus(events=np.rec.fromarrays([none, none, value, index, np.ones_like(none)], dtype=EVENT_DTYPE))

@@ -4,9 +4,10 @@ Two exact samplers: a dense Cholesky factorization (ground truth, guarded to
 small grids) and circulant embedding on an enlarged torus via FFT (the fast
 path, O(n log n)).  Each is split into a ``FieldLaw``, built once per
 covariance by ``field_law`` (the circulant spectrum or the Cholesky factor,
-with the fallback warning, once per law), and its cheap ``draw``.  Draws are
-driven by Philox counter-based generators so per-sample substreams are
-reproducible and safe to draw in parallel from one shared law.
+with the fallback warning, once per law), and its cheap ``draw(rng)``, the
+one way to draw a field.  ``rng`` is a Philox ``substream`` generator, so
+per-sample substreams are reproducible and safe to draw in parallel from one
+shared law.
 
 Model classes are pointwise transformations of the Gaussian field.  The
 built-in M1/M2/M3 assignments (identity, square, absolute) are illustrative
@@ -74,17 +75,6 @@ TRANSFORMS = {
 }
 
 
-def bessel_k(nu: float, x) -> np.ndarray | float:
-    """Modified Bessel function of the second kind K_nu, x > 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("bessel_k requires x > 0")
-    out = special.kv(nu, x)
-    if np.any(~np.isfinite(out)):
-        raise ValueError(f"bessel_k overflowed at nu={nu}")
-    return out if out.ndim else float(out)
-
-
 def matern_cov(d, p: MaternParams) -> np.ndarray | float:
     """Matern covariance at distance d >= 0; continuous with C(0) = sigma2."""
     d = np.asarray(d, dtype=np.float64)
@@ -109,12 +99,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(int(seed))
-
-
 def _grid_coords(rows: int, cols: int, spacing: float) -> np.ndarray:
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     return spacing * np.column_stack([rr.ravel(), cc.ravel()]).astype(np.float64)
@@ -135,7 +119,8 @@ class FieldLaw:
     On the circulant path ``pad_factor`` is the torus pad factor and ``root``
     holds sqrt(lam / (tr * tc)) on the tr x tc torus.  On the dense path
     ``pad_factor`` is None and ``root`` is the lower Cholesky factor of the
-    jittered covariance.  ``root`` is read-only, so threads may share a law.
+    jittered covariance.  ``root`` is read-only, so threads may share a law;
+    ``draw`` takes each field's own ``substream`` generator.
     """
 
     rows: int
@@ -146,9 +131,8 @@ class FieldLaw:
     def __post_init__(self):
         self.root.flags.writeable = False
 
-    def draw(self, seed) -> ScalarField:
-        """One field from a Generator, or from the master substream of an integer seed."""
-        rng = _as_generator(seed)
+    def draw(self, rng: np.random.Generator) -> ScalarField:
+        """One field from ``rng``, a ``substream`` generator."""
         rows, cols = self.rows, self.cols
         if self.pad_factor is None:
             z = self.root @ rng.standard_normal(rows * cols)
@@ -181,6 +165,12 @@ def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) ->
 
 
 def _circulant_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
+    """The torus starts at twice the grid and doubles until the embedded covariance is nonnegative definite.
+
+    Beyond ``MAX_PAD_FACTOR`` the law falls back to the Cholesky factor with a
+    warning, or raises FactorizationError past the Cholesky guard.  Same law
+    as the dense sampler, not bit-identical draws.
+    """
     factor = 1
     while factor <= MAX_PAD_FACTOR:
         tr, tc = 2 * factor * rows, 2 * factor * cols
@@ -214,7 +204,8 @@ def field_law(p: MaternParams, rows: int, cols: int, sampler: str = "circulant")
     Every field of one covariance draws from one law, so the spectrum or the
     factor is built once and each ``draw`` costs only its random numbers and
     one FFT or one matrix product.  The fallback warning and any
-    FactorizationError come from here, once per law.
+    FactorizationError come from here, once per law; ``law.draw(rng)`` with a
+    ``substream`` generator draws a field.
     """
     try:
         build = SAMPLERS[sampler]
@@ -223,29 +214,11 @@ def field_law(p: MaternParams, rows: int, cols: int, sampler: str = "circulant")
     return build(p, rows, cols)
 
 
-def sample_field_cholesky(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
-    """Exact sampler via dense Cholesky; guarded to small grids."""
-    return _cholesky_law(p, rows, cols).draw(seed)
-
-
-def sample_field_circulant(p: MaternParams, rows: int, cols: int, seed) -> ScalarField:
-    """FFT sampler by circulant embedding on an enlarged torus.
-
-    The torus starts at twice the grid and doubles until the embedded
-    covariance is nonnegative definite; beyond ``MAX_PAD_FACTOR`` it falls
-    back to the Cholesky sampler with a warning, or raises
-    FactorizationError when the grid exceeds the Cholesky guard.  Same law
-    as the dense sampler, not bit-identical to it.  This builds the law for
-    one draw; ``field_law(p, rows, cols).draw(seed)`` gives the same field,
-    and many draws from one law pay for the spectrum, and warn, only once.
-    """
-    return _circulant_law(p, rows, cols).draw(seed)
-
-
-def sample_model(spec: ModelSpec, rows: int, cols: int, seed, sampler: str = "circulant", *,
+def sample_model(spec: ModelSpec, rows: int, cols: int, rng: np.random.Generator, sampler: str = "circulant", *,
                  law: FieldLaw | None = None) -> ScalarField:
-    """Draw the Gaussian field and apply the model's pointwise transform.
+    """Draw the Gaussian field from ``rng`` and apply the model's pointwise transform.
 
+    ``rng`` is the field's ``substream`` generator, passed to ``law.draw``.
     ``law`` is ``field_law(spec.matern, rows, cols, sampler)`` built once by a
     caller that draws many fields of one covariance; without it this call
     builds its own.
@@ -258,5 +231,5 @@ def sample_model(spec: ModelSpec, rows: int, cols: int, seed, sampler: str = "ci
         ) from None
     if law is None:
         law = field_law(spec.matern, rows, cols, sampler)
-    gauss = law.draw(seed)
+    gauss = law.draw(rng)
     return ScalarField(rows, cols, transform(gauss.values))

@@ -128,9 +128,9 @@ def _row_law(cfg: ExperimentConfig, samples: list[Sample]) -> FieldLaw:
     return field_law(params, cfg.rows, cfg.cols, cfg.sampler)
 
 
-def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw | None = None) -> ScalarField:
+def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw) -> ScalarField:
     spec = model_specs(cfg, sample.eta, sample.nu)[sample.key[1]]
-    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), sampler=cfg.sampler, law=law)
+    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), law=law)
 
 
 def _read_records(path, columns) -> list[dict]:
@@ -168,14 +168,13 @@ def diagram_of_field(field: ScalarField) -> PersistenceDiagram:
     return compute_persistence(build_filtration(field))
 
 
-def vectorize_row(train: list[PersistenceDiagram], diagrams: list[PersistenceDiagram], bins: int, depth: int,
-                  bounds: tuple[float, float] | None = None) -> list[LandscapeVector]:
+def vectorize_row(train: list[PersistenceDiagram], diagrams: list[PersistenceDiagram], bins: int,
+                  depth: int) -> list[LandscapeVector]:
     """The per-row step: landscape vectors of ``diagrams`` on the grid ``train`` spans.
 
     ``train`` is the row's training split; ``diagrams`` holds both splits.
-    ``bounds`` replaces the scan of ``train`` with explicit grid ends.
     """
-    grid = default_grid(train, bins, bounds)
+    grid = default_grid(train, bins)
     return [vectorize(d, grid, depth) for d in diagrams]
 
 

@@ -4,16 +4,18 @@ The level-k landscape of a set of (birth, death) bars evaluates to the k-th
 largest tent value max(0, min(t - birth, death - t)) at each t.  Levels are
 nonincreasing in k and each level is 1-Lipschitz.
 
-The flattened vector samples levels 1..K at grid points t_0 < ... < t_N for
-degree 0, then degree 1, giving length 2(N+1)K: degree-0 level 1 at
-t_0..t_N, degree-0 level 2, ..., degree-1 level K at t_0..t_N.  Landscape
-vectors are mostly zero once K exceeds the effective depth, so vector files
-list only the nonzero entries as (index, value) lines.
+The flattened vector samples levels 1..K on a ``SampleGrid``, the uniform
+grid t_0 < ... < t_N that ``(t0, tN, N)`` fix by construction, for degree 0,
+then degree 1, giving length 2(N+1)K: degree-0 level 1 at t_0..t_N, degree-0
+level 2, ..., degree-1 level K at t_0..t_N.  A vector file's meta line is the
+grid's fields and the depth, ``N,K,t0,tN``.  Landscape vectors are mostly zero
+once K exceeds the effective depth, so vector files list only the nonzero
+entries as (index, value) lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,44 +26,30 @@ VECTOR_HEADER = "N,K,t0,tN"
 MAX_ENTRIES = 1 << 22  # largest dense vector a file may declare: 32 MiB of float64
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SampleGrid:
-    """Strictly increasing sample points t_0 < t_1 < ... < t_N."""
+    """N + 1 equally spaced sample points ``ts = linspace(t0, tN, N + 1)``, strictly increasing.
 
-    ts: np.ndarray
+    Grids compare and hash on ``(t0, tN, n_intervals)``; ``ts`` is read-only.
+    """
+
+    t0: float
+    tN: float
+    n_intervals: int
+    ts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=np.float64)
-        if ts.ndim != 1 or len(ts) < 1:
-            raise ValueError("sample grid needs at least one point")
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("sample points must be strictly increasing")
-        ts = ts.copy()
+        if self.n_intervals < 1:
+            raise ValueError("need at least one interval")
+        if not self.tN > self.t0:
+            raise ValueError(f"need t0 < tN, got [{self.t0}, {self.tN}]")
+        if not np.isfinite(self.tN - self.t0):
+            raise ValueError(f"grid span [{self.t0}, {self.tN}] is not finite")
+        ts = np.linspace(self.t0, self.tN, self.n_intervals + 1)
+        if not np.all(np.diff(ts) > 0):
+            raise ValueError(f"{self.n_intervals} intervals of [{self.t0}, {self.tN}] repeat sample points")
         ts.flags.writeable = False
         object.__setattr__(self, "ts", ts)
-
-    @classmethod
-    def uniform(cls, t0: float, t1: float, n_intervals: int) -> "SampleGrid":
-        if n_intervals < 1:
-            raise ValueError("need at least one interval")
-        if not t1 > t0:
-            raise ValueError(f"need t0 < tN, got [{t0}, {t1}]")
-        if not np.isfinite(t1 - t0):
-            raise ValueError(f"grid span [{t0}, {t1}] is not finite")
-        return cls(np.linspace(t0, t1, n_intervals + 1))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.ts)
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.ts) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleGrid):
-            return NotImplemented
-        return np.array_equal(self.ts, other.ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +69,7 @@ class LandscapeVector:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         ent = np.asarray(self.entries, dtype=np.float64)
-        expected = 2 * self.grid.n_points * self.depth
+        expected = 2 * len(self.grid.ts) * self.depth
         if ent.shape != (expected,):
             raise ValueError(f"expected {expected} entries, got {ent.shape}")
         ent = ent.copy()
@@ -92,7 +80,7 @@ class LandscapeVector:
         """Samples of level k (1-based) in the given degree."""
         if degree not in (0, 1) or not 1 <= k <= self.depth:
             raise ValueError(f"no level {k} in degree {degree}")
-        npts = self.grid.n_points
+        npts = len(self.grid.ts)
         start = (degree * self.depth + (k - 1)) * npts
         return self.entries[start : start + npts]
 
@@ -189,24 +177,21 @@ def difference(a: LandscapeVector, b: LandscapeVector) -> LandscapeVector:
     return LandscapeVector(grid=a.grid, depth=a.depth, entries=a.entries - b.entries)
 
 
-def default_grid(diagrams, n_intervals: int, bounds: tuple[float, float] | None = None) -> SampleGrid:
+def default_grid(diagrams, n_intervals: int) -> SampleGrid:
     """Uniform grid spanning the extreme birth and death over the diagrams.
 
     The grid is a training-set artifact: derive it once on training diagrams
-    and reuse it verbatim for test data.  Explicit bounds override the scan.
+    and reuse it verbatim for test data.
     """
-    if bounds is None:
-        lo, hi = np.inf, -np.inf
-        for diagram in diagrams:
-            birth, death = diagram.pairs["birth"], diagram.pairs["death"]
-            if len(birth):  # argmin and argmax take the first extreme, as a scan does
-                lo = min(lo, birth[birth.argmin()])
-                hi = max(hi, death[death.argmax()])
-        if not lo < hi:
-            raise ValueError("every training diagram is empty, so no sample grid can be derived")
-    else:
-        lo, hi = bounds
-    return SampleGrid.uniform(float(lo), float(hi), n_intervals)
+    lo, hi = np.inf, -np.inf
+    for diagram in diagrams:
+        birth, death = diagram.pairs["birth"], diagram.pairs["death"]
+        if len(birth):  # argmin and argmax take the first extreme, as a scan does
+            lo = min(lo, birth[birth.argmin()])
+            hi = max(hi, death[death.argmax()])
+    if not lo < hi:
+        raise ValueError("every training diagram is empty, so no sample grid can be derived")
+    return SampleGrid(float(lo), float(hi), n_intervals)
 
 
 def write_sparse(path, header: str, meta, entries: np.ndarray) -> None:
@@ -255,21 +240,12 @@ def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
 
 
 def write_vector_csv(v: LandscapeVector, path) -> None:
-    """Header ``N,K,t0,tN`` plus sparse ``index,value`` lines.
-
-    Only uniform grids can round-trip through this format; the pipeline's
-    grids are always uniform.
-    """
-    ts = v.grid.ts
-    if len(ts) < 2:
-        raise ValueError("vector export needs at least two sample points")
-    uniform = SampleGrid.uniform(float(ts[0]), float(ts[-1]), len(ts) - 1)
-    if not np.array_equal(uniform.ts, ts):
-        raise ValueError("vector export requires a uniform grid")
+    """Header ``N,K,t0,tN`` plus sparse ``index,value`` lines; the meta line is the grid's fields."""
+    ts = v.grid.ts  # its ends are t0 and tN, but linspace starts a -0.0 grid at 0.0, and files keep "0"
     meta = (str(v.grid.n_intervals), str(v.depth), format(ts[0], ".17g"), format(ts[-1], ".17g"))
     write_sparse(path, VECTOR_HEADER, meta, v.entries)
 
 
 def read_vector_csv(path) -> LandscapeVector:
     n, k, (t0, tn), entries = read_sparse(path, VECTOR_HEADER)
-    return LandscapeVector(grid=SampleGrid.uniform(t0, tn, n), depth=k, entries=entries)
+    return LandscapeVector(grid=SampleGrid(t0, tn, n), depth=k, entries=entries)

@@ -206,9 +206,9 @@ class TestEvaluate:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(58)
-        grid = SampleGrid.uniform(0.0, 2.0, 4)
+        grid = SampleGrid(0.0, 2.0, 4)
         depth = 2
-        dim = 2 * grid.n_points * depth
+        dim = 2 * len(grid.ts) * depth
         X = rng.standard_normal((12, dim))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         model = train_calibrated(LabeledSet(X=X, y=y, grid=grid, depth=depth), C=2.0)
@@ -222,7 +222,7 @@ class TestModelFile:
     def test_header(self, tmp_path):
         model = ClassifierModel(w=np.zeros(6), b=0.5, C=1.0, platt=(-1.0, 0.25))
         path = tmp_path / "model.txt"
-        write_model(model, SampleGrid.uniform(0, 1, 2), 1, path)
+        write_model(model, SampleGrid(0, 1, 2), 1, path)
         assert path.read_text().splitlines()[0] == "N,K,C,A,B,bias"
 
     @pytest.mark.parametrize("line", ["-1,5", "6,5", "1,nan", "1,inf"])

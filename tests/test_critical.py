@@ -102,10 +102,6 @@ class TestCensusFromDiagram:
         ms = census.value_index_multiset()
         assert ms[(8.0, 1)] == 1 and ms[(10.0, 2)] == 1 and ms[(1.0, 0)] == 1
 
-    def test_explicit_essential_min_override(self, ring_field):
-        census = critical_values_from_diagram(diagram_of(ring_field), essential_min=-7.0)
-        assert census.value_index_multiset()[(-7.0, 0)] == 1
-
 
 def test_census_agreement_randomized():
     """The diagram determines the (value, index) census exactly."""

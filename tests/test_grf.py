@@ -12,12 +12,10 @@ from fieldscape.grf import (
     CHOLESKY_VERTEX_GUARD,
     MaternParams,
     ModelSpec,
-    bessel_k,
     covariance_matrix,
     field_law,
+    matern_coefficient,
     matern_cov,
-    sample_field_cholesky,
-    sample_field_circulant,
     sample_model,
     substream,
 )
@@ -44,36 +42,27 @@ def kv_quadrature(nu: float, x: float) -> float:
     return val
 
 
+def matern_oracle(d: float, p: MaternParams) -> float:
+    """The Matern covariance at d > 0 with K_nu from the quadrature oracle."""
+    s = np.sqrt(2.0 * p.nu) * d / p.eta
+    return p.sigma2 * matern_coefficient(p.nu) * s**p.nu * kv_quadrature(p.nu, s)
+
+
 class TestBesselK:
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bessel_k(1, 0.0)
-        with pytest.raises(ValueError):
-            bessel_k(1, -2.0)
-
-    def test_recurrence(self):
-        # K_2(x) = K_0(x) + (2/x) K_1(x)
-        for x in np.logspace(-2, np.log10(20), 30):
-            lhs = bessel_k(2, x)
-            rhs = bessel_k(0, x) + (2.0 / x) * bessel_k(1, x)
-            assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_large_argument_asymptote(self):
-        # K_nu(x) ~ sqrt(pi / 2x) e^-x
-        for nu in (1.0, 2.0):
-            for x in (50.0, 200.0, 600.0):
-                approx = np.sqrt(np.pi / (2 * x)) * np.exp(-x)
-                assert abs(bessel_k(nu, x) / approx - 1.0) < 25.0 * nu / x
+    """K_nu where the program evaluates it: inside ``matern_cov``."""
 
     def test_pinned_quadrature_value(self):
-        assert abs(bessel_k(1, 1.0) - K1_AT_ONE) < 1e-13
+        # eta = sqrt(2) puts d = 1 at s = sqrt(2) * 1 / sqrt(2) = 1 exactly, where C = K_1(1)
+        assert abs(matern_cov(1.0, MaternParams(eta=np.sqrt(2.0), nu=1)) - K1_AT_ONE) < 1e-13
         assert abs(kv_quadrature(1, 1.0) - K1_AT_ONE) < 1e-13
 
     def test_matches_quadrature_oracle_spot_checks(self):
         for nu in (1.0, 2.0):
-            for x in (0.01, 0.4, 3.0, 20.0):
-                oracle = kv_quadrature(nu, x)
-                assert abs(bessel_k(nu, x) - oracle) <= 1e-10 * abs(oracle)
+            p = MaternParams(eta=5, nu=nu, sigma2=2.5)
+            for s in (0.01, 0.4, 3.0, 20.0):
+                d = s * p.eta / np.sqrt(2.0 * nu)
+                oracle = matern_oracle(d, p)
+                assert abs(matern_cov(d, p) - oracle) <= 1e-10 * abs(oracle)
 
 
 class TestMaternCov:
@@ -138,31 +127,29 @@ class TestMaternCov:
 class TestCholeskySampler:
     def test_seed_determinism(self):
         p = MaternParams(eta=5, nu=1)
-        a = sample_field_cholesky(p, 4, 4, 7)
-        b = sample_field_cholesky(p, 4, 4, 7)
+        a = field_law(p, 4, 4, "cholesky").draw(substream(7))
+        b = field_law(p, 4, 4, "cholesky").draw(substream(7))
         assert a == b
-        assert a != sample_field_cholesky(p, 4, 4, 8)
+        assert a != field_law(p, 4, 4, "cholesky").draw(substream(8))
 
     def test_variance_scaling_is_exact_coupling(self):
         p1 = MaternParams(eta=5, nu=1, sigma2=1.0)
         p2 = MaternParams(eta=5, nu=1, sigma2=2.0)
-        a = sample_field_cholesky(p1, 5, 5, 3)
-        b = sample_field_cholesky(p2, 5, 5, 3)
+        a = field_law(p1, 5, 5, "cholesky").draw(substream(3))
+        b = field_law(p2, 5, 5, "cholesky").draw(substream(3))
         assert np.allclose(b.values, np.sqrt(2.0) * a.values, atol=1e-12)
 
     def test_vertex_guard(self):
         p = MaternParams(eta=5, nu=1)
         with pytest.raises(ValueError):
-            sample_field_cholesky(p, 65, 64, 1)
+            field_law(p, 65, 64, "cholesky")
         assert CHOLESKY_VERTEX_GUARD == 4096
 
     def test_empirical_covariance(self):
         p = MaternParams(eta=3, nu=1)
         cov = covariance_matrix(p, 3, 3)
-        rng = substream(99)
-        draws = np.stack(
-            [sample_field_cholesky(p, 3, 3, rng).values.ravel() for _ in range(4000)]
-        )
+        law, rng = field_law(p, 3, 3, "cholesky"), substream(99)
+        draws = np.stack([law.draw(rng).values.ravel() for _ in range(4000)])
         emp = draws.T @ draws / len(draws)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / len(draws))
         assert np.max(np.abs(emp - cov) / se) < 5.0
@@ -171,7 +158,7 @@ class TestCholeskySampler:
 class TestCirculantSampler:
     def test_seed_determinism(self):
         p = MaternParams(eta=5, nu=1)
-        assert sample_field_circulant(p, 8, 8, 9) == sample_field_circulant(p, 8, 8, 9)
+        assert field_law(p, 8, 8).draw(substream(9)) == field_law(p, 8, 8).draw(substream(9))
 
     def test_zero_mean(self):
         p = MaternParams(eta=4, nu=1)
@@ -215,7 +202,7 @@ class TestCirculantSampler:
         p = MaternParams(eta=5, nu=1)
         monkeypatch.setattr(grf, "MAX_PAD_FACTOR", 0)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            field = sample_field_circulant(p, 4, 4, 11)
+            field = field_law(p, 4, 4).draw(substream(11))
         assert field.values.shape == (4, 4)
 
     def test_runtime_trend_subquadratic(self):
@@ -227,11 +214,11 @@ class TestCirculantSampler:
             times = []
             for i in range(3):
                 t0 = time.perf_counter()
-                sample_field_circulant(p, rows, rows, 1000 + i)
+                field_law(p, rows, rows).draw(substream(1000 + i))
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        sample_field_circulant(p, 16, 16, 0)  # warm caches
+        field_law(p, 16, 16).draw(substream(0))  # warm caches
         t_small = best_of_three(64)
         t_big = best_of_three(256)
         # vertex count grows 16x; O(n log n) predicts ~21x, quadratic 256x
@@ -239,7 +226,7 @@ class TestCirculantSampler:
 
 
 class TestFieldLaw:
-    """A law built once draws the same fields, bit for bit, as the one-off samplers.
+    """A law built once draws the same fields, bit for bit, as a law built for each draw.
 
     The pinned digests are of the fields the samplers drew before they were
     split into a law and a draw.
@@ -247,9 +234,9 @@ class TestFieldLaw:
 
     @staticmethod
     def _same_draws(law, one_off, pinned):
-        keys = [(44, 0), (44, 1), (44, 2)]
-        fields = [law.draw(substream(*key)) for key in keys] + [law.draw(45)]
-        assert fields == [one_off(substream(*key)) for key in keys] + [one_off(45)]
+        keys = [(44, 0), (44, 1), (44, 2), (45,)]
+        fields = [law.draw(substream(*key)) for key in keys]
+        assert fields == [one_off(substream(*key)) for key in keys]
         assert hashlib.sha256(b"".join(f.values.tobytes() for f in fields)).hexdigest()[:16] == pinned
 
     @pytest.mark.parametrize("eta,pad_factor,pinned", [
@@ -259,7 +246,7 @@ class TestFieldLaw:
         p = MaternParams(eta=eta, nu=1)
         law = field_law(p, 16, 16)
         assert law.pad_factor == pad_factor and law.root.shape == (32 * pad_factor, 32 * pad_factor)
-        self._same_draws(law, lambda seed: sample_field_circulant(p, 16, 16, seed), pinned)
+        self._same_draws(law, lambda rng: field_law(p, 16, 16).draw(rng), pinned)
 
     def test_circulant_fallback_warns_once(self, monkeypatch):
         p = MaternParams(eta=5, nu=1)
@@ -273,19 +260,19 @@ class TestFieldLaw:
         assert [w.category for w in caught] == [RuntimeWarning] and "falling back" in str(caught[0].message)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            self._same_draws(law, lambda seed: sample_field_circulant(p, 5, 4, seed), "6d1a5be9e74a1261")
-            self._same_draws(law, lambda seed: sample_field_cholesky(p, 5, 4, seed), "6d1a5be9e74a1261")
+            self._same_draws(law, lambda rng: field_law(p, 5, 4).draw(rng), "6d1a5be9e74a1261")
+            self._same_draws(law, lambda rng: field_law(p, 5, 4, "cholesky").draw(rng), "6d1a5be9e74a1261")
 
     def test_cholesky_sampler(self):
         p = MaternParams(eta=5, nu=2)
         law = field_law(p, 5, 4, "cholesky")
         assert law.pad_factor is None and law.root.shape == (20, 20)
-        self._same_draws(law, lambda seed: sample_field_cholesky(p, 5, 4, seed), "5927e98ea771e2e9")
+        self._same_draws(law, lambda rng: field_law(p, 5, 4, "cholesky").draw(rng), "5927e98ea771e2e9")
 
     def test_model_draws_from_a_given_law(self):
         spec = ModelSpec("M2", "square", MaternParams(eta=5, nu=1))
         law = field_law(spec.matern, 6, 6)
-        assert sample_model(spec, 6, 6, 5, law=law) == sample_model(spec, 6, 6, 5)
+        assert sample_model(spec, 6, 6, substream(5), law=law) == sample_model(spec, 6, 6, substream(5))
 
     def test_root_is_read_only(self):
         law = field_law(MaternParams(eta=5, nu=1), 4, 4)
@@ -297,27 +284,27 @@ class TestSampleModel:
     def test_identity_equals_raw_gaussian(self):
         p = MaternParams(eta=5, nu=1)
         spec = ModelSpec("M1", "identity", p)
-        assert sample_model(spec, 6, 6, 5) == sample_field_circulant(p, 6, 6, 5)
+        assert sample_model(spec, 6, 6, substream(5)) == field_law(p, 6, 6).draw(substream(5))
 
     def test_square_nonnegative(self):
         spec = ModelSpec("M2", "square", MaternParams(eta=5, nu=1))
-        assert np.all(sample_model(spec, 6, 6, 5).values >= 0)
+        assert np.all(sample_model(spec, 6, 6, substream(5)).values >= 0)
 
     def test_absolute_couples_identity(self):
         p = MaternParams(eta=5, nu=1)
-        raw = sample_model(ModelSpec("M1", "identity", p), 6, 6, 5)
-        ab = sample_model(ModelSpec("M3", "absolute", p), 6, 6, 5)
+        raw = sample_model(ModelSpec("M1", "identity", p), 6, 6, substream(5))
+        ab = sample_model(ModelSpec("M3", "absolute", p), 6, 6, substream(5))
         assert np.array_equal(ab.values, np.abs(raw.values))
 
     def test_unknown_transform(self):
         spec = ModelSpec("bad", "cube", MaternParams(eta=5, nu=1))
         with pytest.raises(ConfigError):
-            sample_model(spec, 4, 4, 1)
+            sample_model(spec, 4, 4, substream(1))
 
     def test_unknown_sampler(self):
         spec = ModelSpec("M1", "identity", MaternParams(eta=5, nu=1))
         with pytest.raises(ConfigError):
-            sample_model(spec, 4, 4, 1, sampler="quantum")
+            sample_model(spec, 4, 4, substream(1), sampler="quantum")
 
 
 class TestSubstream:
@@ -329,6 +316,6 @@ class TestSubstream:
         assert not np.array_equal(a, c)
 
     def test_results_are_scalar_fields(self):
-        f = sample_field_circulant(MaternParams(eta=5, nu=1), 3, 7, 1)
+        f = field_law(MaternParams(eta=5, nu=1), 3, 7).draw(substream(1))
         assert isinstance(f, ScalarField)
         assert np.all(np.isfinite(f.values))

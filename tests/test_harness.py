@@ -25,7 +25,7 @@ from fieldscape.config import (
     parse_flat_config,
 )
 from fieldscape.critical import critical_values_from_diagram, detect_critical
-from fieldscape.cubical import build_filtration, read_field_csv
+from fieldscape.cubical import ScalarField, build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
 from fieldscape.harness import (
     MANIFEST_COLUMNS,
@@ -33,6 +33,7 @@ from fieldscape.harness import (
     _draw,
     _experiment_row,
     _labeled,
+    _row_law,
     _rows,
     _samples,
     compare_models,
@@ -44,8 +45,14 @@ from fieldscape.harness import (
     run_simulate,
     row_label,
 )
-from fieldscape.landscape import default_grid, read_vector_csv
-from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence, read_diagram_csv
+from fieldscape.landscape import SampleGrid, default_grid, read_vector_csv, vectorize
+from fieldscape.persistence import (
+    betti_curve,
+    betti_oracle,
+    compute_persistence,
+    read_diagram_csv,
+    write_diagram_csv,
+)
 
 
 def sha(path) -> str:
@@ -215,8 +222,8 @@ class TestExperiment:
         cfg = tiny_config(tmp_path / "h")
         row = next(iter(_rows(_samples(cfg)).values()))
         vectors = _experiment_row(cfg, row)
-        train_only = [diagram_of_field(_draw(cfg, s)) for s in _samples(cfg)
-                      if s.key[0] == 0 and s.split == "train"]
+        law = _row_law(cfg, row)
+        train_only = [diagram_of_field(_draw(cfg, s, law)) for s in row if s.split == "train"]
         expected_grid = default_grid(train_only, cfg.bins)
         assert sorted(vectors) == [("M1", "test"), ("M1", "train"), ("M2", "test"), ("M2", "train")]
         for vecs in vectors.values():
@@ -770,6 +777,26 @@ class TestCli:
                      "--bins", "8", "--depth", "2"]) == 0
         assert sorted(p.relative_to(vectors) for p in vectors.rglob("*.csv")) == fields
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["bars", "all-empty"])
+    def test_vectorize_on_explicit_grid(self, tmp_path, empty):
+        """``--t0``/``--t1`` fix the grid ends, wider than the bars span, even when no diagram has a bar."""
+        rng = np.random.default_rng(17)
+        fields = [ScalarField.from_flat(1, 3, [0.0, 1.0, 2.0]) if empty else ScalarField(5, 5, rng.normal(size=(5, 5)))
+                  for _ in range(3)]
+        diagrams = [diagram_of_field(f) for f in fields]
+        pairs = np.concatenate([d.pairs for d in diagrams])
+        assert (len(pairs) == 0) == empty
+        assert np.all(pairs["birth"] > -5.0) and np.all(pairs["death"] < 5.0)
+        for i, d in enumerate(diagrams):
+            write_diagram_csv(d, tmp_path / "d" / f"{i}.csv")
+        out = tmp_path / "v"
+        assert main(["vectorize", "--diagrams", str(tmp_path / "d"), "--out", str(out),
+                     "--bins", "10", "--depth", "2", "--t0", "-5", "--t1", "5"]) == 0
+        grid = SampleGrid(-5.0, 5.0, 10)
+        for i, d in enumerate(diagrams):
+            assert (out / f"{i}.csv").read_text().splitlines()[:2] == ["N,K,t0,tN", "10,2,-5,5"]
+            assert read_vector_csv(out / f"{i}.csv") == vectorize(d, grid, 2)
+
     def test_classify_command(self, tmp_path):
         out = tmp_path / "sim"
         assert main([
@@ -800,7 +827,7 @@ class TestCli:
     def test_zero_vector_plot(self, tmp_path):
         from fieldscape.landscape import LandscapeVector, SampleGrid, write_vector_csv
 
-        vec = LandscapeVector(grid=SampleGrid.uniform(0, 1, 4), depth=2, entries=np.zeros(20))
+        vec = LandscapeVector(grid=SampleGrid(0, 1, 4), depth=2, entries=np.zeros(20))
         src = tmp_path / "zero.csv"
         write_vector_csv(vec, src)
         assert main(["plot", str(src), "--out", str(tmp_path)]) == 0

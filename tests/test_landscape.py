@@ -36,6 +36,37 @@ def random_bars(rng, max_bars=10):
     return bars
 
 
+class TestSampleGrid:
+    @pytest.mark.parametrize("t0, tN, n", [
+        (0.0, 1.0, 0), (1.0, 1.0, 4), (2.0, 1.0, 4), (np.nan, 1.0, 4), (0.0, np.nan, 4), (-np.inf, 0.0, 4),
+        (0.0, np.inf, 4), (-1e308, 1e308, 4), (1.0, 1.0 + 4e-16, 99),
+    ], ids=["no-interval", "t0-equals-tN", "t0-above-tN", "nan-t0", "nan-tN", "infinite-t0", "infinite-tN",
+            "span-overflows", "points-repeat"])
+    def test_rejected(self, t0, tN, n):
+        with pytest.raises(ValueError):
+            SampleGrid(t0, tN, n)
+
+    def test_equal_fields_give_equal_grids(self):
+        a = SampleGrid(-0.75, 2.25, 12)
+        assert a == SampleGrid(-0.75, 2.25, 12) and hash(a) == hash(SampleGrid(-0.75, 2.25, 12))
+        assert a != SampleGrid(-0.75, 2.25, 13) and a != SampleGrid(-0.5, 2.25, 12)
+        # signed zero ends give equal sample points, so equal grids
+        for signed, plain in ((SampleGrid(-0.0, 1.0, 4), SampleGrid(0.0, 1.0, 4)),
+                              (SampleGrid(-1.0, -0.0, 4), SampleGrid(-1.0, 0.0, 4))):
+            assert signed == plain and hash(signed) == hash(plain)
+
+    def test_points_are_read_only_with_exact_ends(self):
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            t0 = float(rng.uniform(-100, 100))
+            tN = t0 + float(rng.uniform(1e-3, 100))
+            n = int(rng.integers(1, 500))
+            grid = SampleGrid(t0, tN, n)
+            assert grid.ts[0] == t0 and grid.ts[-1] == tN and len(grid.ts) == n + 1
+        with pytest.raises(ValueError):
+            grid.ts[0] = 0.0
+
+
 class TestEvalLandscape:
     def test_tent_peak_at_midpoint(self):
         assert eval_landscape([(1.0, 5.0)], 1, 3.0) == 2.0
@@ -58,24 +89,24 @@ class TestEvalLandscape:
 
 class TestVectorize:
     def test_single_bar_layout(self):
-        grid = SampleGrid(np.array([0.0, 1.0, 2.0]))
+        grid = SampleGrid(0.0, 2.0, 2)
         vec = vectorize_bars([(0.0, 2.0)], [], grid, 1)
         assert vec.entries.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_empty_diagram_is_zero(self):
-        grid = SampleGrid.uniform(0.0, 1.0, 4)
+        grid = SampleGrid(0.0, 1.0, 4)
         vec = vectorize_bars([], [], grid, 3)
         assert vec.entries.shape == (2 * 5 * 3,)
         assert not vec.entries.any()
 
     def test_length_formula(self):
-        grid = SampleGrid.uniform(0.0, 1.0, 2)  # N = 2
+        grid = SampleGrid(0.0, 1.0, 2)  # N = 2
         vec = vectorize_bars([(0.0, 1.0)], [], grid, 2)  # K = 2
         assert len(vec.entries) == 12
 
     def test_level_blocks_match_eval(self):
         rng = np.random.default_rng(32)
-        grid = SampleGrid.uniform(-1.0, 4.0, 17)
+        grid = SampleGrid(-1.0, 4.0, 17)
         bars0, bars1 = random_bars(rng), random_bars(rng)
         vec = vectorize_bars(bars0, bars1, grid, 5)
         for deg, bars in ((0, bars0), (1, bars1)):
@@ -85,7 +116,7 @@ class TestVectorize:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(33)
-        grid = SampleGrid.uniform(0.0, 3.0, 10)
+        grid = SampleGrid(0.0, 3.0, 10)
         bars = random_bars(rng, 8)
         shuffled = list(bars)
         rng.shuffle(shuffled)
@@ -93,7 +124,7 @@ class TestVectorize:
 
     def test_from_diagram(self, ring_field):
         diagram = compute_persistence(build_filtration(ring_field))
-        grid = SampleGrid.uniform(0.0, 11.0, 11)
+        grid = SampleGrid(0.0, 11.0, 11)
         vec = vectorize(diagram, grid, 2)
         # single degree-1 bar (8, 10): peak 1 at t=9
         assert vec.level(1, 1)[9] == 1.0
@@ -101,7 +132,7 @@ class TestVectorize:
 
     def test_depth_dominance_and_lipschitz(self):
         rng = np.random.default_rng(34)
-        grid = SampleGrid.uniform(-2.0, 5.0, 40)
+        grid = SampleGrid(-2.0, 5.0, 40)
         dt = float(grid.ts[1] - grid.ts[0])
         for _ in range(50):
             vec = vectorize_bars(random_bars(rng), random_bars(rng), grid, 6)
@@ -113,7 +144,7 @@ class TestVectorize:
                     assert np.max(np.abs(np.diff(upper))) <= dt + 1e-12
 
     def test_finite_support(self):
-        grid = SampleGrid.uniform(-10.0, 10.0, 20)
+        grid = SampleGrid(-10.0, 10.0, 20)
         vec = vectorize_bars([(0.0, 2.0)], [(1.0, 1.5)], grid, 2)
         ts = grid.ts
         outside = (ts < 0.0) | (ts > 2.0)
@@ -145,7 +176,7 @@ class TestMaxDepth:
 
 class TestAverageDifference:
     def grid(self):
-        return SampleGrid.uniform(0.0, 1.0, 4)
+        return SampleGrid(0.0, 1.0, 4)
 
     def vec(self, fill):
         entries = np.full(2 * 5 * 2, float(fill))
@@ -161,7 +192,7 @@ class TestAverageDifference:
 
     def test_streaming_matches_two_pass(self):
         rng = np.random.default_rng(35)
-        grid = SampleGrid.uniform(0.0, 2.0, 30)
+        grid = SampleGrid(0.0, 2.0, 30)
         vecs = [
             vectorize_bars(random_bars(rng, 6), random_bars(rng, 6), grid, 3)
             for _ in range(1000)
@@ -172,7 +203,7 @@ class TestAverageDifference:
 
     def test_mismatched_grid_rejected(self):
         other = LandscapeVector(
-            grid=SampleGrid.uniform(0.0, 2.0, 4), depth=2, entries=np.zeros(20)
+            grid=SampleGrid(0.0, 2.0, 4), depth=2, entries=np.zeros(20)
         )
         with pytest.raises(ValueError):
             average([self.vec(1.0), other])
@@ -191,14 +222,14 @@ class TestSparsify:
     """Vector files list the nonzero entries only, as index,value lines."""
 
     def test_zero_vector(self, tmp_path):
-        v = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
+        v = LandscapeVector(grid=SampleGrid(0, 1, 2), depth=1, entries=np.zeros(6))
         write_vector_csv(v, tmp_path / "v.csv")
         assert (tmp_path / "v.csv").read_text().splitlines()[3:] == []
         assert read_vector_csv(tmp_path / "v.csv") == v
 
     def test_single_entry(self, tmp_path):
         v = LandscapeVector(
-            grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.array([0, 1, 0, 0, 0, 0.0])
+            grid=SampleGrid(0, 1, 2), depth=1, entries=np.array([0, 1, 0, 0, 0, 0.0])
         )
         write_vector_csv(v, tmp_path / "v.csv")
         assert (tmp_path / "v.csv").read_text().splitlines()[3:] == ["1,1"]
@@ -208,7 +239,7 @@ class TestSparsify:
     @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
     def test_round_trip_exact(self, tmp_path_factory, entries):
         v = LandscapeVector(
-            grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.array(entries)
+            grid=SampleGrid(0, 1, 2), depth=1, entries=np.array(entries)
         )
         path = tmp_path_factory.mktemp("sparse") / "v.csv"
         write_vector_csv(v, path)
@@ -231,10 +262,6 @@ class TestDefaultGrid:
         grid = default_grid([d1, d2], 4)
         assert grid.ts.tolist() == [-1.0, 0.0, 1.0, 2.0, 3.0]
 
-    def test_explicit_bounds(self):
-        grid = default_grid([], 4, bounds=(-1.0, 3.0))
-        assert grid.ts.tolist() == [-1.0, 0.0, 1.0, 2.0, 3.0]
-
     def test_all_empty_rejected(self):
         xs = np.arange(3, dtype=float)
         empty = compute_persistence(build_filtration(ScalarField(3, 3, xs[:, None] ** 2 + xs[None, :] ** 2)))
@@ -245,24 +272,23 @@ class TestDefaultGrid:
 class TestVectorCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(36)
-        grid = SampleGrid.uniform(-0.75, 2.25, 12)
+        grid = SampleGrid(-0.75, 2.25, 12)
         vec = vectorize_bars(random_bars(rng), random_bars(rng), grid, 3)
         path = tmp_path / "vec.csv"
         write_vector_csv(vec, path)
         assert read_vector_csv(path) == vec
 
     def test_header_metadata(self, tmp_path):
-        vec = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
-        path = tmp_path / "vec.csv"
-        write_vector_csv(vec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "N,K,t0,tN"
-        assert lines[1] == "2,1,0,1"
-        assert lines[2] == "index,value"
+        """A -0.0 start is written as its first sample point, 0."""
+        for t0 in (0.0, -0.0):
+            vec = LandscapeVector(grid=SampleGrid(t0, 1, 2), depth=1, entries=np.zeros(6))
+            path = tmp_path / "vec.csv"
+            write_vector_csv(vec, path)
+            assert path.read_text().splitlines()[:3] == ["N,K,t0,tN", "2,1,0,1", "index,value"]
 
     def test_dense_export(self, tmp_path):
         vec = LandscapeVector(
-            grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.array([0, 1, 0, 0, 2, 0.0])
+            grid=SampleGrid(0, 1, 2), depth=1, entries=np.array([0, 1, 0, 0, 2, 0.0])
         )
         path = tmp_path / "vec.csv"
         path.write_text("N,K,t0,tN\n2,1,0,1\nindex,value\n0,0\n1,1\n2,0\n3,0\n4,2\n5,0\n")
@@ -270,13 +296,13 @@ class TestVectorCsv:
 
     def test_writer_refuses_what_the_reader_rejects(self, tmp_path, monkeypatch):
         monkeypatch.setattr(landscape, "MAX_ENTRIES", 4)
-        vec = LandscapeVector(grid=SampleGrid.uniform(0, 1, 2), depth=1, entries=np.zeros(6))
+        vec = LandscapeVector(grid=SampleGrid(0, 1, 2), depth=1, entries=np.zeros(6))
         with pytest.raises(ValueError):
             write_vector_csv(vec, tmp_path / "vec.csv")
         assert not (tmp_path / "vec.csv").exists()
 
     def test_signed_difference_round_trips(self, tmp_path):
-        grid = SampleGrid.uniform(0, 1, 2)
+        grid = SampleGrid(0, 1, 2)
         a = LandscapeVector(grid=grid, depth=1, entries=np.array([0, 1, 0, 0, 0, 0.0]))
         b = LandscapeVector(grid=grid, depth=1, entries=np.array([0, 3, 0, 1, 0, 0.0]))
         path = tmp_path / "diff.csv"
