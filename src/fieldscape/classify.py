@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, TrainingError
-from .landscape import LandscapeVector, SampleGrid, check_compatible, read_sparse, write_sparse
+from .landscape import SampleGrid, read_sparse, write_sparse
 
 KKT_TOL = 1e-7
 MAX_EPOCHS = 20000
@@ -34,8 +34,6 @@ class LabeledSet:
 
     X: np.ndarray          # (n_samples, n_features)
     y: np.ndarray          # (n_samples,) values in {-1, +1}
-    grid: SampleGrid | None = None
-    depth: int | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -49,19 +47,11 @@ class LabeledSet:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_vectors(cls, vectors: list[LandscapeVector], labels) -> "LabeledSet":
-        if not vectors:
-            raise ValueError("empty vector list")
-        grid, depth = check_compatible(vectors)
-        X = np.stack([v.entries for v in vectors])
-        return cls(X=X, y=np.asarray(labels, dtype=np.float64), grid=grid, depth=depth)
-
     def __len__(self) -> int:
         return len(self.X)
 
     def subset(self, idx) -> "LabeledSet":
-        return LabeledSet(X=self.X[idx], y=self.y[idx], grid=self.grid, depth=self.depth)
+        return LabeledSet(X=self.X[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)

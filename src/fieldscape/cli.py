@@ -18,14 +18,23 @@ from .config import SETTINGS, check, load_config
 from .cubical import read_field_csv
 from .errors import ConfigError, NumericalError
 from .harness import (
-    _labeled,
     diagram_of_field,
+    labeled_set,
     read_report_csv,
     run_experiment,
     run_pipeline,
     run_simulate,
 )
-from .landscape import SampleGrid, average, default_grid, difference, read_vector_csv, vectorize, write_vector_csv
+from .landscape import (
+    SampleGrid,
+    average,
+    check_compatible,
+    default_grid,
+    difference,
+    read_vector_csv,
+    vectorize,
+    write_vector_csv,
+)
 from .persistence import PersistenceDiagram, read_diagram_csv, sorted_pairs, write_diagram_csv
 from .plot import render_report_svg, render_vector_svg
 
@@ -113,25 +122,30 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_classify(args) -> int:
     cost = check("cost", args.cost)
-
-    def load_dir(directory):
-        return [read_vector_csv(p) for p in _field_csvs(Path(directory))]
-
-    train = _labeled(load_dir(args.train_pos), load_dir(args.train_neg))
-    test = _labeled(load_dir(args.test_pos), load_dir(args.test_neg))
-    model = train_calibrated(train, C=cost)
-    report = evaluate(model, test)
+    train_pos, train_neg, test_pos, test_neg = (
+        [read_vector_csv(p) for p in _field_csvs(Path(directory))]
+        for directory in (args.train_pos, args.train_neg, args.test_pos, args.test_neg)
+    )
+    # the model's weights are read against one grid and depth, so the test vectors need the training ones
+    grid, depth = check_compatible(train_pos + train_neg + test_pos + test_neg)
+    model = train_calibrated(labeled_set(train_pos, train_neg), C=cost)
+    report = evaluate(model, labeled_set(test_pos, test_neg))
     if args.model_out:
-        write_model(model, train.grid, train.depth, args.model_out)
+        write_model(model, grid, depth, args.model_out)
     print(f"accuracy,{report.accuracy:.1f}")
     print(f"calibration,{report.calibration:.1f}")
     return 0
 
 
 def _cmd_plot(args) -> int:
+    paths = [Path(p) for p in args.inputs]
+    stems = [p.stem for p in paths]
+    repeated = sorted({s for s in stems if stems.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"inputs share the file name stems {repeated}; each would write the same <stem>.svg")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for path in [Path(p) for p in args.inputs]:
+    for path in paths:
         target = out / (path.stem + ".svg")
         if path.read_text().startswith("comparison,"):
             render_report_svg(read_report_csv(path), target)

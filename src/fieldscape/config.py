@@ -1,6 +1,7 @@
 """Experiment configuration: flat key-value files plus CLI overrides.
 
-``SETTINGS`` is the one place an experiment key is declared; the defaults,
+Each experiment key is declared once, as an ``ExperimentConfig`` field
+carrying its ``Setting``; ``SETTINGS`` is read from those fields, and
 ``check``, the config-file keys and the CLI flags all derive from it.
 
 Config files are a flat subset of TOML: ``key = value`` lines where value is
@@ -12,7 +13,7 @@ the same name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -114,44 +115,32 @@ class Setting(NamedTuple):
     parse: Callable[[str], object] | None = None
 
 
-SETTINGS = {
-    "rows": Setting(32, "grid rows"),
-    "cols": Setting(32, "grid columns"),
-    "train": Setting(100, "training samples per class"),
-    "test": Setting(100, "test samples per class"),
-    "bins": Setting(100, "sample-grid intervals (N)"),
-    "depth": Setting(10, "landscape levels kept (K)"),
-    "cost": Setting(1.0, "SVM cost parameter"),
-    "threads": Setting(1, "worker threads for per-sample work"),
-    "out": Setting("fieldscape-out", "output directory", Path),
-    "models": Setting("M1:identity,M2:square,M3:absolute", 'model list, e.g. "M1:identity,M2:square"', _parse_models),
-    "matern": Setting("5:1,10:1,5:2", 'matern rows, e.g. "5:1,10:1"', _parse_matern_rows),
-    "sigma2": Setting(1.0, "field variance"),
-    "spacing": Setting(1.0, "grid spacing in eta units"),
-    "sampler": Setting("circulant", f"field sampler, one of {', '.join(SAMPLERS)}", _parse_sampler),
-}
-
-DEFAULTS = {key: setting.default for key, setting in SETTINGS.items()}
-_COUNT_KEYS = tuple(key for key, setting in SETTINGS.items() if isinstance(setting.default, int))
+def _key(default: int | float | str, help: str, parse: Callable[[str], object] | None = None):
+    """An ``ExperimentConfig`` field that is the experiment key ``Setting(default, help, parse)``."""
+    return field(metadata={"setting": Setting(default, help, parse)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment: the seed, then one field per experiment key."""
+
     seed: int
-    rows: int
-    cols: int
-    train: int
-    test: int
-    bins: int
-    depth: int
-    cost: float
-    threads: int
-    out: Path
-    models: tuple[tuple[str, str], ...]
-    matern: tuple[tuple[float, float], ...]
-    sigma2: float
-    spacing: float
-    sampler: str
+    rows: int = _key(32, "grid rows")
+    cols: int = _key(32, "grid columns")
+    train: int = _key(100, "training samples per class")
+    test: int = _key(100, "test samples per class")
+    bins: int = _key(100, "sample-grid intervals (N)")
+    depth: int = _key(10, "landscape levels kept (K)")
+    cost: float = _key(1.0, "SVM cost parameter")
+    threads: int = _key(1, "worker threads for per-sample work")
+    out: Path = _key("fieldscape-out", "output directory", Path)
+    models: tuple[tuple[str, str], ...] = _key(
+        "M1:identity,M2:square,M3:absolute", 'model list, e.g. "M1:identity,M2:square"', _parse_models)
+    matern: tuple[tuple[float, float], ...] = _key("5:1,10:1,5:2", 'matern rows, e.g. "5:1,10:1"', _parse_matern_rows)
+    sampler: str = _key("circulant", f"field sampler, one of {', '.join(SAMPLERS)}", _parse_sampler)
+
+
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(ExperimentConfig) if "setting" in f.metadata}
 
 
 def _integer(key: str, value) -> int:

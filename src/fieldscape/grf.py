@@ -1,4 +1,4 @@
-"""Stationary Gaussian random fields on a grid with Matern covariance.
+"""Stationary unit-variance Gaussian random fields on a grid with Matern covariance.
 
 Two exact samplers: a dense Cholesky factorization (ground truth, guarded to
 small grids) and circulant embedding on an enlarged torus via FFT (the fast
@@ -8,6 +8,12 @@ with the fallback warning, once per law), and its cheap ``draw(rng)``, the
 one way to draw a field.  ``rng`` is a Philox ``substream`` generator, so
 per-sample substreams are reproducible and safe to draw in parallel from one
 shared law.
+
+A field's law is set by its range eta and smoothness nu alone, with lags
+counted in grid steps.  Both samplers read one table, ``_lag_covariance``:
+the Matern correlation at each (row, column) lag.  The torus spectrum is its
+``fft2`` on the wrapped lags, and the dense covariance indexes it by each
+vertex pair's lags.
 
 Model classes are pointwise transformations of the Gaussian field.  The
 built-in M1/M2/M3 assignments (identity, square, absolute) are illustrative
@@ -29,7 +35,7 @@ from .errors import ConfigError, FactorizationError
 
 CHOLESKY_VERTEX_GUARD = 4096
 MAX_PAD_FACTOR = 8  # the circulant torus grows to at most 2 * MAX_PAD_FACTOR times the grid per axis
-COV_JITTER = 1e-10  # times sigma2, added to the diagonal before factorizing
+COV_JITTER = 1e-10  # added to the unit diagonal before factorizing
 
 
 def matern_coefficient(nu: float) -> float:
@@ -39,18 +45,16 @@ def matern_coefficient(nu: float) -> float:
 
 @dataclass(frozen=True)
 class MaternParams:
-    """Range eta (grid-spacing units), smoothness nu, variance sigma2, grid step; all finite and positive.
+    """A unit-variance Matern field: range eta in grid steps and smoothness nu, both finite and positive.
 
     ``matern_coefficient(nu)`` must be a normal float: past nu of about 151 the covariance would fade to 0.
     """
 
     eta: float
     nu: float
-    sigma2: float = 1.0
-    spacing: float = 1.0
 
     def __post_init__(self):
-        for name in ("eta", "nu", "sigma2", "spacing"):
+        for name in ("eta", "nu"):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"MaternParams.{name} must be finite and positive, got {value}")
@@ -76,21 +80,21 @@ TRANSFORMS = {
 
 
 def matern_cov(d, p: MaternParams) -> np.ndarray | float:
-    """Matern covariance at distance d >= 0; continuous with C(0) = sigma2."""
+    """Matern correlation at lag d >= 0 grid steps; continuous with C(0) = 1, the unit variance."""
     d = np.asarray(d, dtype=np.float64)
     if np.any(d < 0):
         raise ValueError("distance must be nonnegative")
     scaled = np.atleast_1d(np.sqrt(2.0 * p.nu) * d / p.eta)
-    out = np.full(scaled.shape, p.sigma2, dtype=np.float64)
+    out = np.ones(scaled.shape, dtype=np.float64)
     pos = scaled > 0
     if np.any(pos):
         s = scaled[pos]
         kv = special.kv(p.nu, s)
-        # K_nu overflows only at tiny s, where the limit is sigma2; s**nu
+        # K_nu overflows only at tiny s, where the limit is 1; s**nu
         # overflows only at large s, where K_nu underflows and the limit is 0
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = p.sigma2 * matern_coefficient(p.nu) * s**p.nu * kv
-        out[pos] = np.where(np.isfinite(vals), vals, np.where(np.isinf(kv), p.sigma2, 0.0))
+            vals = matern_coefficient(p.nu) * s**p.nu * kv
+        out[pos] = np.where(np.isfinite(vals), vals, np.where(np.isinf(kv), 1.0, 0.0))
     return out.reshape(d.shape) if d.ndim else float(out[0])
 
 
@@ -99,17 +103,21 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _grid_coords(rows: int, cols: int, spacing: float) -> np.ndarray:
-    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    return spacing * np.column_stack([rr.ravel(), cc.ravel()]).astype(np.float64)
+def _lag_covariance(p: MaternParams, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """The len(di) x len(dj) table of the covariance at row lag di[a] and column lag dj[b]."""
+    return matern_cov(np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0), p)
 
 
 def covariance_matrix(p: MaternParams, rows: int, cols: int) -> np.ndarray:
-    """Dense vertex-by-vertex covariance under the Matern model."""
-    coords = _grid_coords(rows, cols, p.spacing)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    return matern_cov(dist, p)
+    """Dense vertex-by-vertex covariance, vertices in row-major order.
+
+    Vertices (i, j) and (k, l) read the lag table at (|i - k|, |j - l|), so
+    ``matern_cov`` runs on rows x cols lags, not on every vertex pair.
+    """
+    i, j = np.arange(rows), np.arange(cols)
+    lag_i, lag_j = np.abs(i[:, None] - i), np.abs(j[:, None] - j)
+    table = _lag_covariance(p, i, j)
+    return table[lag_i[:, None, :, None], lag_j[None, :, None, :]].reshape(rows * cols, rows * cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +154,7 @@ def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
     if rows * cols > CHOLESKY_VERTEX_GUARD:
         raise ValueError(f"{rows}x{cols} exceeds the dense factorization guard ({CHOLESKY_VERTEX_GUARD} vertices)")
     cov = covariance_matrix(p, rows, cols)
-    cov[np.diag_indices_from(cov)] += COV_JITTER * p.sigma2
+    cov[np.diag_indices_from(cov)] += COV_JITTER
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -157,10 +165,7 @@ def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
 def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) -> np.ndarray:
     i = np.arange(torus_rows)
     j = np.arange(torus_cols)
-    di = np.minimum(i, torus_rows - i)
-    dj = np.minimum(j, torus_cols - j)
-    dist = p.spacing * np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0)
-    kernel = matern_cov(dist, p)
+    kernel = _lag_covariance(p, np.minimum(i, torus_rows - i), np.minimum(j, torus_cols - j))
     return np.fft.fft2(kernel).real  # kernel is even in both axes
 
 

@@ -23,6 +23,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .classify import EvalReport, LabeledSet, check_class_size, evaluate, train_calibrated
 from .config import ExperimentConfig
 from .critical import detect_critical, write_census_csv
@@ -49,18 +51,6 @@ from .persistence import PersistenceDiagram, compute_persistence, write_diagram_
 MANIFEST_COLUMNS = ("eta", "nu", "model", "split", "index", "substream", "path")
 REPORT_COLUMNS = ("comparison", "eta", "nu", "accuracy", "calibration")
 
-# Benchmark cells reported for this experiment layout by the study whose
-# Matern rows the defaults mirror.  The bundled placeholder transforms do not
-# reproduce them; they document the report format and the expected
-# calibration <= accuracy ordering.
-REFERENCE_REPORT_CELLS = {
-    # (eta, nu): {comparison: (accuracy, calibration)}
-    (5.0, 1.0): {"M1 v M2": (100.0, 97.4), "M1 v M3": (93.4, 88.1), "M2 v M3": (100.0, 97.2)},
-    (10.0, 1.0): {"M1 v M2": (100.0, 96.3), "M1 v M3": (83.1, 73.3), "M2 v M3": (98.8, 94.9)},
-    (5.0, 2.0): {"M1 v M2": (100.0, 97.4), "M1 v M3": (87.9, 80.9), "M2 v M3": (100.0, 97.1)},
-}
-
-
 @dataclass(frozen=True)
 class ReportRow:
     comparison: str
@@ -79,7 +69,7 @@ def row_label(eta: float, nu: float) -> str:
 
 
 def model_specs(cfg: ExperimentConfig, eta: float, nu: float) -> list[ModelSpec]:
-    params = MaternParams(eta=eta, nu=nu, sigma2=cfg.sigma2, spacing=cfg.spacing)
+    params = MaternParams(eta, nu)
     return [ModelSpec(name=name, transform=transform, matern=params) for name, transform in cfg.models]
 
 
@@ -124,8 +114,7 @@ def _rows(samples: list[Sample]) -> dict[tuple[float, float], list[Sample]]:
 
 def _row_law(cfg: ExperimentConfig, samples: list[Sample]) -> FieldLaw:
     """The one field law every sample of a matern row draws from."""
-    params = MaternParams(eta=samples[0].eta, nu=samples[0].nu, sigma2=cfg.sigma2, spacing=cfg.spacing)
-    return field_law(params, cfg.rows, cfg.cols, cfg.sampler)
+    return field_law(MaternParams(samples[0].eta, samples[0].nu), cfg.rows, cfg.cols, cfg.sampler)
 
 
 def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw) -> ScalarField:
@@ -189,8 +178,9 @@ def _experiment_row(cfg: ExperimentConfig, samples: list[Sample]) -> dict[tuple[
     return vectors
 
 
-def _labeled(pos: list[LandscapeVector], neg: list[LandscapeVector]) -> LabeledSet:
-    return LabeledSet.from_vectors(pos + neg, [1.0] * len(pos) + [-1.0] * len(neg))
+def labeled_set(pos: list[LandscapeVector], neg: list[LandscapeVector]) -> LabeledSet:
+    """``pos`` labeled +1 and ``neg`` -1; the caller has checked that they share one grid and depth."""
+    return LabeledSet(np.stack([v.entries for v in pos + neg]), [1.0] * len(pos) + [-1.0] * len(neg))
 
 
 def compare_models(vectors: dict[tuple[str, str], list[LandscapeVector]], name_a: str, name_b: str,
@@ -199,8 +189,8 @@ def compare_models(vectors: dict[tuple[str, str], list[LandscapeVector]], name_a
 
     The first model is the positive class.
     """
-    train = _labeled(vectors[name_a, "train"], vectors[name_b, "train"])
-    test = _labeled(vectors[name_a, "test"], vectors[name_b, "test"])
+    train = labeled_set(vectors[name_a, "train"], vectors[name_b, "train"])
+    test = labeled_set(vectors[name_a, "test"], vectors[name_b, "test"])
     return evaluate(train_calibrated(train, C=cost), test)
 
 
@@ -302,6 +292,11 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         if path in samples:
             raise ValueError(f"{manifest}: path {entry['path']!r} is listed twice")
         samples[path] = Sample(eta, nu, entry["model"], entry["split"], (), path)
-    for row in _rows(list(samples.values())).values():
+    rows = _rows(list(samples.values()))
+    # a row's vector grid comes from its training diagrams
+    for (eta, nu), row in rows.items():
+        if all(s.split != "train" for s in row):
+            raise ValueError(f"{manifest}: matern row eta {eta:g}, nu {nu:g} has no train entry")
+    for row in rows.values():
         _pipeline_row(cfg, out, row)
     return out

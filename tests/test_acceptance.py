@@ -157,7 +157,7 @@ def test_vector_shape_and_sparse_round_trip(tmp_path):
 def test_matern_sampler_fidelity():
     """Cholesky matches the analytic covariance; circulant matches Cholesky."""
     start = time.perf_counter()
-    p = MaternParams(eta=5, nu=1, sigma2=1.0)
+    p = MaternParams(eta=5, nu=1)
 
     cov4 = covariance_matrix(p, 4, 4)
     law4 = field_law(p, 4, 4, "cholesky")
@@ -192,7 +192,7 @@ def test_bessel_accuracy():
     ss = np.logspace(np.log10(0.01), np.log10(20.0), 25)
     worst = 0.0
     for nu in (1.0, 2.0):
-        p = MaternParams(eta=5, nu=nu, sigma2=2.5)
+        p = MaternParams(eta=5, nu=nu)
         ds = ss * p.eta / np.sqrt(2.0 * nu)  # s = sqrt(2 nu) d / eta
         for d, value in zip(ds, matern_cov(ds, p)):
             oracle = matern_oracle(float(d), p)
@@ -219,12 +219,12 @@ def _classification_run(spec_a, spec_b, n_train, n_test, rows, cols, seed,
     tr_a, te_a = draws(spec_a, 0)
     tr_b, te_b = draws(spec_b, 1)
     grid = default_grid(tr_a + tr_b, bins)
-    train = LabeledSet.from_vectors(
-        [vectorize(d, grid, depth) for d in tr_a] + [vectorize(d, grid, depth) for d in tr_b],
+    train = LabeledSet(
+        np.stack([vectorize(d, grid, depth).entries for d in tr_a + tr_b]),
         [1.0] * n_train + [-1.0] * n_train,
     )
-    test = LabeledSet.from_vectors(
-        [vectorize(d, grid, depth) for d in te_a] + [vectorize(d, grid, depth) for d in te_b],
+    test = LabeledSet(
+        np.stack([vectorize(d, grid, depth).entries for d in te_a + te_b]),
         [1.0] * n_test + [-1.0] * n_test,
     )
     return evaluate(train_calibrated(train, C=cost), test)

@@ -211,7 +211,7 @@ class TestModelFile:
         dim = 2 * len(grid.ts) * depth
         X = rng.standard_normal((12, dim))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        model = train_calibrated(LabeledSet(X=X, y=y, grid=grid, depth=depth), C=2.0)
+        model = train_calibrated(LabeledSet(X=X, y=y), C=2.0)
         path = tmp_path / "model.txt"
         write_model(model, grid, depth, path)
         loaded, n, k = read_model(path)

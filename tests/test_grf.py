@@ -45,7 +45,7 @@ def kv_quadrature(nu: float, x: float) -> float:
 def matern_oracle(d: float, p: MaternParams) -> float:
     """The Matern covariance at d > 0 with K_nu from the quadrature oracle."""
     s = np.sqrt(2.0 * p.nu) * d / p.eta
-    return p.sigma2 * matern_coefficient(p.nu) * s**p.nu * kv_quadrature(p.nu, s)
+    return matern_coefficient(p.nu) * s**p.nu * kv_quadrature(p.nu, s)
 
 
 class TestBesselK:
@@ -58,7 +58,7 @@ class TestBesselK:
 
     def test_matches_quadrature_oracle_spot_checks(self):
         for nu in (1.0, 2.0):
-            p = MaternParams(eta=5, nu=nu, sigma2=2.5)
+            p = MaternParams(eta=5, nu=nu)
             for s in (0.01, 0.4, 3.0, 20.0):
                 d = s * p.eta / np.sqrt(2.0 * nu)
                 oracle = matern_oracle(d, p)
@@ -67,19 +67,19 @@ class TestBesselK:
 
 class TestMaternCov:
     def test_zero_distance_is_variance(self):
-        p = MaternParams(eta=5, nu=1, sigma2=2.5)
-        assert matern_cov(0.0, p) == 2.5
+        p = MaternParams(eta=5, nu=1)
+        assert matern_cov(0.0, p) == 1.0
 
     def test_long_range_tail(self):
-        p = MaternParams(eta=5, nu=1, sigma2=1.0)
+        p = MaternParams(eta=5, nu=1)
         assert matern_cov(100 * p.eta, p) < 1e-6
 
     def test_pinned_value_at_range(self):
-        p = MaternParams(eta=5, nu=1, sigma2=1.0)
+        p = MaternParams(eta=5, nu=1)
         assert abs(matern_cov(5.0, p) - MATERN_AT_RANGE) < 1e-13
 
     def test_monotone_decreasing(self):
-        p = MaternParams(eta=5, nu=2, sigma2=3.0)
+        p = MaternParams(eta=5, nu=2)
         ds = np.linspace(0, 60, 400)
         assert np.all(np.diff(matern_cov(ds, p)) <= 0)
 
@@ -99,7 +99,7 @@ class TestMaternCov:
 
     @pytest.mark.parametrize("eta,nu,far", [(1.0, 100.0, 100.0), (2.0, 150.0, 20.0)])
     def test_large_smoothness_tail_reaches_zero(self, eta, nu, far):
-        """At large nu, s**nu overflows where K_nu underflows: the covariance there is 0, not sigma2."""
+        """At large nu, s**nu overflows where K_nu underflows: the covariance there is 0, not 1."""
         p = MaternParams(eta=eta, nu=nu)
         ds = np.linspace(0, 400, 4001)
         cov = matern_cov(ds, p)
@@ -116,12 +116,34 @@ class TestMaternCov:
         with pytest.raises(ValueError, match="not a normal float"):
             MaternParams(eta=1.0, nu=nu)
 
-    @pytest.mark.parametrize("name", ["eta", "nu", "sigma2", "spacing"])
+    @pytest.mark.parametrize("name", ["eta", "nu"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_params_rejected(self, name, value):
-        """An infinite range or smoothness would give constant fields, an infinite variance NaN spectra."""
+        """An infinite range or smoothness would give constant fields."""
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             MaternParams(**{"eta": 4.0, "nu": 1.0, name: value})
+
+
+class TestCovarianceMatrix:
+    @pytest.mark.parametrize("eta,nu", [(5.0, 1.0), (1.0, 0.5), (2.0, 150.0)])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 7), (7, 1), (5, 9), (33, 20), (64, 64)])
+    def test_is_matern_of_pairwise_distances(self, rows, cols, eta, nu):
+        """Bit for bit, ``matern_cov`` of the Euclidean distance between each pair of row-major vertices.
+
+        Squared distances between integer coordinates are exact integers and ``matern_cov`` acts
+        elementwise, so the oracle evaluates it once at the root of each integer up to the largest squared
+        distance and compares 512 vertices at a time: a 64 x 64 grid has 16.8 million vertex pairs.
+        """
+        p = MaternParams(eta, nu)
+        cov = covariance_matrix(p, rows, cols)
+        assert cov.shape == (rows * cols, rows * cols)
+        rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+        coords = np.column_stack([rr.ravel(), cc.ravel()]).astype(np.float64)
+        by_squared_distance = matern_cov(np.sqrt(np.arange((rows - 1) ** 2 + (cols - 1) ** 2 + 1.0)), p)
+        for start in range(0, rows * cols, 512):
+            diff = coords[start:start + 512, None, :] - coords[None, :, :]
+            squared = np.sum(diff * diff, axis=-1).astype(np.int64)
+            assert cov[start:start + 512].tobytes() == by_squared_distance[squared].tobytes()
 
 
 class TestCholeskySampler:
@@ -131,13 +153,6 @@ class TestCholeskySampler:
         b = field_law(p, 4, 4, "cholesky").draw(substream(7))
         assert a == b
         assert a != field_law(p, 4, 4, "cholesky").draw(substream(8))
-
-    def test_variance_scaling_is_exact_coupling(self):
-        p1 = MaternParams(eta=5, nu=1, sigma2=1.0)
-        p2 = MaternParams(eta=5, nu=1, sigma2=2.0)
-        a = field_law(p1, 5, 5, "cholesky").draw(substream(3))
-        b = field_law(p2, 5, 5, "cholesky").draw(substream(3))
-        assert np.allclose(b.values, np.sqrt(2.0) * a.values, atol=1e-12)
 
     def test_vertex_guard(self):
         p = MaternParams(eta=5, nu=1)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import math
@@ -16,8 +17,6 @@ from fieldscape import grf
 from fieldscape.classify import read_model, train_calibrated
 from fieldscape.cli import _config_from_args, build_parser, main
 from fieldscape.config import (
-    _COUNT_KEYS,
-    DEFAULTS,
     SETTINGS,
     ExperimentConfig,
     build_config,
@@ -29,15 +28,14 @@ from fieldscape.cubical import ScalarField, build_filtration, read_field_csv
 from fieldscape.errors import ConfigError
 from fieldscape.harness import (
     MANIFEST_COLUMNS,
-    REFERENCE_REPORT_CELLS,
     _draw,
     _experiment_row,
-    _labeled,
     _row_law,
     _rows,
     _samples,
     compare_models,
     diagram_of_field,
+    labeled_set,
     model_specs,
     read_report_csv,
     run_experiment,
@@ -68,7 +66,7 @@ def tiny_config(out, **kw) -> ExperimentConfig:
     return build_config(base)
 
 
-# a valid non-default value of each text key; a new text key needs one here
+# a valid non-default value of each text key
 NON_DEFAULT_TEXT = {"out": "elsewhere", "models": "A:square", "matern": "4:1", "sampler": "cholesky"}
 
 
@@ -132,6 +130,14 @@ class TestConfig:
         path.write_text('seed = 5\nrows = 8\ncols = 8\nmatern = "4:1"\n')
         cfg = load_config(path, {"rows": 16, "out": str(tmp_path / "o")})
         assert cfg.rows == 16 and cfg.cols == 8 and cfg.seed == 5
+
+    def test_each_key_declared_once(self):
+        """The config fields after ``seed`` are the ``SETTINGS`` keys, each a ``--key`` flag of every run
+        command (``test_flag_and_file_agree`` sets each one), and every text key has a non-default value."""
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["seed", *SETTINGS]
+        assert set(NON_DEFAULT_TEXT) == {key for key, s in SETTINGS.items() if isinstance(s.default, str)}
+        for command in ("simulate", "experiment", "pipeline"):
+            assert set(SETTINGS) <= set(vars(build_parser().parse_args([command])))
 
     @pytest.mark.parametrize("key", SETTINGS)
     def test_flag_and_file_agree(self, tmp_path, key):
@@ -231,19 +237,11 @@ class TestExperiment:
                 assert v.grid == expected_grid
         # calibration parameters depend on the training split only
         result = compare_models(vectors, "M1", "M2", cfg.cost)
-        train = _labeled(vectors["M1", "train"], vectors["M2", "train"])
+        train = labeled_set(vectors["M1", "train"], vectors["M2", "train"])
         refit = train_calibrated(train, C=cfg.cost)
         assert refit.platt is not None
         again = compare_models(vectors, "M1", "M2", cfg.cost)
         assert (result.accuracy, result.calibration) == (again.accuracy, again.calibration)
-
-    def test_reference_cells_documented(self):
-        # layout constants for the report format; not a reproduction target
-        assert REFERENCE_REPORT_CELLS[(5.0, 1.0)]["M1 v M2"] == (100.0, 97.4)
-        assert REFERENCE_REPORT_CELLS[(10.0, 1.0)]["M1 v M3"] == (83.1, 73.3)
-        for cells in REFERENCE_REPORT_CELLS.values():
-            for acc, cal in cells.values():
-                assert cal <= acc
 
     def test_row_label_stable(self):
         assert row_label(5.0, 1.0) == "eta5-nu1"
@@ -355,9 +353,9 @@ MALFORMED_INPUTS = [
     pytest.param({"c.toml": "seed = 1.7\n"}, EXPERIMENT, "config", id="config-seed-fractional"),
     pytest.param({"c.toml": "seed = 1\ntrain = 2.5\n"}, EXPERIMENT, "config", id="config-train-fractional"),
     pytest.param({"c.toml": "seed = 1\ncost = nan\n"}, EXPERIMENT, "config", id="config-cost-nan"),
-    pytest.param({"c.toml": "seed = 1\nsigma2 = inf\n"}, EXPERIMENT, "config", id="config-sigma2-inf"),
-    pytest.param({"c.toml": "seed = 1\nspacing = 1" + "0" * 400 + "\n"}, EXPERIMENT, "config",
-                 id="config-spacing-past-float"),
+    pytest.param({"c.toml": "seed = 1\ncost = inf\n"}, EXPERIMENT, "config", id="config-cost-inf"),
+    pytest.param({"c.toml": "seed = 1\ncost = 1" + "0" * 400 + "\n"}, EXPERIMENT, "config",
+                 id="config-cost-past-float"),
     pytest.param({"c.toml": 'seed = 1\nmatern = "4:inf"\n'}, EXPERIMENT, "config", id="config-matern-nu-inf"),
     # both rows would write the same field files
     pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "1", "--matern", "4:1,4.0:1"], "config",
@@ -426,6 +424,22 @@ def test_manifest_rows_group_on_values_not_text(tmp_path):
     assert main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)]) == 0
     train, test = (read_vector_csv(run / "vectors" / name) for name in ("a.csv", "b.csv"))
     assert test.grid == train.grid
+
+
+def test_manifest_row_without_training_entries_exits_2_before_writing(tmp_path, capsys):
+    """A row's vector grid comes from its training diagrams, so a row with none is rejected before any row
+    writes its outputs."""
+    run = tmp_path / "run"
+    (run / "fields").mkdir(parents=True)
+    for name in ("a.csv", "b.csv", "c.csv"):
+        (run / "fields" / name).write_text(FIELD)
+    (run / "manifest.csv").write_text("eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,test,0,1:0.0.1.0,fields/b.csv\n"
+                                      "5,1,M1,test,0,1:1.0.1.0,fields/c.csv\n")
+    assert main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "eta 5, nu 1 has no train entry" in err
+    assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
 
 
 ONE_TRAINING_SAMPLE = ["--seed", "1", "--grid", "8x8", "--train", "1", "--test", "2",
@@ -551,6 +565,30 @@ def test_classify_fuzz_exits_cleanly(data, role):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("test_grid, code", [("4,2,0,1", 0), ("4,2,-50,50", 2), ("9,1,0,1", 2)],
+                         ids=["same-grid", "other-bounds", "other-N-and-K"])
+def test_classify_test_vectors_need_the_training_grid(tmp_path, capsys, test_grid, code):
+    """Test vectors of the training length on another grid, or another (N, K), would be scored against
+    weights that do not match them: exit 2, no model written."""
+    files = {f"{role}/{i}.csv": f"N,K,t0,tN\n{'4,2,0,1' if role.startswith('train') else test_grid}\n"
+                                f"index,value\n{index},{i + 1}\n"
+             for role, index in zip(CLASSIFY_ROLES, (1, 12, 1, 12)) for i in range(3)}
+    argv = ["classify", *(arg for r in CLASSIFY_ROLES for arg in (f"--{r}", f"{{src}}/{r}")),
+            "--model-out", "{out}/model.txt"]
+    assert _run_on_files(tmp_path, files, argv) == code
+    assert (tmp_path / "out" / "model.txt").exists() == (code == 0)
+    if code:
+        assert capsys.readouterr().err == "input error: landscape vectors disagree on grid or depth\n"
+
+
+def test_plot_rejects_inputs_sharing_a_stem(tmp_path, capsys):
+    """``a/x.csv`` and ``b/x.csv`` would both write ``x.svg``, the second over the first."""
+    files = {"a/x.csv": VECTORS["p/0.csv"], "b/x.csv": VECTORS["n/0.csv"]}
+    assert _run_on_files(tmp_path, files, ["plot", "{src}/a/x.csv", "{src}/b/x.csv", "--out", "{out}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: inputs share the file name stems ['x']")
+    assert not (tmp_path / "out").exists()
+
+
 # field files the fuzzed manifests point at: two readable, one empty diagram, one malformed
 FUZZ_FIELDS = {"a.csv": FIELD, "b.csv": "2,2\n0,3\n2,1\n", "c.csv": "1,1\n5\n", "d.csv": "2,2\n1,2\n"}
 _FUZZ_PATH = st.one_of(
@@ -596,7 +634,7 @@ _CONFIG_VALUE = st.one_of(
     st.sampled_from(["1e400", "2.0", "1_0", '"4:1"', '"4:inf,5:1"', '"M1:identity"', '"x"', "true"]),
     st.text(max_size=6),
 )
-_CONFIG_LINE = st.tuples(st.sampled_from([*DEFAULTS, "seed", "bogus"]), _CONFIG_VALUE).map(" = ".join)
+_CONFIG_LINE = st.tuples(st.sampled_from([*SETTINGS, "seed", "bogus"]), _CONFIG_VALUE).map(" = ".join)
 
 
 @st.composite
@@ -626,12 +664,13 @@ def test_config_fuzz_validates_or_exits_2(text):
             assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
             return
     written = parse_flat_config(text)
-    for key in ("seed", *_COUNT_KEYS, "cost", "sigma2", "spacing"):
+    numbers = {"seed": 0, **{key: s.default for key, s in SETTINGS.items() if not isinstance(s.default, str)}}
+    for key, default in numbers.items():
         value = getattr(cfg, key)
         if isinstance(written.get(key), (int, float)):
             assert value == written[key]  # never truncated or rounded
         assert math.isfinite(value) and (value >= 0 if key == "seed" else value > 0)
-    assert all(type(getattr(cfg, key)) is int for key in ("seed", *_COUNT_KEYS))
+        assert type(value) is type(default)
     assert all(math.isfinite(x) and x > 0 for row in cfg.matern for x in row)
 
 
