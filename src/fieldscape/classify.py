@@ -60,6 +60,15 @@ class EvalReport:
     calibration: float  # mean probability assigned to the true class, percent
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1/(1+exp(z)), each tail written so that exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
+    out[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ClassifierModel:
     """Weights, bias, and sigmoid calibration of a trained linear SVM."""
@@ -80,13 +89,7 @@ class ClassifierModel:
         if self.platt is None:
             raise ValueError("model is not calibrated")
         a, b = self.platt
-        z = a * self.decision(X) + b
-        # stable sigmoid on both tails
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
-        out[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
-        return out
+        return _logistic(a * self.decision(X) + b)
 
 
 def train_svm(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
@@ -166,8 +169,7 @@ def fit_sigmoid(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
     fval = nll(a, b)
     for _ in range(SIGMOID_MAX_ITER):
-        z = a * scores + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        p = _logistic(a * scores + b)
         q = 1.0 - p
         d2 = p * q
         h11 = float(np.sum(scores * scores * d2)) + sigma

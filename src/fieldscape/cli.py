@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: ``simulate``, ``ph``, ``landscape``,
 ``vectorize``, ``classify``, ``experiment``, ``pipeline``, ``plot``.  Exit
 codes: 0 on success, 2 for configuration problems (bad flags, bad config
-file, malformed input files, a problem too large to allocate), 3 for
-numerical failures.
+file, malformed input files, an output that would overwrite an input, a
+problem too large to allocate), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -46,24 +46,13 @@ def _add_setting_flags(p: argparse.ArgumentParser, keys) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="flat key-value config file")
+    p.add_argument("--config", type=Path, help="TOML config file of flat 'key = value' settings; flags override it")
     p.add_argument("--seed", type=int, help="master seed (mandatory unless set in the config)")
-    p.add_argument("--grid", metavar="RxC", help="grid size, e.g. 32x32; sets rows and cols")
-    p.add_argument("--samples", type=int, help="sets both train and test sample counts")
     _add_setting_flags(p, SETTINGS)
 
 
 def _config_from_args(args):
-    overrides = {key: getattr(args, key) for key in ("seed", *SETTINGS)}
-    if args.grid is not None:
-        try:
-            rows, cols = (int(tok) for tok in args.grid.lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"--grid expects RxC, got {args.grid!r}") from None
-        overrides["rows"], overrides["cols"] = rows, cols
-    if args.samples is not None:
-        overrides["train"] = overrides["test"] = args.samples
-    return load_config(args.config, overrides)
+    return load_config(args.config, {key: getattr(args, key) for key in ("seed", *SETTINGS)})
 
 
 def _cmd_run(args) -> int:
@@ -79,10 +68,20 @@ def _field_csvs(directory: Path) -> list[Path]:
     return paths
 
 
+def _check_outputs(inputs, outputs) -> None:
+    """ConfigError, before anything is written, when an output path is one of the input files."""
+    overwritten = {Path(p).resolve() for p in inputs} & {Path(p).resolve() for p in outputs}
+    if overwritten:
+        raise ConfigError(f"output {min(overwritten)} would overwrite an input")
+
+
 def _cmd_ph(args) -> int:
     fields, out = Path(args.fields), Path(args.out)
-    for path in _field_csvs(fields):
-        write_diagram_csv(diagram_of_field(read_field_csv(path)), out / path.relative_to(fields))
+    paths = _field_csvs(fields)
+    targets = [out / path.relative_to(fields) for path in paths]
+    _check_outputs(paths, targets)
+    for path, target in zip(paths, targets):
+        write_diagram_csv(diagram_of_field(read_field_csv(path)), target)
     print(out)
     return 0
 
@@ -100,21 +99,24 @@ def _cmd_vectorize(args) -> int:
         raise ConfigError("--t0 and --t1 go together")
     source, out = Path(args.diagrams), Path(args.out)
     paths = _field_csvs(source)
+    targets = [out / path.relative_to(source) for path in paths]
+    _check_outputs(paths, targets)
     diagrams = [_read_diagram(p) for p in paths]
     grid = default_grid(diagrams, bins) if args.t0 is None else SampleGrid(args.t0, args.t1, bins)
-    for path, diagram in zip(paths, diagrams):
-        write_vector_csv(vectorize(diagram, grid, depth), out / path.relative_to(source))
+    for target, diagram in zip(targets, diagrams):
+        write_vector_csv(vectorize(diagram, grid, depth), target)
     print(out)
     return 0
 
 
 def _cmd_landscape(args) -> int:
-    vectors = [read_vector_csv(p) for p in _field_csvs(Path(args.vectors))]
-    result = average(vectors)
-    if args.diff:
-        other = average([read_vector_csv(p) for p in _field_csvs(Path(args.diff))])
-        result = difference(result, other)
+    paths = _field_csvs(Path(args.vectors))
+    other = _field_csvs(Path(args.diff)) if args.diff else []
     out = Path(args.out)
+    _check_outputs(paths + other, [out])
+    result = average([read_vector_csv(p) for p in paths])
+    if args.diff:
+        result = difference(result, average([read_vector_csv(p) for p in other]))
     write_vector_csv(result, out)
     print(out)
     return 0
@@ -122,10 +124,10 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_classify(args) -> int:
     cost = check("cost", args.cost)
-    train_pos, train_neg, test_pos, test_neg = (
-        [read_vector_csv(p) for p in _field_csvs(Path(directory))]
-        for directory in (args.train_pos, args.train_neg, args.test_pos, args.test_neg)
-    )
+    inputs = [_field_csvs(Path(d)) for d in (args.train_pos, args.train_neg, args.test_pos, args.test_neg)]
+    if args.model_out:
+        _check_outputs([p for paths in inputs for p in paths], [args.model_out])
+    train_pos, train_neg, test_pos, test_neg = ([read_vector_csv(p) for p in paths] for paths in inputs)
     # the model's weights are read against one grid and depth, so the test vectors need the training ones
     grid, depth = check_compatible(train_pos + train_neg + test_pos + test_neg)
     model = train_calibrated(labeled_set(train_pos, train_neg), C=cost)

@@ -1,13 +1,12 @@
-"""Experiment configuration: flat key-value files plus CLI overrides.
+"""Experiment configuration: TOML config files plus CLI overrides.
 
 Each experiment key is declared once, as an ``ExperimentConfig`` field
 carrying its ``Setting``; ``SETTINGS`` is read from those fields, and
 ``check``, the config-file keys and the CLI flags all derive from it.
 
-Config files are a flat subset of TOML: ``key = value`` lines where value is
-an integer, a float, or a double-quoted string; no key takes a boolean.
-Comments start with ``#``.  Every key can be overridden by the CLI flag of
-the same name.
+Config files are TOML with flat keys: each value is an integer, a float or
+a string, never a boolean, array, table or date, and a repeated key is an
+error.  Every key can be overridden by the CLI flag of the same name.
 """
 
 from __future__ import annotations
@@ -19,42 +18,6 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .grf import SAMPLERS, TRANSFORMS, MaternParams
-
-
-def parse_flat_config(text: str, source: str = "<config>") -> dict:
-    """Parse the flat TOML subset into a raw key-value mapping."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{source}:{lineno}: empty key or value")
-        if value.startswith('"'):
-            end = value.find('"', 1)
-            rest = value[end + 1 :].strip() if end > 0 else ""
-            if end < 0 or (rest and not rest.startswith("#")):
-                raise ConfigError(f"{source}:{lineno}: malformed string value")
-            out[key] = value[1:end]
-        else:
-            comment = value.find("#")
-            if comment >= 0:
-                value = value[:comment].strip()
-            try:
-                out[key] = int(value)
-            except ValueError:
-                try:
-                    out[key] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"{source}:{lineno}: bare value {value!r} is not a number; quote strings"
-                    ) from None
-    return out
 
 
 def _entries(raw: str, key: str, form: str) -> list[tuple[str, str, str]]:
@@ -76,6 +39,9 @@ def _entries(raw: str, key: str, form: str) -> list[tuple[str, str, str]]:
 def _parse_models(raw: str) -> tuple[tuple[str, str], ...]:
     models = tuple((name, transform) for _, name, transform in _entries(raw, "model", "name:transform"))
     for name, transform in models:
+        # a name is a directory and a file name part of every output path
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"model name {name!r} must be one plain path component")
         if transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {transform!r} in model {name!r}")
     if len({name for name, _ in models}) != len(models):
@@ -192,14 +158,20 @@ def build_config(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """The config of the TOML file at ``path`` (if any) with the non-None ``overrides`` laid over it."""
     mapping: dict = {}
     if path is not None:
-        source = str(path)
+        import tomllib  # here, not at the top: a mapping passed to build_config never pays for the import
+
         try:
-            text = Path(path).read_text()
+            mapping = tomllib.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ConfigError(f"cannot read config {source}: {exc}") from exc
-        mapping.update(parse_flat_config(text, source=source))
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path} is not TOML: {exc}") from None
+        for key, value in mapping.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise ConfigError(f"{path}: {key} must be an integer, a float or a string, got {value!r}")
     if overrides:
         mapping.update({k: v for k, v in overrides.items() if v is not None})
     return build_config(mapping)

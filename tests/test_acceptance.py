@@ -276,7 +276,7 @@ def test_calibration_below_accuracy_across_report(tmp_path):
 def test_end_to_end_determinism(tmp_path):
     """Two experiment runs, different thread counts: byte-identical outputs."""
     args = [
-        "experiment", "--seed", "77", "--grid", "8x8", "--samples", "6",
+        "experiment", "--seed", "77", "--rows", "8", "--cols", "8", "--train", "6", "--test", "6",
         "--bins", "16", "--depth", "3", "--models", "M1:identity,M2:square",
         "--matern", "5:1",
     ]

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import math
 import tempfile
+import tomllib
 import warnings
 from pathlib import Path
 from xml.dom import minidom
@@ -21,7 +23,6 @@ from fieldscape.config import (
     ExperimentConfig,
     build_config,
     load_config,
-    parse_flat_config,
 )
 from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import ScalarField, build_filtration, read_field_csv
@@ -70,25 +71,41 @@ def tiny_config(out, **kw) -> ExperimentConfig:
 NON_DEFAULT_TEXT = {"out": "elsewhere", "models": "A:square", "matern": "4:1", "sampler": "cholesky"}
 
 
+def config_file(tmp_path, text: str) -> Path:
+    path = tmp_path / "c.toml"
+    path.write_text(text)
+    return path
+
+
 class TestConfig:
-    def test_parse_flat_subset(self):
+    def test_parse_flat_subset(self, tmp_path):
         text = '\n'.join([
             "# experiment",
             "seed = 12",
             'out = "runs/a"  # trailing comment',
             "cost = 1.5",
         ])
-        parsed = parse_flat_config(text)
-        assert parsed == {"seed": 12, "out": "runs/a", "cost": 1.5}
+        cfg = load_config(config_file(tmp_path, text))
+        assert (cfg.seed, cfg.out, cfg.cost) == (12, Path("runs/a"), 1.5)
 
     @pytest.mark.parametrize("line", ["train = true", "cost = true", "flag = false"])
-    def test_parse_rejects_booleans(self, line):
-        with pytest.raises(ConfigError):
-            parse_flat_config(line)
+    def test_parse_rejects_booleans(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="must be an integer, a float or a string"):
+            load_config(config_file(tmp_path, f"seed = 1\n{line}\n"))
 
-    def test_parse_rejects_bare_strings(self):
-        with pytest.raises(ConfigError):
-            parse_flat_config("out = runs/a")
+    def test_parse_rejects_bare_strings(self, tmp_path):
+        with pytest.raises(ConfigError, match="is not TOML"):
+            load_config(config_file(tmp_path, "seed = 1\nout = runs/a\n"))
+
+    def test_file_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.toml"
+        path.write_bytes(b"seed = 1\nout = \"\xff\"\n")
+        with pytest.raises(ConfigError, match="is not TOML"):
+            load_config(path)
+
+    def test_quoted_key_and_escaped_string_read_as_toml(self, tmp_path):
+        cfg = load_config(config_file(tmp_path, 'seed = 1\n"rows" = 4\nout = "a\\"b"\n'))
+        assert (cfg.rows, cfg.out) == (4, Path('a"b'))
 
     def test_seed_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -118,6 +135,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"seed": 1, "models": "A:identity,A:square"})
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../x", "a/b", "a\\b"])
+    def test_model_name_is_one_path_component(self, name):
+        """A model name is a directory of the field tree and part of the average and difference file names."""
+        with pytest.raises(ConfigError, match="one plain path component"):
+            build_config({"seed": 1, "models": f"{name}:identity,M2:square"})
+
     def test_defaults_are_desk_scale(self):
         cfg = build_config({"seed": 1})
         assert (cfg.rows, cfg.cols) == (32, 32)
@@ -132,12 +155,15 @@ class TestConfig:
         assert cfg.rows == 16 and cfg.cols == 8 and cfg.seed == 5
 
     def test_each_key_declared_once(self):
-        """The config fields after ``seed`` are the ``SETTINGS`` keys, each a ``--key`` flag of every run
-        command (``test_flag_and_file_agree`` sets each one), and every text key has a non-default value."""
+        """The config fields after ``seed`` are the ``SETTINGS`` keys; the options of every run command are
+        ``--config``, ``--seed`` and one ``--key`` per key (``test_flag_and_file_agree`` sets each one); and
+        every text key has a non-default value."""
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["seed", *SETTINGS]
         assert set(NON_DEFAULT_TEXT) == {key for key, s in SETTINGS.items() if isinstance(s.default, str)}
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         for command in ("simulate", "experiment", "pipeline"):
-            assert set(SETTINGS) <= set(vars(build_parser().parse_args([command])))
+            options = [flag for action in commands[command]._actions for flag in action.option_strings]
+            assert sorted(options) == sorted(["-h", "--help", "--config", "--seed", *(f"--{k}" for k in SETTINGS)])
 
     @pytest.mark.parametrize("key", SETTINGS)
     def test_flag_and_file_agree(self, tmp_path, key):
@@ -343,7 +369,7 @@ MALFORMED_INPUTS = [
     pytest.param({"r.csv": REPORT.format(0, 1, 95.0)}, PLOT_REPORT, "input", id="plot-report-eta-zero"),
     pytest.param({"r.csv": REPORT.format("abc", 1, 90)}, PLOT_REPORT, "input", id="plot-report-eta-not-a-number"),
     pytest.param({"r.csv": REPORT.format(5, "inf", 95.0)}, PLOT_REPORT, "input", id="plot-report-nu-inf"),
-    pytest.param({}, ["experiment", "--seed", "1", "--grid", "6x6", "--train", "1", "--test", "2",
+    pytest.param({}, ["experiment", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "1", "--test", "2",
                       "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", "{out}"], "input",
                  id="experiment-one-training-sample-per-class"),
     pytest.param({rel: text for rel, text in VECTORS.items() if rel not in ("p/1.csv", "p/2.csv")}, CLASSIFY,
@@ -357,18 +383,36 @@ MALFORMED_INPUTS = [
     pytest.param({"c.toml": "seed = 1\ncost = 1" + "0" * 400 + "\n"}, EXPERIMENT, "config",
                  id="config-cost-past-float"),
     pytest.param({"c.toml": 'seed = 1\nmatern = "4:inf"\n'}, EXPERIMENT, "config", id="config-matern-nu-inf"),
+    pytest.param({"c.toml": "seed = 1\nseed = 2\n"}, EXPERIMENT, "config", id="config-key-repeated"),
+    pytest.param({"c.toml": "seed = 1\ntrain = true\n"}, EXPERIMENT, "config", id="config-train-boolean"),
+    pytest.param({"c.toml": "seed = 1\nrows = [8]\n"}, EXPERIMENT, "config", id="config-rows-array"),
+    pytest.param({"c.toml": "seed = 1\n[grid]\nrows = 8\n"}, EXPERIMENT, "config", id="config-table"),
+    pytest.param({"c.toml": "seed = 1979-05-27\n"}, EXPERIMENT, "config", id="config-seed-date"),
+    pytest.param({"c.toml": "seed = 1\nrows 8\n"}, EXPERIMENT, "config", id="config-not-toml"),
     # both rows would write the same field files
-    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "1", "--matern", "4:1,4.0:1"], "config",
-                 id="flag-matern-repeated"),
-    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "1", "--matern", "4:1,4.0000001:1"], "config",
-                 id="flag-matern-rows-print-alike"),
-    pytest.param({}, SIMULATE + ["--grid", "4x4", "--samples", "0"], "config", id="flag-samples-zero"),
-    pytest.param({}, SIMULATE + ["--grid", "", "--samples", "1"], "config", id="flag-grid-empty"),
-    pytest.param({}, SIMULATE + ["--grid", "4x4", "--sampler", "bogus"], "config", id="flag-sampler-unknown"),
+    pytest.param({}, SIMULATE + ["--rows", "4", "--cols", "4", "--train", "1", "--test", "1",
+                                 "--matern", "4:1,4.0:1"], "config", id="flag-matern-repeated"),
+    pytest.param({}, SIMULATE + ["--rows", "4", "--cols", "4", "--train", "1", "--test", "1",
+                                 "--matern", "4:1,4.0000001:1"], "config", id="flag-matern-rows-print-alike"),
+    pytest.param({}, SIMULATE + ["--rows", "4", "--cols", "4", "--sampler", "bogus"], "config",
+                 id="flag-sampler-unknown"),
     pytest.param(VECTORS, CLASSIFY + ["--cost", "nan"], "config", id="flag-cost-nan"),
     pytest.param(VECTORS, CLASSIFY + ["--cost", "inf"], "config", id="flag-cost-inf"),
     pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE + ["--bins", "0"], "config",
                  id="flag-bins-zero"),
+    # the fields would go to {out}/escaped, outside the output directory
+    pytest.param({}, SIMULATE[:3] + ["--models", "../escaped:identity,M2:square", "--out", "{out}/run"], "config",
+                 id="flag-model-name-leaves-out"),
+    # an output written over an input destroys it
+    pytest.param({"f/a.csv": FIELD}, ["ph", "--fields", "{src}/f", "--out", "{src}/f"], "config",
+                 id="ph-out-is-fields"),
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, ["vectorize", "--diagrams", "{src}/d", "--out", "{src}/d"],
+                 "config", id="vectorize-out-is-diagrams"),
+    pytest.param(VECTORS, ["landscape", "--vectors", "{src}/p", "--out", "{src}/p/0.csv"], "config",
+                 id="landscape-out-is-a-vector"),
+    pytest.param(VECTORS, ["landscape", "--vectors", "{src}/p", "--diff", "{src}/n", "--out", "{src}/n/0.csv"],
+                 "config", id="landscape-out-is-a-diff-vector"),
+    pytest.param(VECTORS, CLASSIFY[:-1] + ["{src}/n/2.csv"], "config", id="classify-model-out-is-a-vector"),
 ]
 
 
@@ -442,7 +486,7 @@ def test_manifest_row_without_training_entries_exits_2_before_writing(tmp_path, 
     assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
 
 
-ONE_TRAINING_SAMPLE = ["--seed", "1", "--grid", "8x8", "--train", "1", "--test", "2",
+ONE_TRAINING_SAMPLE = ["--seed", "1", "--rows", "8", "--cols", "8", "--train", "1", "--test", "2",
                        "--models", "M1:identity,M2:square", "--matern", "5:1"]
 
 
@@ -462,7 +506,8 @@ def test_one_training_sample_suffices_without_calibration(tmp_path, command):
 @pytest.mark.parametrize("command", ["experiment", "pipeline"])
 def test_all_empty_training_diagrams_exit_2_without_naming_bounds(tmp_path, capsys, command):
     """A 1x1 grid has no edges, so every diagram is empty and no grid can be derived."""
-    argv = [command, "--seed", "1", "--grid", "1x1", "--samples", "2", "--out", str(tmp_path / "run")]
+    argv = [command, "--seed", "1", "--rows", "1", "--cols", "1", "--train", "2", "--test", "2",
+            "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "bounds" not in err
@@ -663,7 +708,7 @@ def test_config_fuzz_validates_or_exits_2(text):
                 assert main(argv) == 2
             assert err.getvalue().startswith("config error:") and "Traceback" not in err.getvalue()
             return
-    written = parse_flat_config(text)
+    written = tomllib.loads(text)
     numbers = {"seed": 0, **{key: s.default for key, s in SETTINGS.items() if not isinstance(s.default, str)}}
     for key, default in numbers.items():
         value = getattr(cfg, key)
@@ -677,7 +722,7 @@ def test_config_fuzz_validates_or_exits_2(text):
 def test_failed_fallback_on_large_grid_is_numerical(tmp_path, monkeypatch):
     """A 65x65 grid is past the Cholesky guard: exit 3 when the embedding fails, 2 when asked for."""
     monkeypatch.setattr(grf, "_circulant_eigenvalues", lambda p, rows, cols: -np.ones((rows, cols)))
-    argv = ["simulate", "--seed", "1", "--grid", "65x65", "--samples", "1",
+    argv = ["simulate", "--seed", "1", "--rows", "65", "--cols", "65", "--train", "1", "--test", "1",
             "--models", "M1:identity", "--matern", "4:1"]
     assert main(argv + ["--out", str(tmp_path / "a")]) == 3
     assert main(argv + ["--sampler", "cholesky", "--out", str(tmp_path / "b")]) == 2
@@ -690,8 +735,8 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
         raise MemoryError(f"Unable to allocate spectrum for a {rows}x{cols} torus")
 
     monkeypatch.setattr(grf, "_circulant_eigenvalues", unable)
-    argv = ["experiment", "--seed", "1", "--grid", "16x16", "--samples", "2", "--matern", "5:1",
-            "--models", "M1:identity,M2:square", "--out", str(tmp_path / "run")]
+    argv = ["experiment", "--seed", "1", "--rows", "16", "--cols", "16", "--train", "2", "--test", "2",
+            "--matern", "5:1", "--models", "M1:identity,M2:square", "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: Unable to allocate") and err.count("\n") == 1
@@ -700,7 +745,7 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_large_smoothness_grid_simulates(tmp_path):
     """At nu=100 the torus corners are far enough for s**nu to overflow; their covariance is 0, so it embeds."""
-    argv = ["simulate", "--seed", "1", "--grid", "64x64", "--samples", "1",
+    argv = ["simulate", "--seed", "1", "--rows", "64", "--cols", "64", "--train", "1", "--test", "1",
             "--models", "M1:identity", "--matern", "1:100", "--out", str(tmp_path / "sim")]
     assert main(argv) == 0
 
@@ -708,7 +753,7 @@ def test_large_smoothness_grid_simulates(tmp_path):
 def test_smoothness_past_a_normal_constant_exits_2_before_writing(tmp_path, capsys):
     """At nu=200 the covariance constant is 0, so the fields would be white noise."""
     out = tmp_path / "sim"
-    argv = ["simulate", "--seed", "1", "--grid", "8x8", "--samples", "2",
+    argv = ["simulate", "--seed", "1", "--rows", "8", "--cols", "8", "--train", "2", "--test", "2",
             "--models", "M1:identity", "--matern", "5:1,1:200", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: matern entry '1:200'")
@@ -746,7 +791,7 @@ class TestCli:
     def test_experiment_and_plot_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main([
-            "experiment", "--seed", "11", "--grid", "6x6", "--samples", "3",
+            "experiment", "--seed", "11", "--rows", "6", "--cols", "6", "--train", "3", "--test", "3",
             "--bins", "10", "--depth", "2", "--models", "M1:identity,M2:square",
             "--matern", "4:1", "--out", str(out),
         ])
@@ -769,7 +814,7 @@ class TestCli:
     def test_stagewise_commands(self, tmp_path):
         out = tmp_path / "sim"
         assert main([
-            "simulate", "--seed", "12", "--grid", "6x6", "--samples", "2",
+            "simulate", "--seed", "12", "--rows", "6", "--cols", "6", "--train", "2", "--test", "2",
             "--models", "M1:identity", "--matern", "4:1", "--out", str(out),
         ]) == 0
         fields = out / "fields" / "eta4-nu1" / "M1"
@@ -799,7 +844,7 @@ class TestCli:
         """Same-named files in different subdirectories each get their own diagram and vector."""
         out = tmp_path / "sim"
         assert main([
-            "simulate", "--seed", "12", "--grid", "6x6", "--samples", "2",
+            "simulate", "--seed", "12", "--rows", "6", "--cols", "6", "--train", "2", "--test", "2",
             "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", str(out),
         ]) == 0
         fields = sorted(p.relative_to(out / "fields") for p in (out / "fields").rglob("*.csv"))
@@ -839,10 +884,10 @@ class TestCli:
     def test_classify_command(self, tmp_path):
         out = tmp_path / "sim"
         assert main([
-            "simulate", "--seed", "13", "--grid", "6x6", "--train", "4", "--test", "2",
+            "simulate", "--seed", "13", "--rows", "6", "--cols", "6", "--train", "4", "--test", "2",
             "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", str(out),
         ]) == 0
-        assert main(["pipeline", "--seed", "13", "--grid", "6x6", "--train", "4", "--test", "2",
+        assert main(["pipeline", "--seed", "13", "--rows", "6", "--cols", "6", "--train", "4", "--test", "2",
                      "--models", "M1:identity,M2:square", "--matern", "4:1",
                      "--bins", "10", "--depth", "2", "--out", str(out)]) == 0
         root = out / "vectors" / "eta4-nu1"
