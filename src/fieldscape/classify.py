@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, TrainingError
-from .landscape import SampleGrid, read_sparse, write_sparse
+from .landscape import SampleGrid, write_sparse
 
 KKT_TOL = 1e-7
 MAX_EPOCHS = 20000
@@ -138,13 +138,6 @@ def train_svm(data: LabeledSet, C: float = 1.0) -> ClassifierModel:
     return ClassifierModel(w=w[:dim].copy(), b=float(w[dim]), C=float(C))
 
 
-def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
-    """0.5 ||w, b||^2 + C * hinge, the quantity the dual bounds from below."""
-    margins = 1.0 - data.y * model.decision(data.X)
-    hinge = np.maximum(margins, 0.0).sum()
-    return float(0.5 * (model.w @ model.w + model.b**2) + model.C * hinge)
-
-
 def fit_sigmoid(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Newton fit of p(y=+1 | f) = 1/(1 + exp(A f + B)) with smoothed targets."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -246,9 +239,3 @@ def write_model(model: ClassifierModel, grid: SampleGrid, depth: int, path) -> N
     a, b = model.platt
     meta = [str(grid.n_intervals), str(depth)] + [format(x, ".17g") for x in (model.C, a, b, model.b)]
     write_sparse(path, MODEL_HEADER, meta, model.w)
-
-
-def read_model(path) -> tuple[ClassifierModel, int, int]:
-    """Model plus the (N, K) it was trained for."""
-    n, k, (c, a, b, bias), w = read_sparse(path, MODEL_HEADER)
-    return ClassifierModel(w=w, b=bias, C=c, platt=(a, b)), n, k

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,6 +47,13 @@ def _parse_models(raw: str) -> tuple[tuple[str, str], ...]:
             raise ConfigError(f"unknown transform {transform!r} in model {name!r}")
     if len({name for name, _ in models}) != len(models):
         raise ConfigError("model names must be unique")
+    # each model pair names one difference file "<a>v<b>" and one report row "<a> v <b>"
+    pairs = list(combinations((name for name, _ in models), 2))
+    for sep in ("v", " v "):
+        joined = [sep.join(pair) for pair in pairs]
+        if len(set(joined)) != len(joined):
+            clash = next(name for name in joined if joined.count(name) > 1)
+            raise ConfigError(f"two model pairs share the output name {clash!r}")
     return models
 
 

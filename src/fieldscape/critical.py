@@ -95,26 +95,6 @@ def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
     return CriticalCensus(events=np.rec.fromarrays([none, none, value, index, np.ones_like(none)], dtype=EVENT_DTYPE))
 
 
-# Two 1x5 fields with identical (value, index) censuses but different
-# degree-0 diagrams: in the first, the saddle at 3 merges the minimum born at
-# 1 into the component of 0; in the second, the same saddle value merges the
-# minima born at 1 and 2 with each other first.  Verified by the exhaustive
-# search in the test suite over all 1x5 permutations.
-_WITNESS_A = (0.0, 3.0, 1.0, 4.0, 2.0)
-_WITNESS_B = (0.0, 4.0, 1.0, 3.0, 2.0)
-
-
-def locality_gap_demo() -> tuple[ScalarField, ScalarField]:
-    """Witness pair: equal censuses, unequal persistence diagrams.
-
-    Shows that the local census cannot determine the pairing, while the
-    converse direction (diagram to census) is exact.
-    """
-    a = ScalarField.from_flat(1, 5, _WITNESS_A)
-    b = ScalarField.from_flat(1, 5, _WITNESS_B)
-    return a, b
-
-
 def write_census_csv(census: CriticalCensus, path) -> None:
     """CSV with header ``row,col,value,index,multiplicity``, sorted by (row, col, value, index)."""
     ev = census.events

@@ -10,8 +10,9 @@ Vertices are totally ordered by (value, row-major index): ties between equal
 stored values are broken by index, never by perturbing the numbers.
 ``vertex_rank`` is that order and the one tie-break of the package: the
 filtration here and the local census in ``critical`` compare vertices only
-through it.  Cells are filtered by (value, dim, anchor), which places every
-cell after its boundary.
+through it.  Cells are filtered by (owner rank, dim, grid position), where a
+cell's owner is its boundary vertex of highest rank; the order puts every
+cell after its boundary, and is (value, dim, anchor) when values are distinct.
 
 All cells of a rows x cols grid live in one (2 rows - 1) x (2 cols - 1) cell
 grid, the layout of Cubical Ripser (Kaji, Sudo and Ahara, arXiv:2005.12692).
@@ -71,12 +72,11 @@ class ScalarField:
 
 
 def make_generic(field: ScalarField) -> ScalarField:
-    """Resolve ties so that all vertices are pairwise distinct in the order used downstream.
+    """The field as it is, once all its values are checked to be finite; InvalidFieldError otherwise.
 
-    Vertices compare lexicographically by (value, row-major index), which is
-    an infinitesimal index-ordered perturbation; ``vertex_rank`` computes that
-    order.  Stored values are unchanged, so the function validates finiteness
-    and returns the field as-is.  Idempotent by construction.
+    It changes no value and resolves no tie.  Ties are broken by
+    ``vertex_rank`` alone, which orders vertices by (value, row-major index),
+    an infinitesimal index-ordered perturbation.  Idempotent.
     """
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")

@@ -291,6 +291,9 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         # a repeated path would have its outputs written twice, the second over the first
         if path in samples:
             raise ValueError(f"{manifest}: path {entry['path']!r} is listed twice")
+        # a missing field would stop the run after earlier rows had written their outputs
+        if not (out / path).is_file():
+            raise ValueError(f"{manifest}: field file {entry['path']!r} does not exist")
         samples[path] = Sample(eta, nu, entry["model"], entry["split"], (), path)
     rows = _rows(list(samples.values()))
     # a row's vector grid comes from its training diagrams

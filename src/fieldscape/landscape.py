@@ -94,34 +94,6 @@ class LandscapeVector:
         )
 
 
-def tent(birth: float, death: float, t) -> np.ndarray | float:
-    """Triangle profile of one bar: 0 outside (birth, death), peak at the midpoint."""
-    return np.maximum(0.0, np.minimum(t - birth, death - t))
-
-
-def max_depth(bars) -> int:
-    """Deepest level with a nonzero landscape: the peak bar-overlap count.
-
-    Level k is somewhere positive iff k bars are simultaneously open at some
-    point, so a sweep over interval endpoints (closing before opening at
-    ties) gives the exact depth M with levels k > M identically zero.
-    """
-    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
-    ends = np.concatenate((b[d > b], d[d > b]))
-    steps = np.repeat([1, -1], len(ends) // 2)
-    return int(np.cumsum(steps[np.lexsort((steps, ends))]).max(initial=0))
-
-
-def eval_landscape(bars, k: int, t: float) -> float:
-    """k-th largest tent value over the bars at t; 0 once k exceeds the depth."""
-    if k < 1:
-        raise ValueError("level index k starts at 1")
-    if len(bars) < k:
-        return 0.0
-    vals = sorted((tent(b, d, t) for b, d in bars), reverse=True)
-    return float(max(0.0, vals[k - 1]))
-
-
 def _sample_levels(bars, ts: np.ndarray, depth: int) -> np.ndarray:
     """(depth, len(ts)) matrix of landscape levels 1..depth sampled at ts."""
     out = np.zeros((depth, len(ts)))

@@ -13,6 +13,21 @@ def ring_field() -> ScalarField:
     return ScalarField(3, 3, np.array([[1, 2, 3], [8, 10, 4], [7, 6, 5]], dtype=float))
 
 
+@pytest.fixture
+def locality_gap_witness() -> tuple[ScalarField, ScalarField]:
+    """Two 1x5 fields with equal (value, index) censuses but unequal degree-0 diagrams.
+
+    In the first, the saddle at 3 merges the minimum born at 1 into the
+    component of 0; in the second, the same saddle value merges the minima
+    born at 1 and 2 with each other first.  So the local census cannot
+    determine the pairing, while the converse direction (diagram to census)
+    is exact.  The exhaustive search over all 1x5 permutations in the tests
+    confirms the pair.
+    """
+    return (ScalarField.from_flat(1, 5, [0.0, 3.0, 1.0, 4.0, 2.0]),
+            ScalarField.from_flat(1, 5, [0.0, 4.0, 1.0, 3.0, 2.0]))
+
+
 def random_field(rng: np.random.Generator, max_rows: int = 6, max_cols: int = 6,
                  ties: bool = False) -> ScalarField:
     rows = int(rng.integers(1, max_rows + 1))

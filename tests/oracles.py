@@ -1,0 +1,52 @@
+"""Reference oracles: exact per-point landscapes and the SVM primal objective.
+
+Tests compare the vectorized code of ``fieldscape`` against these direct
+definitions.  They are written for clarity, not speed.
+
+``eval_landscape`` is the tent-sort definition of a landscape level: sort
+every bar's tent value at t and take the k-th largest.  ``max_depth`` is the
+exact depth of a bar set, the peak overlap count found by a sweep over its
+interval endpoints.  ``primal_objective`` is the soft-margin SVM primal that
+the dual optimum of ``train_svm`` must meet.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fieldscape.classify import ClassifierModel, LabeledSet
+
+
+def tent(birth: float, death: float, t) -> np.ndarray | float:
+    """Triangle profile of one bar: 0 outside (birth, death), peak at the midpoint."""
+    return np.maximum(0.0, np.minimum(t - birth, death - t))
+
+
+def max_depth(bars) -> int:
+    """Deepest level with a nonzero landscape: the peak bar-overlap count.
+
+    Level k is somewhere positive iff k bars are simultaneously open at some
+    point, so a sweep over interval endpoints (closing before opening at
+    ties) gives the exact depth M with levels k > M identically zero.
+    """
+    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
+    ends = np.concatenate((b[d > b], d[d > b]))
+    steps = np.repeat([1, -1], len(ends) // 2)
+    return int(np.cumsum(steps[np.lexsort((steps, ends))]).max(initial=0))
+
+
+def eval_landscape(bars, k: int, t: float) -> float:
+    """k-th largest tent value over the bars at t; 0 once k exceeds the depth."""
+    if k < 1:
+        raise ValueError("level index k starts at 1")
+    if len(bars) < k:
+        return 0.0
+    vals = sorted((tent(b, d, t) for b, d in bars), reverse=True)
+    return float(max(0.0, vals[k - 1]))
+
+
+def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
+    """0.5 ||w, b||^2 + C * hinge, the quantity the dual bounds from below."""
+    margins = 1.0 - data.y * model.decision(data.X)
+    hinge = np.maximum(margins, 0.0).sum()
+    return float(0.5 * (model.w @ model.w + model.b**2) + model.C * hinge)

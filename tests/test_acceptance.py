@@ -14,7 +14,7 @@ import numpy as np
 from fieldscape.classify import LabeledSet, evaluate, train_calibrated
 from fieldscape.cli import main
 from fieldscape.config import build_config
-from fieldscape.critical import critical_values_from_diagram, detect_critical, locality_gap_demo
+from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import ScalarField, build_filtration, make_generic
 from fieldscape.grf import (
     MaternParams,
@@ -80,9 +80,9 @@ def test_census_agreement_500_fields():
     _ok("census agreement (500 generic fields <= 8x8, exact)")
 
 
-def test_locality_gap_witness():
+def test_locality_gap_witness(locality_gap_witness):
     """Equal censuses, unequal diagrams; verified by exhaustive 1x5 search."""
-    a, b = locality_gap_demo()
+    a, b = locality_gap_witness
     census_a = detect_critical(a)
     census_b = detect_critical(b)
     diag_a = compute_persistence(build_filtration(a))

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from fieldscape.classify import (
+    MODEL_HEADER,
     ClassifierModel,
     LabeledSet,
     evaluate,
     fit_sigmoid,
-    primal_objective,
-    read_model,
     train_calibrated,
     train_svm,
     write_model,
 )
 from fieldscape.errors import TrainingError
-from fieldscape.landscape import SampleGrid
+from fieldscape.landscape import SampleGrid, read_sparse
+
+from oracles import primal_objective
 
 
 def qp_oracle(X, y, C):
@@ -201,6 +202,12 @@ class TestEvaluate:
         model = self._perfect_model()
         with pytest.raises(ValueError):
             evaluate(model, LabeledSet(X=np.zeros((0, 1)), y=np.zeros(0)))
+
+
+def read_model(path) -> tuple[ClassifierModel, int, int]:
+    """Model plus the (N, K) it was trained for."""
+    n, k, (c, a, b, bias), w = read_sparse(path, MODEL_HEADER)
+    return ClassifierModel(w=w, b=bias, C=c, platt=(a, b)), n, k
 
 
 class TestModelFile:

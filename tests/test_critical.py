@@ -8,7 +8,6 @@ from fieldscape.critical import (
     CriticalCensus,
     critical_values_from_diagram,
     detect_critical,
-    locality_gap_demo,
     write_census_csv,
 )
 from fieldscape.cubical import ScalarField, build_filtration, vertex_rank
@@ -190,12 +189,12 @@ def _diagram_key(field: ScalarField):
 
 
 class TestLocalityGap:
-    def test_embedded_witness(self):
-        a, b = locality_gap_demo()
+    def test_embedded_witness(self, locality_gap_witness):
+        a, b = locality_gap_witness
         assert detect_critical(a) == detect_critical(b)
         assert _diagram_key(a) != _diagram_key(b)
 
-    def test_witness_found_by_exhaustive_search(self):
+    def test_witness_found_by_exhaustive_search(self, locality_gap_witness):
         """All 1x5 permutations: some census class holds two diagram classes."""
         by_census: dict = {}
         for perm in permutations(range(5)):
@@ -203,14 +202,14 @@ class TestLocalityGap:
             by_census.setdefault(_census_key(field), set()).add(_diagram_key(field))
         split = {census for census, diagrams in by_census.items() if len(diagrams) > 1}
         assert split, "no witness pair among 1x5 permutations"
-        a, b = locality_gap_demo()
+        a, b = locality_gap_witness
         assert _census_key(a) == _census_key(b)
         assert _census_key(a) in split
         assert _diagram_key(a) != _diagram_key(b)
         assert {_diagram_key(a), _diagram_key(b)} <= by_census[_census_key(a)]
 
-    def test_witness_fields_pass_oracle_equivalence(self):
-        for field in locality_gap_demo():
+    def test_witness_fields_pass_oracle_equivalence(self, locality_gap_witness):
+        for field in locality_gap_witness:
             filt = build_filtration(field)
             diagram = compute_persistence(filt)
             for a in np.unique(filt.values):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldscape import grf
-from fieldscape.classify import read_model, train_calibrated
+from fieldscape.classify import train_calibrated
 from fieldscape.cli import _config_from_args, build_parser, main
 from fieldscape.config import (
     SETTINGS,
@@ -52,6 +52,8 @@ from fieldscape.persistence import (
     read_diagram_csv,
     write_diagram_csv,
 )
+
+from test_classify import read_model
 
 
 def sha(path) -> str:
@@ -484,6 +486,37 @@ def test_manifest_row_without_training_entries_exits_2_before_writing(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "eta 5, nu 1 has no train entry" in err
     assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
+
+
+def test_manifest_field_missing_exits_2_before_writing(tmp_path, capsys):
+    """Every listed field is checked before any row writes its outputs, not when its row is reached."""
+    run = tmp_path / "run"
+    (run / "fields").mkdir(parents=True)
+    for name in ("a.csv", "b.csv", "c.csv"):
+        (run / "fields" / name).write_text(FIELD)
+    (run / "manifest.csv").write_text("eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n4,1,M1,test,0,1:0.0.1.0,fields/b.csv\n"
+                                      "5,1,M1,train,0,1:1.0.0.0,fields/c.csv\n5,1,M1,test,0,1:1.0.1.0,fields/d.csv\n")
+    assert main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "'fields/d.csv' does not exist" in err
+    assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline", "experiment"])
+@pytest.mark.parametrize("models", [
+    # "A v vB" and "Av v B" would both write the difference file "...-AvvB.csv"
+    pytest.param("A:identity,vB:square,Av:absolute,B:identity", id="difference-file"),
+    # "A v" v "B" and "A" v "v B" would both be the report row "A v v B"
+    pytest.param("A v:identity,B:square,A:absolute,v B:identity", id="report-row"),
+])
+def test_model_pairs_sharing_an_output_name_exit_2_before_writing(tmp_path, capsys, command, models):
+    out = tmp_path / "out"
+    argv = [command, "--seed", "1", "--rows", "6", "--cols", "6", "--train", "4", "--test", "2",
+            "--matern", "4:1", "--models", models, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: two model pairs share the output name")
+    assert not out.exists()
 
 
 ONE_TRAINING_SAMPLE = ["--seed", "1", "--rows", "8", "--cols", "8", "--train", "1", "--test", "2",

@@ -11,14 +11,14 @@ from fieldscape.landscape import (
     average,
     default_grid,
     difference,
-    eval_landscape,
-    max_depth,
     read_vector_csv,
     vectorize,
     vectorize_bars,
     write_vector_csv,
 )
 from fieldscape.persistence import compute_persistence
+
+from oracles import eval_landscape, max_depth
 
 
 def brute_force_level(bars, k, t):
