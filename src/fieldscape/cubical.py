@@ -57,10 +57,6 @@ class ScalarField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat) -> "ScalarField":
-        return cls(rows, cols, np.asarray(flat, dtype=np.float64).reshape(rows, cols))
-
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
             return NotImplemented

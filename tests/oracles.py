@@ -7,14 +7,18 @@ definitions.  They are written for clarity, not speed.
 every bar's tent value at t and take the k-th largest.  ``max_depth`` is the
 exact depth of a bar set, the peak overlap count found by a sweep over its
 interval endpoints.  ``primal_objective`` is the soft-margin SVM primal that
-the dual optimum of ``train_svm`` must meet.
+the dual optimum of ``train_svm`` must meet, and ``dcd_reference`` is the
+same dual coordinate descent as ``train_svm`` written in the primal form:
+it keeps w with the bias as a constant feature and computes each gradient
+as a dot product with w.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fieldscape.classify import ClassifierModel, LabeledSet
+from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
+from fieldscape.errors import TrainingError
 
 
 def tent(birth: float, death: float, t) -> np.ndarray | float:
@@ -50,3 +54,38 @@ def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
     margins = 1.0 - data.y * model.decision(data.X)
     hinge = np.maximum(margins, 0.0).sum()
     return float(0.5 * (model.w @ model.w + model.b**2) + model.C * hinge)
+
+
+def dcd_reference(data: LabeledSet, C: float) -> ClassifierModel:
+    """Cyclic dual coordinate descent on the weight vector, the iterate path ``train_svm`` must follow."""
+    y = data.y
+    n, dim = data.X.shape
+    Xa = np.hstack([data.X, np.ones((n, 1))])  # bias as a constant feature
+    qii = np.einsum("ij,ij->i", Xa, Xa)
+    alpha = np.zeros(n)
+    w = np.zeros(dim + 1)
+
+    for _ in range(MAX_EPOCHS):
+        worst = 0.0
+        for i in range(n):
+            g = y[i] * (Xa[i] @ w) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                worst = max(worst, abs(pg))
+                new = min(max(a - g / qii[i], 0.0), C)
+                if new != a:
+                    w += (new - a) * y[i] * Xa[i]
+                    alpha[i] = new
+        if worst < KKT_TOL:
+            break
+    else:
+        raise TrainingError(f"dual coordinate descent did not reach tol={KKT_TOL} "
+                            f"within {MAX_EPOCHS} epochs")
+
+    return ClassifierModel(w=w[:dim].copy(), b=float(w[dim]), C=float(C))

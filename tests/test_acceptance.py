@@ -36,6 +36,7 @@ from fieldscape.landscape import (
 )
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
+from conftest import flat_field
 from test_grf import matern_oracle
 
 # pinned from the pilot run (identity transform, eta 5 vs 10, 32x32,
@@ -95,7 +96,7 @@ def test_locality_gap_witness(locality_gap_witness):
     found = False
     seen: dict = {}
     for perm in permutations(range(5)):
-        field = ScalarField.from_flat(1, 5, [float(x) for x in perm])
+        field = flat_field(1, 5, [float(x) for x in perm])
         census = frozenset(detect_critical(field).value_index_multiset().items())
         diagram = frozenset(
             (p.degree, p.birth, p.death)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fieldscape.classify import (
+    KKT_TOL,
     MODEL_HEADER,
     ClassifierModel,
     LabeledSet,
@@ -16,7 +17,7 @@ from fieldscape.classify import (
 from fieldscape.errors import TrainingError
 from fieldscape.landscape import SampleGrid, read_sparse
 
-from oracles import primal_objective
+from oracles import dcd_reference, primal_objective
 
 
 def qp_oracle(X, y, C):
@@ -131,6 +132,47 @@ class TestTrainSvm:
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
             train_svm(LabeledSet(X=np.eye(3), y=np.ones(3)), C=1.0)
+
+
+def _dense(rng):
+    X = rng.standard_normal((30, 6))
+    return X, np.where(X[:, 0] + 0.5 * rng.standard_normal(30) > 0, 1.0, -1.0), 1.0
+
+
+def _at_cost(rng):
+    # overlapping classes and a small cost: the margin violators end at alpha = C
+    X = rng.standard_normal((40, 4))
+    return X, np.where(X[:, 0] + rng.standard_normal(40) > 0, 1.0, -1.0), 0.05
+
+
+def _duplicated(rng):
+    X = rng.standard_normal((12, 5))
+    y = np.where(X[:, 1] > 0, 1.0, -1.0)
+    return np.vstack([X, X[:6]]), np.hstack([y, y[:6]]), 2.0
+
+
+def _desk_shaped(rng):
+    # 200 landscape-like vectors of 2020 entries, about 5 % nonzero
+    X = np.where(rng.random((200, 2020)) < 0.05, rng.exponential(0.5, (200, 2020)), 0.0)
+    y = np.repeat([1.0, -1.0], 100)
+    X[:100, :101] *= 1.5
+    return X, y, 1.0
+
+
+@pytest.mark.parametrize("make", [_dense, _at_cost, _duplicated, _desk_shaped],
+                         ids=["dense-30x6", "alphas-at-C", "duplicated-rows", "desk-200x2020"])
+def test_train_svm_follows_the_reference_path(make):
+    """The Gram-matrix solver takes the iterate path of the primal-form loop and stops in the same sweep."""
+    X, y, C = make(np.random.default_rng(59))
+    data = LabeledSet(X=X, y=y)
+    model, ref = train_svm(data, C=C), dcd_reference(data, C=C)
+    if make is _at_cost:
+        assert np.count_nonzero(y * ref.decision(X) < 0.9) > 3
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(ref.w))))
+    assert np.max(np.abs(model.w - ref.w)) <= tol
+    assert abs(model.b - ref.b) <= tol
+    assert (np.count_nonzero(y * model.decision(X) <= 1.0 + KKT_TOL)
+            == np.count_nonzero(y * ref.decision(X) <= 1.0 + KKT_TOL))
 
 
 class TestPlatt:

@@ -13,7 +13,7 @@ from fieldscape.critical import (
 from fieldscape.cubical import ScalarField, build_filtration, vertex_rank
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
-from conftest import random_field
+from conftest import flat_field, random_field
 
 
 def diagram_of(field):
@@ -22,7 +22,7 @@ def diagram_of(field):
 
 class TestDetectCritical:
     def test_1x3_census(self):
-        census = detect_critical(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
+        census = detect_critical(flat_field(1, 3, [0.0, 2.0, 1.0]))
         assert census.counts == (2, 1, 0)
         assert census.value_index_multiset() == {(0.0, 0): 1, (1.0, 0): 1, (2.0, 1): 1}
 
@@ -88,7 +88,7 @@ class TestDetectCritical:
 
 class TestCensusFromDiagram:
     def test_1x3_example(self):
-        census = critical_values_from_diagram(diagram_of(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0])))
+        census = critical_values_from_diagram(diagram_of(flat_field(1, 3, [0.0, 2.0, 1.0])))
         assert census.value_index_multiset() == {(0.0, 0): 1, (1.0, 0): 1, (2.0, 1): 1}
 
     def test_empty_diagram_keeps_essential_minimum(self):
@@ -115,13 +115,13 @@ def tied_fields(draw) -> ScalarField:
     """Fields up to 6x6 with many value ties, signed zeros among them."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     flat = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
-    return ScalarField.from_flat(rows, cols, flat)
+    return flat_field(rows, cols, flat)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tied_fields())
-@example(ScalarField.from_flat(1, 5, [0.0, -0.0, 2.0, -0.0, 0.0]))
-@example(ScalarField.from_flat(4, 1, [-0.0, 2.0, 0.0, -1.0]))
+@example(flat_field(1, 5, [0.0, -0.0, 2.0, -0.0, 0.0]))
+@example(flat_field(4, 1, [-0.0, 2.0, 0.0, -1.0]))
 def test_census_is_the_euler_characteristic_of_each_lower_star(field):
     """At every vertex, the census's n0 - n1 + n2 is V - E + F over the cells whose crit_vertex it is."""
     filt = build_filtration(field)
@@ -198,7 +198,7 @@ class TestLocalityGap:
         """All 1x5 permutations: some census class holds two diagram classes."""
         by_census: dict = {}
         for perm in permutations(range(5)):
-            field = ScalarField.from_flat(1, 5, [float(x) for x in perm])
+            field = flat_field(1, 5, [float(x) for x in perm])
             by_census.setdefault(_census_key(field), set()).add(_diagram_key(field))
         split = {census for census, diagrams in by_census.items() if len(diagrams) > 1}
         assert split, "no witness pair among 1x5 permutations"

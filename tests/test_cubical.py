@@ -16,7 +16,7 @@ from fieldscape.cubical import (
 )
 from fieldscape.errors import InvalidFieldError
 
-from conftest import random_field
+from conftest import flat_field, random_field
 
 
 class TestScalarField:
@@ -29,35 +29,35 @@ class TestScalarField:
             ScalarField(0, 3, np.zeros((0, 3)))
 
     def test_values_are_read_only(self):
-        f = ScalarField.from_flat(1, 2, [1.0, 2.0])
+        f = flat_field(1, 2, [1.0, 2.0])
         with pytest.raises(ValueError):
             f.values[0, 0] = 5.0
 
 
 class TestMakeGeneric:
     def test_rejects_non_finite(self):
-        f = ScalarField.from_flat(1, 2, [0.0, np.inf])
+        f = flat_field(1, 2, [0.0, np.inf])
         with pytest.raises(InvalidFieldError):
             make_generic(f)
 
     def test_tied_pair_orders_by_index(self):
         # both stored values stay 3; index 0 compares below index 1
-        f = make_generic(ScalarField.from_flat(1, 2, [3.0, 3.0]))
+        f = make_generic(flat_field(1, 2, [3.0, 3.0]))
         assert f.values.tolist() == [[3.0, 3.0]]
         filt = build_filtration(f)
         assert filt.crit_vertex[1] == 1  # the later vertex owns the tie
 
     def test_distinct_values_unchanged(self):
-        f = ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0])
+        f = flat_field(1, 3, [0.0, 2.0, 1.0])
         assert make_generic(f) == f
 
     def test_all_tied_square_orders_by_index(self):
-        filt = build_filtration(ScalarField.from_flat(2, 2, [1.0, 1.0, 1.0, 1.0]))
+        filt = build_filtration(flat_field(2, 2, [1.0, 1.0, 1.0, 1.0]))
         vertex_cells = [i for i in range(filt.n_cells) if filt.dims[i] == 0]
         assert [int(filt.crit_vertex[i]) for i in vertex_cells] == [0, 1, 2, 3]
 
     def test_idempotent(self):
-        f = ScalarField.from_flat(2, 2, [1.0, 1.0, 2.0, 0.0])
+        f = flat_field(2, 2, [1.0, 1.0, 2.0, 0.0])
         assert make_generic(make_generic(f)) == make_generic(f)
 
 
@@ -68,25 +68,25 @@ class TestVertexRank:
         assert sorted(rank.ravel().tolist()) == list(range(rank.size))
 
     def test_orders_by_value_then_index(self):
-        f = ScalarField.from_flat(2, 3, [2.0, 1.0, 2.0, 0.5, 1.0, 2.0])
+        f = flat_field(2, 3, [2.0, 1.0, 2.0, 0.5, 1.0, 2.0])
         assert vertex_rank(f).tolist() == [[3, 1, 4], [0, 2, 5]]
 
     def test_signed_zeros_tie(self):
-        f = ScalarField.from_flat(1, 4, [0.0, -0.0, -0.0, 0.0])
+        f = flat_field(1, 4, [0.0, -0.0, -0.0, 0.0])
         assert vertex_rank(f).tolist() == [[0, 1, 2, 3]]
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidFieldError):
-            vertex_rank(ScalarField.from_flat(1, 2, [0.0, np.nan]))
+            vertex_rank(flat_field(1, 2, [0.0, np.nan]))
 
 
 class TestBuildFiltration:
     def test_1x2_max_rule(self):
-        filt = build_filtration(ScalarField.from_flat(1, 2, [0.0, 5.0]))
+        filt = build_filtration(flat_field(1, 2, [0.0, 5.0]))
         assert list(zip(filt.dims.tolist(), filt.values.tolist())) == [(0, 0.0), (0, 5.0), (1, 5.0)]
 
     def test_2x2_face_and_edge_values(self):
-        filt = build_filtration(ScalarField.from_flat(2, 2, [1.0, 2.0, 3.0, 4.0]))
+        filt = build_filtration(flat_field(2, 2, [1.0, 2.0, 3.0, 4.0]))
         assert filt.values[filt.dims == 2].tolist() == [4.0]
         # the vertical edge at (0, 0), between the vertices valued 1 and 3
         edge = next(i for i in range(filt.n_cells) if filt.dims[i] == 1 and _cell_vertices(filt, i) == {0, 2})
@@ -162,7 +162,7 @@ class TestSublevel:
         assert len(sublevel_complex(filt, 10.0)) == filt.n_cells
 
     def test_1x3_slice_has_two_vertices_no_edges(self):
-        filt = build_filtration(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
+        filt = build_filtration(flat_field(1, 3, [0.0, 2.0, 1.0]))
         cells = sublevel_complex(filt, 1.0)
         assert filt.dims[cells].tolist() == [0, 0]
         assert sorted(filt.crit_vertex[cells].tolist()) == [0, 2]
@@ -190,7 +190,7 @@ class TestFieldCsv:
         assert read_field_csv(path) == f
 
     def test_header_line(self, tmp_path):
-        f = ScalarField.from_flat(2, 3, [1, 2, 3, 4, 5, 6])
+        f = flat_field(2, 3, [1, 2, 3, 4, 5, 6])
         path = tmp_path / "field.csv"
         write_field_csv(f, path)
         assert path.read_text().splitlines()[0] == "2,3"
@@ -212,7 +212,7 @@ def test_sublevel_monotone_property(rows, cols, data):
     flat = data.draw(
         st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols)
     )
-    filt = build_filtration(ScalarField.from_flat(rows, cols, [float(x) for x in flat]))
+    filt = build_filtration(flat_field(rows, cols, [float(x) for x in flat]))
     a, b = sorted(data.draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4))))
     assert set(sublevel_complex(filt, a).tolist()) <= set(sublevel_complex(filt, b).tolist())
 
@@ -237,7 +237,7 @@ def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
     value, bit for bit.  A cell's vertices are read through its facets, so the owners of
     ``lower_stars`` are checked against the facets of ``_grid_facets``."""
     flat = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
-    filt = build_filtration(ScalarField.from_flat(rows, cols, flat))
+    filt = build_filtration(flat_field(rows, cols, flat))
     order = sorted(range(rows * cols), key=lambda v: (flat[v], v))
     assert filt.crit_vertex[filt.dims == 0].tolist() == order
     for i in range(filt.n_cells):

@@ -53,6 +53,7 @@ from fieldscape.persistence import (
     write_diagram_csv,
 )
 
+from conftest import flat_field
 from test_classify import read_model
 
 
@@ -659,6 +660,18 @@ def test_classify_test_vectors_need_the_training_grid(tmp_path, capsys, test_gri
         assert capsys.readouterr().err == "input error: landscape vectors disagree on grid or depth\n"
 
 
+def test_classify_overflowing_vector_fails_fast(tmp_path, capsys):
+    """A finite entry of 1e200 overflows its squared norm: exit 3 before the first sweep, not after
+    ``MAX_EPOCHS`` sweeps that cannot move, with a message that names the overflow."""
+    files = {f"{r}/{rel[2:]}": text for r in CLASSIFY_ROLES for rel, text in VECTORS.items()
+             if rel[0] == ("p" if r.endswith("pos") else "n")}
+    files["train-pos/x.csv"] = "N,K,t0,tN\n2,1,0,1\nindex,value\n2,1e200\n"
+    argv = ["classify", *(arg for r in CLASSIFY_ROLES for arg in (f"--{r}", f"{{src}}/{r}"))]
+    assert _run_on_files(tmp_path, files, argv) == 3
+    assert capsys.readouterr().err == ("numerical failure: Gram matrix diagonal overflows: "
+                                       "a training vector's squared norm is not finite\n")
+
+
 def test_plot_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     """``a/x.csv`` and ``b/x.csv`` would both write ``x.svg``, the second over the first."""
     files = {"a/x.csv": VECTORS["p/0.csv"], "b/x.csv": VECTORS["n/0.csv"]}
@@ -898,7 +911,7 @@ class TestCli:
     def test_vectorize_on_explicit_grid(self, tmp_path, empty):
         """``--t0``/``--t1`` fix the grid ends, wider than the bars span, even when no diagram has a bar."""
         rng = np.random.default_rng(17)
-        fields = [ScalarField.from_flat(1, 3, [0.0, 1.0, 2.0]) if empty else ScalarField(5, 5, rng.normal(size=(5, 5)))
+        fields = [flat_field(1, 3, [0.0, 1.0, 2.0]) if empty else ScalarField(5, 5, rng.normal(size=(5, 5)))
                   for _ in range(3)]
         diagrams = [diagram_of_field(f) for f in fields]
         pairs = np.concatenate([d.pairs for d in diagrams])

@@ -18,6 +18,7 @@ from fieldscape.landscape import (
 )
 from fieldscape.persistence import compute_persistence
 
+from conftest import flat_field
 from oracles import eval_landscape, max_depth
 
 
@@ -248,7 +249,7 @@ class TestSparsify:
 
 class TestDefaultGrid:
     def diagram(self, field_values):
-        return compute_persistence(build_filtration(ScalarField.from_flat(1, len(field_values), field_values)))
+        return compute_persistence(build_filtration(flat_field(1, len(field_values), field_values)))
 
     def test_single_bar_uniform(self):
         d = self.diagram([-1.0, 2.0, 0.0])  # single bar (0, 2)

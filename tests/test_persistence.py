@@ -14,7 +14,7 @@ from fieldscape.persistence import (
     write_diagram_csv,
 )
 
-from conftest import random_field
+from conftest import flat_field, random_field
 from reduction_reference import reference_persistence
 
 
@@ -24,7 +24,7 @@ def diagram_of(field: ScalarField):
 
 class TestComputePersistence:
     def test_1x3_single_merge(self):
-        d = diagram_of(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
+        d = diagram_of(flat_field(1, 3, [0.0, 2.0, 1.0]))
         assert [(p.birth, p.death) for p in d.pairs if p.degree == 0] == [(1.0, 2.0)]
         assert [p for p in d.pairs if p.degree == 1] == []
         assert d.essential_min == 0.0
@@ -62,7 +62,7 @@ class TestComputePersistence:
         assert diagram_of(f) == diagram_of(f)
 
     def test_equality_reads_every_column_and_the_essential_minimum(self, ring_field):
-        d = diagram_of(ScalarField.from_flat(1, 5, [0.0, 3.0, 1.0, 4.0, 2.0]))
+        d = diagram_of(flat_field(1, 5, [0.0, 3.0, 1.0, 4.0, 2.0]))
         assert len(d.pairs) == 2
         for name in d.pairs.dtype.names:
             pairs = d.pairs.copy()
@@ -99,7 +99,7 @@ def small_fields(draw):
     else:
         values = st.floats(-1e6, 1e6, allow_nan=False)
     flat = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
-    return ScalarField.from_flat(rows, cols, flat)
+    return flat_field(rows, cols, flat)
 
 
 @settings(max_examples=400, deadline=None)
@@ -117,7 +117,7 @@ def test_union_find_matches_reference_reduction(field):
 ])
 def test_duality_edge_cases_match_reference(rows, cols, flat):
     """No faces, or nothing but ties: the outer node and tie order carry everything."""
-    assert_matches_reference(ScalarField.from_flat(rows, cols, flat))
+    assert_matches_reference(flat_field(rows, cols, flat))
 
 
 class TestElderRule:
@@ -164,11 +164,11 @@ class TestBettiOracle:
 
 class TestBettiCurve:
     def test_two_components_alive(self):
-        d = diagram_of(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
+        d = diagram_of(flat_field(1, 3, [0.0, 2.0, 1.0]))
         assert betti_curve(d, 1.5) == (2, 0)
 
     def test_closed_sublevel_merges_at_death(self):
-        d = diagram_of(ScalarField.from_flat(1, 3, [0.0, 2.0, 1.0]))
+        d = diagram_of(flat_field(1, 3, [0.0, 2.0, 1.0]))
         assert betti_curve(d, 2.0) == (1, 0)
 
     def test_empty_diagram(self):
