@@ -19,6 +19,22 @@ homology of images" (arXiv:2005.04597), and Kaji, Sudo and Ahara, "Cubical
 Ripser" (arXiv:2005.12692).  The pairs are exactly those of the standard
 column reduction on the same filtration order.
 
+The rule runs its Python loop between basins only (Robins, Wood and Sheppard,
+IEEE TPAMI 33(8), 2011).  Numpy first builds a basin forest.  A node whose
+first link leads to a smaller node hangs below that node: the link finds the
+node alone and the other end in a component whose root is no larger, so it
+always merges and kills the node.  Pointer jumping gives every node the root
+of its tree, its basin, which is the smallest node of the basin.  The forest
+is exact in any link order.  A child's first link also meets its parent, so
+the parent's own first link comes no later, and strictly earlier unless the
+parent is a root.  So every node is joined to its whole path up to its basin
+root before any other link reaches it, each link finds both its ends in the
+components of their basin roots, and once one link has joined two basins a
+later link between them merges nothing.  The loop takes only the first link
+between each pair of distinct basins, in link order: a tenth to a fifth of
+the links of a Matern field.  The forest links and the loop's merges together
+are the merges of the full rule.
+
 The reduced-homology convention drops the one essential component (born at
 the global minimum); on a full rectangle every degree-1 class dies, so the
 diagram contains finite pairs only.
@@ -88,34 +104,78 @@ def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.recarray:
 
 
 def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Union-find over nodes ``0..n_nodes-1`` taking the (u, v) rows of ``links`` in order.
+    """Union-find over nodes ``0..n_nodes-1`` taking the (u, v) int64 rows of ``links`` in order.
 
     Each component is named by its smallest node, its elder; a link joining
     two components kills the larger root.  Returns the positions of the
-    merging links and the roots they kill.  The graph must be connected:
-    AssertionError unless exactly ``n_nodes - 1`` links merge.
+    merging links, in link order, and the roots they kill.  The graph must be
+    connected: AssertionError unless exactly ``n_nodes - 1`` links merge.
+
+    Forest: ``first`` holds each node's first position in the flattened
+    links, and the same position in the flattened swapped links holds that
+    link's other end.  A node on no link keeps the sentinel ``2m``, which
+    reads the pad ``n_nodes``, so it is a root and the merge count catches
+    it.  A node whose first link's other end is smaller hangs below that
+    end, and the link kills it.  Basins: pointer jumping sends every node to
+    its root, the smallest node of its tree.  Loop: union-find over the basin
+    roots, on the first link between each pair of distinct basins
+    (``np.unique`` of the key ``lo * n_nodes + hi``), in link order.  The
+    module docstring gives the argument that this is exact in any link order.
     """
-    # flat lists: 10^5 small tuples cost more in garbage collection than the
-    # pass; find() is inlined with path halving, 20 % faster than a call
+    # forest: a node hangs below the other end of its first link when that end is smaller
+    m = len(links)
+    first = np.full(n_nodes, 2 * m)
+    np.minimum.at(first, links.ravel(), np.arange(2 * m))
+    node = np.arange(n_nodes)
+    basin = np.minimum(np.append(links[:, ::-1], n_nodes)[first], node)  # the other end, or the pad
+    forest = np.flatnonzero(basin < node)
+    while True:  # pointer jumping to each tree's root
+        jumped = basin[basin]
+        if (jumped == basin).all():
+            break
+        basin = jumped
+    # the first link between each pair of distinct basins, in link order
+    lo, hi = basin[links[:, 0]], basin[links[:, 1]]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    cross = np.flatnonzero(lo != hi)
+    _, firsts = np.unique(lo[cross] * n_nodes + hi[cross], return_index=True)
+    keep = np.zeros(len(cross), dtype=bool)  # a mask keeps link order without a sort
+    keep[firsts] = True
+    between = cross[keep]
+
+    # flat lists: small tuples cost more in garbage collection than the pass;
+    # find() is inlined with path halving, 20 % faster than a call
     at, killed = [], []
-    parent = list(range(n_nodes))
-    for i, u, v in zip(range(len(links)), links[:, 0].tolist(), links[:, 1].tolist()):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
+    par = list(range(n_nodes))
+    for i, u, v in zip(between.tolist(), lo[between].tolist(), hi[between].tolist()):
+        while par[u] != u:
+            par[u] = u = par[par[u]]
+        while par[v] != v:
+            par[v] = v = par[par[v]]
         if u != v:
             if u > v:
                 u, v = v, u
-            parent[v] = u
+            par[v] = u
             at.append(i)
             killed.append(v)
+
+    killed_by = np.full(m, -1)  # by link position: the forest's merges (flat position >> 1) and the loop's
+    killed_by[first[forest] >> 1] = forest
+    killed_by[at] = killed
+    at = np.flatnonzero(killed_by >= 0)
     if len(at) != n_nodes - 1:
         raise AssertionError(f"{n_nodes} nodes but {len(at)} merges: the graph is not connected")
-    return np.array(at, dtype=np.int64), np.array(killed, dtype=np.int64)
+    return at, killed_by[at]
 
 
 def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
+    """The diagram of ``filt`` in degrees 0 and 1, by the elder rule on the primal and dual graphs.
+
+    Degree 0 pairs a vertex with the edge that kills its component, degree 1
+    an edge with the face that fills the cycle it closes (see the module
+    docstring).  Pairs inside one lower star are dropped; ``essential_min``
+    is the value of the first vertex, the one component that never dies.
+    """
     dims = filt.dims
     boundary = filt.boundary
     values = filt.values

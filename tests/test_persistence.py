@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
+from fieldscape.grf import TRANSFORMS, MaternParams, field_law, substream
 from fieldscape.persistence import (
     PersistenceDiagram,
     _elder_rule,
@@ -15,6 +16,7 @@ from fieldscape.persistence import (
 )
 
 from conftest import flat_field, random_field
+from oracles import elder_reference
 from reduction_reference import reference_persistence
 
 
@@ -120,6 +122,57 @@ def test_duality_edge_cases_match_reference(rows, cols, flat):
     assert_matches_reference(flat_field(rows, cols, flat))
 
 
+@pytest.mark.parametrize("side", [32, 64])
+@pytest.mark.parametrize("transform", [*TRANSFORMS, "rounded"])
+def test_matern_fields_match_reference(side, transform):
+    """Deep basin forests: smooth fields of many vertices, and a copy with heavy ties."""
+    values = field_law(MaternParams(5, 1), side, side).draw(substream(19, side)).values
+    values = np.round(values * 2) if transform == "rounded" else TRANSFORMS[transform](values)
+    assert_matches_reference(ScalarField(side, side, values))
+
+
+@st.composite
+def multigraphs(draw):
+    """(links, n_nodes): a random multigraph in arbitrary link order, connected unless drawn otherwise.
+
+    A random spanning tree under a random labelling, plus random extra links
+    (self-loops and repeats among them), in a random order and orientation.
+    Half of them are reordered by their larger end, as a filtration orders
+    edges, which grows deep basin forests.
+    """
+    n = draw(st.integers(1, 12))
+    tree = [(draw(st.integers(0, x - 1)), x) for x in range(1, n)]
+    if not draw(st.booleans()):
+        tree = draw(st.lists(st.sampled_from(tree), max_size=len(tree))) if tree else []
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(tree), max_size=n)) if tree else []
+    links = draw(st.permutations(tree + extra + repeats))
+    label = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    links = label[np.array(links, dtype=np.int64).reshape(-1, 2)]
+    flip = np.array(draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links))), dtype=bool)
+    links[flip] = links[flip, ::-1]
+    if draw(st.booleans()):
+        links = links[np.argsort(links.max(axis=1, initial=0), kind="stable")]
+    return links, n
+
+
+@settings(max_examples=600, deadline=None)
+@given(multigraphs())
+def test_elder_rule_matches_reference(graph):
+    """The basin-reduced rule makes the merges of the all-links pass, or both find the graph disconnected."""
+    links, n_nodes = graph
+    try:
+        want = elder_reference(links, n_nodes)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="not connected"):
+            _elder_rule(links, n_nodes)
+        return
+    at, killed = _elder_rule(links, n_nodes)
+    assert at.dtype == killed.dtype == np.int64
+    assert at.tolist() == want[0].tolist() and killed.tolist() == want[1].tolist()
+
+
 class TestElderRule:
     """The one union-find loop, on hand-built graphs: (u, v) link rows over nodes 0..n-1."""
 
@@ -136,13 +189,25 @@ class TestElderRule:
         at, killed = _elder_rule(np.array([[3, 1], [2, 0], [3, 2]]), 4)
         assert at.tolist() == [0, 1, 2] and killed.tolist() == [3, 2, 1]
 
+    def test_self_loops_repeats_and_elder_first_links(self):
+        # 2's first link is a self-loop and 0 and 1 first meet a larger node, so
+        # all three root basins and only 3 hangs below 0; the repeat 2-1 and the
+        # self-loops merge nothing, and 0-1 comes after 3-2 has joined 0 and 1
+        links = np.array([[2, 2], [1, 2], [2, 1], [0, 3], [3, 3], [3, 2], [0, 1]])
+        at, killed = _elder_rule(links, 4)
+        assert at.tolist() == [1, 3, 5] and killed.tolist() == [2, 3, 1]
+
     def test_single_node_needs_no_link(self):
-        at, killed = _elder_rule(np.empty((0, 2), dtype=np.int64), 1)
-        assert at.tolist() == [] and killed.tolist() == []
+        # no link at all, and three self-loops: the dual graph of a 1x4 grid
+        for links in (np.empty((0, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)):
+            at, killed = _elder_rule(links, 1)
+            assert at.tolist() == [] and killed.tolist() == []
 
     def test_disconnected_graph_raises(self):
-        with pytest.raises(AssertionError, match="not connected"):
-            _elder_rule(np.array([[0, 1], [2, 3], [3, 2]]), 4)
+        # two parts, and a node on no link at all (not an IndexError)
+        for links, n_nodes in ((np.array([[0, 1], [2, 3], [3, 2]]), 4), (np.array([[0, 1]]), 3)):
+            with pytest.raises(AssertionError, match="not connected"):
+                _elder_rule(links, n_nodes)
 
 
 class TestBettiOracle:
