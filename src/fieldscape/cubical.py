@@ -22,15 +22,22 @@ anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
 its odd axes: (above, below) across an odd row, (left, right) across an odd
 column, so a face lists (top, bottom, left, right) edges and an edge its two
 vertices.  ``lower_stars`` fills that grid with each cell's owner and
-dimension, the key that the filtration sorts on and the census counts.
-``CubicalFiltration`` keeps four arrays per sorted cell: value, dimension,
-facets and owner.  Anchors and orientations are grid positions, which the
-sort reads and the record does not keep.
+dimension, the key of the filtration order and of the census.
+
+The order needs no sort of the cells.  A vertex's star has nine fixed slots
+on the cell grid (itself, four edges, four faces), and listed as in
+``_STAR`` they are already in (dim, grid position) order.  So the
+filtration is the vertices in rank order, each followed by the slots of its
+star that it owns.  ``CubicalFiltration`` keeps, per sorted cell, the value,
+dimension, owner and grid position, together with the cell-grid shape.
+Facets are grid neighbours, so the boundary matrix is derived from the grid
+positions on first read; persistence reads the grid itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +86,18 @@ def make_generic(field: ScalarField) -> ScalarField:
     return field
 
 
+def _vertex_order(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major vertex indices in (value, row-major index) order, and its inverse as a rows x cols array.
+
+    The one vertex sort of the package: ``vertex_rank`` is the inverse, and
+    ``build_filtration`` reads both.
+    """
+    order = np.argsort(make_generic(field).values, axis=None, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return order, rank.reshape(field.rows, field.cols)
+
+
 def vertex_rank(field: ScalarField) -> np.ndarray:
     """Each vertex's position in the (value, row-major index) order, as a rows x cols int64 array.
 
@@ -86,32 +105,39 @@ def vertex_rank(field: ScalarField) -> np.ndarray:
     vertex comparison of the filtration and the census is a comparison of
     ranks.
     """
-    field = make_generic(field)
-    order = np.argsort(field.values, axis=None, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    return rank.reshape(field.rows, field.cols)
+    return _vertex_order(field)[1]
 
 
 @dataclass(frozen=True, eq=False)
 class CubicalFiltration:
-    """All cells of the grid complex sorted into filtration order: four arrays indexed by sorted position.
+    """All cells of the grid complex in filtration order: arrays indexed by sorted position.
 
     ``values[i]`` is cell i's value and ``dims[i]`` its dimension.
+    ``crit_vertex[i]`` is the row-major index of cell i's owner, the
+    boundary vertex of highest ``vertex_rank``, whose value the cell attains
+    (the cell belongs to that vertex's lower star).  ``grid_id[i]`` is cell
+    i's row-major position on the cell grid of shape ``grid_shape``.
     ``boundary[i]`` lists the sorted indices of cell i's facets, -1 padded
-    to four.  ``crit_vertex[i]`` is the row-major index of cell i's owner,
-    the boundary vertex of highest ``vertex_rank``, whose value the cell
-    attains (the cell belongs to that vertex's lower star).
+    to four; it is built from the grid ids on first read and then kept.
     """
 
     values: np.ndarray  # float64
     dims: np.ndarray  # int8
-    boundary: np.ndarray  # (n_cells, 4) int64
     crit_vertex: np.ndarray  # int64
+    grid_id: np.ndarray  # int64
+    grid_shape: tuple[int, int]
 
     @property
     def n_cells(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def boundary(self) -> np.ndarray:  # (n_cells, 4) int64
+        h, w = self.grid_shape
+        # sorted position of each grid id; the trailing -1 keeps the -1 padding
+        pos = np.full(h * w + 1, -1, dtype=np.int64)
+        pos[self.grid_id] = np.arange(self.n_cells)
+        return pos[_grid_facets(h, w)[self.grid_id]]
 
 
 def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +145,8 @@ def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``rank`` is a ``vertex_rank`` array.  A cell's owner is its boundary
     vertex of highest rank, so the cells of owner r are the lower star of the
-    vertex of rank r.  The filtration sorts on (owner, dim) and the census
-    counts it.
+    vertex of rank r.  The filtration is ordered by (owner, dim) and the
+    census counts it.
     """
     rows, cols = rank.shape
     owner = np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64)
@@ -129,41 +155,55 @@ def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
     owner[1::2] = np.maximum(owner[:-1:2], owner[2::2])
     i, j = np.ogrid[: owner.shape[0], : owner.shape[1]]
-    return owner, (i % 2 + j % 2).astype(np.int8)
+    return owner, (i % 2).astype(np.int8) + (j % 2).astype(np.int8)
+
+
+# a vertex's star on the cell grid: (row, col) offsets of itself, its up, left,
+# right and down edges, then its up-left, up-right, down-left and down-right faces
+_STAR = ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+_STAR_DIM = np.array([0, 1, 1, 1, 1, 2, 2, 2, 2], dtype=np.int8)
 
 
 def build_filtration(field: ScalarField) -> CubicalFiltration:
-    """Assemble all cells with max-extension values and sort into filtration order.
+    """All cells with max-extension values, in filtration order, without a sort of the cells.
 
     Each cell is owned by its boundary vertex of highest ``vertex_rank`` and
-    takes that vertex's value.  Sort key is (owner rank, dim, grid position),
-    which is (value, owning vertex, ...) since rank follows (value, index).
-    The cells tied on (owner, dim) are the at most four edges or four faces
-    of one lower star, and for them row-major grid order is (anchor row,
-    anchor col, orientation).  When all vertex values are distinct the order
-    is exactly (value, dim, anchor); with repeated values it additionally
-    keeps each vertex's lower star contiguous, which the critical-event
-    census requires.  Lower-dimensional cells precede their cofaces at equal
-    value, so the order is always a valid filtration.  Deterministic:
-    identical fields give identical orderings.
+    takes that vertex's value.  The order is (owner rank, dim, grid id),
+    which is (value, owning vertex, ...) since rank follows (value, index):
+    the lower stars of the vertices in rank order, each star's cells by
+    dimension and then in grid order.  A vertex's star has nine slots on the
+    cell grid, listed in ``_STAR`` in exactly that order, so the filtration
+    is the vertex order with each vertex expanded into the slots it owns.
+    When all vertex values are distinct the order is exactly (value, dim,
+    anchor); with repeated values it additionally keeps each vertex's lower
+    star contiguous, which the critical-event census requires.
+    Lower-dimensional cells precede their cofaces at equal value, so the
+    order is always a valid filtration.  Deterministic: identical fields give
+    identical orderings.
     """
-    rank = vertex_rank(field)
-    owner, dim = lower_stars(rank)
+    order, rank = _vertex_order(field)
+    owner, _ = lower_stars(rank)
     h, w = owner.shape
-    order = np.lexsort((dim.ravel(), owner.ravel()))
-    # sorted position of each grid id; the trailing -1 keeps the -1 padding
-    pos = np.full(h * w + 1, -1, dtype=np.int64)
-    pos[order] = np.arange(h * w)
-
-    by_rank = np.empty(rank.size, dtype=np.int64)
-    by_rank[rank.ravel()] = np.arange(rank.size)
-    crit = by_rank[owner.ravel()[order]]
-
+    padded = np.full((h + 2, w + 2), -1, dtype=np.int64)  # slots off the grid are owned by no vertex
+    padded[1:-1, 1:-1] = owner
+    del owner
+    owns = np.empty((rank.size, len(_STAR)), dtype=bool)  # vertex by row-major index, slot
+    for k, (di, dj) in enumerate(_STAR):
+        owns[:, k] = (padded[1 + di : h + 1 + di : 2, 1 + dj : w + 1 + dj : 2] == rank).ravel()
+    del padded
+    slot = np.flatnonzero(owns[order])  # (owner rank, slot) flattened, in filtration order
+    owner_rank = slot // len(_STAR)
+    slot -= len(_STAR) * owner_rank
+    # the owner's own grid id, 2 (row w + col), then the slot's offset from it
+    grid_id = (2 * (order + order // field.cols * (field.cols - 1)))[owner_rank]
+    grid_id += np.array([di * w + dj for di, dj in _STAR])[slot]
+    crit = order[owner_rank]
     return CubicalFiltration(
         values=field.values.ravel()[crit],
-        dims=dim.ravel()[order],
-        boundary=pos[_grid_facets(h, w)[order]],
+        dims=_STAR_DIM[slot],
         crit_vertex=crit,
+        grid_id=grid_id,
+        grid_shape=(h, w),
     )
 
 
@@ -171,8 +211,7 @@ def _grid_facets(h: int, w: int) -> np.ndarray:
     """Facet grid ids of each cell of an h x w cell grid, one -1 padded row of 4 per grid id.
 
     (above, below) across an odd row, then (left, right) across an odd column.
-    Kept out of ``build_filtration`` so that its temporaries are freed before
-    the remap to sorted positions, which keeps that function's peak memory down.
+    Only ``CubicalFiltration.boundary`` reads it.
     """
     ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
     bnd = np.full((h, w, 4), -1, dtype=np.int64)

@@ -4,20 +4,24 @@
 complex is a full rectangle in the plane.  One elder rule, ``_elder_rule``,
 serves both degrees: union-find takes the links of a graph in order, names
 each component by its smallest node, and a link joining two components kills
-the larger root.  Cells are numbered among the cells of their own dimension.
-Degree 0 runs the rule on the vertices, joined by the edges in filtration
-order.  Degree 1 follows Alexander duality and runs it on the dual graph: one
-node per face plus an outer node for the unbounded region, and one link per
-primal edge joining the faces on either side of it (a border edge reaches the
-outer node), taken in reverse filtration order.  The outer node is node 0 and
-face j is node F - j, so a later face is the elder and the rule reads the
-same way; a merging edge is the birth of the cycle that its killed face
-closes.  The one invariant is that both graphs are connected: n - 1 merges on
-n nodes, V - 1 and F, so every edge merges in exactly one pass, since
-E = (V - 1) + F on a rectangle.  See Garin et al., "Duality in persistent
-homology of images" (arXiv:2005.04597), and Kaji, Sudo and Ahara, "Cubical
-Ripser" (arXiv:2005.12692).  The pairs are exactly those of the standard
-column reduction on the same filtration order.
+the larger root.  Both graphs are read on the cell grid of ``cubical``,
+padded by a ring, and not from a boundary matrix.  One label grid names
+every node: vertex j in filtration order (its rank) is node j, face j is
+node F - j, and the ring is node 0, the outer node of the unbounded region.
+An edge's link is then two reads of that grid.  Degree 0 runs the rule on
+the vertices, joined by the edges in filtration order: each edge joins the
+two vertices across its odd axis.  Degree 1 follows Alexander duality and
+runs it on the dual graph, taking the edges in reverse filtration order:
+each edge joins the two faces across its even axis, and a border edge joins
+its one face to the outer node.  As face j is node F - j, a later face is
+the elder and the rule reads the same way; a merging edge is the birth of
+the cycle that its killed face closes.  The one invariant is that both
+graphs are connected: n - 1 merges on n nodes, V - 1 and F, so every edge
+merges in exactly one pass, since E = (V - 1) + F on a rectangle.  See
+Garin et al., "Duality in persistent homology of images" (arXiv:2005.04597),
+and Kaji, Sudo and Ahara, "Cubical Ripser" (arXiv:2005.12692).  The pairs
+are exactly those of the standard column reduction on the same filtration
+order.
 
 The rule runs its Python loop between basins only (Robins, Wood and Sheppard,
 IEEE TPAMI 33(8), 2011).  Numpy first builds a basin forest.  A node whose
@@ -173,33 +177,43 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
 
     Degree 0 pairs a vertex with the edge that kills its component, degree 1
     an edge with the face that fills the cycle it closes (see the module
-    docstring).  Pairs inside one lower star are dropped; ``essential_min``
+    docstring).  Both graphs are read from one label grid, through
+    ``filt.grid_id`` and ``filt.grid_shape``; ``filt.boundary`` is never
+    built here.  Pairs inside one lower star are dropped; ``essential_min``
     is the value of the first vertex, the one component that never dies.
     """
-    dims = filt.dims
-    boundary = filt.boundary
-    values = filt.values
-    vertices = np.nonzero(dims == 0)[0]
-    edges = np.nonzero(dims == 1)[0]
-    faces = np.nonzero(dims == 2)[0]
+    dims, values = filt.dims, filt.values
+    vertices = np.flatnonzero(dims == 0)
+    edges = np.flatnonzero(dims == 1)
+    faces = np.flatnonzero(dims == 2)
     n_faces = len(faces)
-    # compact labels: each cell's position among the cells of its dimension
-    local = np.empty(filt.n_cells, dtype=np.int64)
-    for cells in (vertices, edges, faces):
-        local[cells] = np.arange(len(cells))
+    h, w = filt.grid_shape
+    # each cell's position on the cell grid padded by a ring of outer positions
+    row = filt.grid_id // w
+    pos = filt.grid_id + 2 * row + (w + 3)
+    # one label per padded position: vertex j (its rank) is node j, face j is
+    # dual node F - j, and the ring is the outer node 0
+    label = np.zeros((h + 2) * (w + 2), dtype=np.int64)
+    label[pos[vertices]] = np.arange(len(vertices))
+    label[pos[faces]] = np.arange(n_faces, 0, -1)
+    # an edge's odd axis runs across its two vertices: rows for a vertical edge (odd row)
+    across = np.where(row[edges] & 1, w + 2, 1)
+    pos = pos[edges]
+    del row
+    # degree 0: the primal graph, each edge joining the two vertices across its
+    # odd axis.  Degree 1: the dual graph, each edge joining the faces (or the
+    # outer node) across its even axis, below and above a horizontal edge and
+    # right and left of a vertical one.
+    primal = np.column_stack((label[pos - across], label[pos + across]))
+    across = (w + 3) - across  # the other axis: strides 1 and w + 2 swap
+    dual = np.column_stack((label[pos + across], label[pos - across]))
+    del label, pos, across
 
-    # degree 0: the primal graph, edges in filtration order
-    at, killed = _elder_rule(local[boundary[edges, :2]], len(vertices))
+    # degree 0 takes the edges in filtration order, degree 1 in reverse
+    at, killed = _elder_rule(primal, len(vertices))
     raw = [(vertices[killed], edges[at])]
-
-    # degree 1: the dual graph, edges in reverse filtration order, the outer
-    # node 0 and face j node F - j.  Face boundary rows list the top, bottom,
-    # left and right edges: a face is side 0 of its top and left edges and side
-    # 1 of its bottom and right ones; a border edge keeps the outer node.
-    cofaces = np.zeros((len(edges), 2), dtype=np.int64)
-    for slot, side in ((0, 0), (1, 1), (2, 0), (3, 1)):
-        cofaces[local[boundary[faces, slot]], side] = n_faces - np.arange(n_faces)
-    at, killed = _elder_rule(cofaces[::-1], n_faces + 1)
+    del primal
+    at, killed = _elder_rule(dual[::-1], n_faces + 1)
     raw.append((edges[::-1][at], faces[n_faces - killed]))
 
     keep = [filt.crit_vertex[b] != filt.crit_vertex[d] for b, d in raw]  # same lower star: zero persistence

@@ -12,14 +12,19 @@ same dual coordinate descent as ``train_svm`` written in the primal form:
 it keeps w with the bias as a constant feature and computes each gradient
 as a dot product with w.  ``elder_reference`` is the elder rule of
 ``persistence._elder_rule`` as one union-find pass over every link, with no
-basin forest and no deduplication.
+basin forest and no deduplication.  ``filtration_reference`` is the
+filtration of ``cubical.build_filtration`` as one lexsort of every cell on
+(owner, dim), with the boundary matrix remapped to sorted positions.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
+from fieldscape.cubical import ScalarField, _grid_facets, lower_stars, vertex_rank
 from fieldscape.errors import TrainingError
 
 
@@ -119,3 +124,29 @@ def elder_reference(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.nda
     if len(at) != n_nodes - 1:
         raise AssertionError(f"{n_nodes} nodes but {len(at)} merges: the graph is not connected")
     return np.array(at, dtype=np.int64), np.array(killed, dtype=np.int64)
+
+
+def filtration_reference(field: ScalarField) -> SimpleNamespace:
+    """All cells sorted on (owner rank, dim, grid id) by one lexsort: the four arrays ``build_filtration`` must give.
+
+    ``values``, ``dims`` and ``crit_vertex`` as in ``CubicalFiltration``, and
+    ``boundary`` each cell's facets as sorted positions, -1 padded to four.
+    """
+    rank = vertex_rank(field)
+    owner, dim = lower_stars(rank)
+    h, w = owner.shape
+    order = np.lexsort((dim.ravel(), owner.ravel()))
+    # sorted position of each grid id; the trailing -1 keeps the -1 padding
+    pos = np.full(h * w + 1, -1, dtype=np.int64)
+    pos[order] = np.arange(h * w)
+
+    by_rank = np.empty(rank.size, dtype=np.int64)
+    by_rank[rank.ravel()] = np.arange(rank.size)
+    crit = by_rank[owner.ravel()[order]]
+
+    return SimpleNamespace(
+        values=field.values.ravel()[crit],
+        dims=dim.ravel()[order],
+        boundary=pos[_grid_facets(h, w)[order]],
+        crit_vertex=crit,
+    )

@@ -15,8 +15,10 @@ from fieldscape.cubical import (
     write_field_csv,
 )
 from fieldscape.errors import InvalidFieldError
+from fieldscape.grf import MaternParams, field_law, substream
 
 from conftest import flat_field, random_field
+from oracles import filtration_reference
 
 
 class TestScalarField:
@@ -244,3 +246,44 @@ def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
         assert filt.crit_vertex[i] == max(_cell_vertices(filt, i), key=order.index)
     owner_values = np.asarray(flat)[filt.crit_vertex]
     assert filt.values.tobytes() == owner_values.tobytes()
+
+
+def assert_matches_filtration_reference(field: ScalarField):
+    """The four arrays of ``build_filtration`` equal the lexsort reference's in value and dtype."""
+    got, want = build_filtration(field), filtration_reference(field)
+    for name in ("values", "dims", "boundary", "crit_vertex"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # bit for bit: -0.0 is not 0.0
+
+
+@st.composite
+def tied_or_continuous_fields(draw):
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        values = st.sampled_from([-1.0, -0.0, 0.0, 2.0])  # heavy ties, signed zeros among them
+    else:
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    return flat_field(rows, cols, draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_or_continuous_fields())
+def test_filtration_matches_lexsort_reference(field):
+    assert_matches_filtration_reference(field)
+
+
+@pytest.mark.parametrize("rows, cols, flat", [
+    pytest.param(1, 1, [2.5], id="1x1"),
+    pytest.param(1, 7, [3.0, 1.0, 4.0, 1.0, 5.0, -0.0, 0.0], id="1xn"),
+    pytest.param(7, 1, [2.0, 7.0, 0.0, 8.0, 2.0, 8.0, -0.0], id="nx1"),
+])
+def test_thin_grids_match_lexsort_reference(rows, cols, flat):
+    """No faces (and on 1x1 no edges): every star slot off the grid must own nothing."""
+    assert_matches_filtration_reference(flat_field(rows, cols, flat))
+
+
+@pytest.mark.parametrize("side", [32, 64])
+def test_matern_filtration_matches_lexsort_reference(side):
+    values = field_law(MaternParams(5, 1), side, side).draw(substream(5, side)).values
+    assert_matches_filtration_reference(ScalarField(side, side, values))

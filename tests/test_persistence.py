@@ -16,7 +16,7 @@ from fieldscape.persistence import (
 )
 
 from conftest import flat_field, random_field
-from oracles import elder_reference
+from oracles import elder_reference, filtration_reference
 from reduction_reference import reference_persistence
 
 
@@ -108,6 +108,18 @@ def small_fields(draw):
 @given(small_fields())
 def test_union_find_matches_reference_reduction(field):
     assert_matches_reference(field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fields())
+def test_persistence_never_builds_the_boundary(field):
+    """``compute_persistence`` reads the cell grid only; ``boundary`` is built on first read, as the reference's."""
+    filt = build_filtration(field)
+    compute_persistence(filt)
+    assert "boundary" not in vars(filt)
+    want = filtration_reference(field).boundary
+    assert filt.boundary.dtype == want.dtype and np.array_equal(filt.boundary, want)
+    assert "boundary" in vars(filt)
 
 
 @pytest.mark.parametrize("rows, cols, flat", [
