@@ -146,9 +146,10 @@ def _cmd_plot(args) -> int:
     if repeated:
         raise ConfigError(f"inputs share the file name stems {repeated}; each would write the same <stem>.svg")
     out = Path(args.out)
+    targets = [out / (path.stem + ".svg") for path in paths]
+    _check_outputs(paths, targets)
     out.mkdir(parents=True, exist_ok=True)
-    for path in paths:
-        target = out / (path.stem + ".svg")
+    for path, target in zip(paths, targets):
         if path.read_text().startswith("comparison,"):
             render_report_svg(read_report_csv(path), target)
         else:

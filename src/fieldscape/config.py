@@ -40,9 +40,10 @@ def _entries(raw: str, key: str, form: str) -> list[tuple[str, str, str]]:
 def _parse_models(raw: str) -> tuple[tuple[str, str], ...]:
     models = tuple((name, transform) for _, name, transform in _entries(raw, "model", "name:transform"))
     for name, transform in models:
-        # a name is a directory and a file name part of every output path
-        if name in ("", ".", "..") or "/" in name or "\\" in name:
-            raise ConfigError(f"model name {name!r} must be one plain path component")
+        # a name is a directory and a file name part of every output path, and a
+        # field of the manifest and report lines, which a line break would split
+        if name in ("", ".", "..") or "/" in name or "\\" in name or not name.isprintable():
+            raise ConfigError(f"model name {name!r} must be one plain path component of printable characters")
         if transform not in TRANSFORMS:
             raise ConfigError(f"unknown transform {transform!r} in model {name!r}")
     if len({name for name, _ in models}) != len(models):

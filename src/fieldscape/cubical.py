@@ -30,14 +30,13 @@ on the cell grid (itself, four edges, four faces), and listed as in
 filtration is the vertices in rank order, each followed by the slots of its
 star that it owns.  ``CubicalFiltration`` keeps, per sorted cell, the value,
 dimension, owner and grid position, together with the cell-grid shape.
-Facets are grid neighbours, so the boundary matrix is derived from the grid
-positions on first read; persistence reads the grid itself.
+Facets are grid neighbours, so no boundary matrix is kept: persistence and
+the Betti oracle read the grid itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -116,9 +115,8 @@ class CubicalFiltration:
     ``crit_vertex[i]`` is the row-major index of cell i's owner, the
     boundary vertex of highest ``vertex_rank``, whose value the cell attains
     (the cell belongs to that vertex's lower star).  ``grid_id[i]`` is cell
-    i's row-major position on the cell grid of shape ``grid_shape``.
-    ``boundary[i]`` lists the sorted indices of cell i's facets, -1 padded
-    to four; it is built from the grid ids on first read and then kept.
+    i's row-major position on the cell grid of shape ``grid_shape``, whose
+    grid neighbours along its odd axes are its facets.
     """
 
     values: np.ndarray  # float64
@@ -130,14 +128,6 @@ class CubicalFiltration:
     @property
     def n_cells(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def boundary(self) -> np.ndarray:  # (n_cells, 4) int64
-        h, w = self.grid_shape
-        # sorted position of each grid id; the trailing -1 keeps the -1 padding
-        pos = np.full(h * w + 1, -1, dtype=np.int64)
-        pos[self.grid_id] = np.arange(self.n_cells)
-        return pos[_grid_facets(h, w)[self.grid_id]]
 
 
 def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,32 +195,6 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
         grid_id=grid_id,
         grid_shape=(h, w),
     )
-
-
-def _grid_facets(h: int, w: int) -> np.ndarray:
-    """Facet grid ids of each cell of an h x w cell grid, one -1 padded row of 4 per grid id.
-
-    (above, below) across an odd row, then (left, right) across an odd column.
-    Only ``CubicalFiltration.boundary`` reads it.
-    """
-    ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    bnd = np.full((h, w, 4), -1, dtype=np.int64)
-    bnd[1::2, :, 0] = ids[:-1:2]
-    bnd[1::2, :, 1] = ids[2::2]
-    left_right = np.stack((ids[:, :-1:2], ids[:, 2::2]), axis=-1)
-    bnd[::2, 1::2, :2] = left_right[::2]
-    bnd[1::2, 1::2, 2:] = left_right[1::2]
-    return bnd.reshape(-1, 4)
-
-
-def sublevel_complex(filt: CubicalFiltration, a: float) -> np.ndarray:
-    """Sorted indices of all cells with value <= a.
-
-    Because cells are stored in filtration order, the slice is a prefix and
-    therefore closed under boundary.
-    """
-    k = int(np.searchsorted(filt.values, a, side="right"))
-    return np.arange(k, dtype=np.int64)
 
 
 def read_table(path, header: str | None = None) -> list[list[str]]:

@@ -15,6 +15,13 @@ as a dot product with w.  ``elder_reference`` is the elder rule of
 basin forest and no deduplication.  ``filtration_reference`` is the
 filtration of ``cubical.build_filtration`` as one lexsort of every cell on
 (owner, dim), with the boundary matrix remapped to sorted positions.
+
+The package keeps no boundary matrix: facets are neighbours on the cell grid.
+``boundary`` builds one for a filtration from its grid ids, through the
+facet table ``_grid_facets``, for the checks that read facets by sorted
+position: the column reduction of ``reduction_reference`` and
+``betti_reference``, the union-find Betti numbers of a sublevel prefix that
+``persistence.betti_oracle`` must equal.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
-from fieldscape.cubical import ScalarField, _grid_facets, lower_stars, vertex_rank
+from fieldscape.cubical import CubicalFiltration, ScalarField, lower_stars, vertex_rank
 from fieldscape.errors import TrainingError
 
 
@@ -126,11 +133,64 @@ def elder_reference(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.nda
     return np.array(at, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-def filtration_reference(field: ScalarField) -> SimpleNamespace:
-    """All cells sorted on (owner rank, dim, grid id) by one lexsort: the four arrays ``build_filtration`` must give.
+def _grid_facets(h: int, w: int) -> np.ndarray:
+    """Facet grid ids of each cell of an h x w cell grid, one -1 padded row of 4 per grid id.
 
-    ``values``, ``dims`` and ``crit_vertex`` as in ``CubicalFiltration``, and
-    ``boundary`` each cell's facets as sorted positions, -1 padded to four.
+    (above, below) across an odd row, then (left, right) across an odd column.
+    """
+    ids = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    bnd = np.full((h, w, 4), -1, dtype=np.int64)
+    bnd[1::2, :, 0] = ids[:-1:2]
+    bnd[1::2, :, 1] = ids[2::2]
+    left_right = np.stack((ids[:, :-1:2], ids[:, 2::2]), axis=-1)
+    bnd[::2, 1::2, :2] = left_right[::2]
+    bnd[1::2, 1::2, 2:] = left_right[1::2]
+    return bnd.reshape(-1, 4)
+
+
+def boundary(filt: CubicalFiltration) -> np.ndarray:
+    """The (n_cells, 4) int64 boundary matrix: row i lists the sorted indices of cell i's facets, -1 padded."""
+    h, w = filt.grid_shape
+    # sorted position of each grid id; the trailing -1 keeps the -1 padding
+    pos = np.full(h * w + 1, -1, dtype=np.int64)
+    pos[filt.grid_id] = np.arange(filt.n_cells)
+    return pos[_grid_facets(h, w)[filt.grid_id]]
+
+
+def betti_reference(filt: CubicalFiltration, a: float) -> tuple[int, int]:
+    """(beta0, beta1) of the sublevel slice {value <= a}: union-find on the prefix of cells with value <= a.
+
+    Cells are stored in filtration order, so the slice is a prefix.  beta0
+    comes from union-find over its vertices and edges; beta1 is recovered as
+    beta0 - (V - E + F).
+    """
+    k = int(np.searchsorted(filt.values, a, side="right"))
+    if k == 0:
+        return (0, 0)
+    dims = filt.dims[:k]
+    n_v, n_e, n_f = (int(np.count_nonzero(dims == dim)) for dim in range(3))
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    components = n_v
+    for u, v in boundary(filt)[:k][dims == 1, :2].tolist():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            components -= 1
+    return (components, components - (n_v - n_e + n_f))
+
+
+def filtration_reference(field: ScalarField) -> SimpleNamespace:
+    """All cells sorted on (owner rank, dim, grid id) by one lexsort: the arrays ``build_filtration`` must give.
+
+    ``values``, ``dims`` and ``crit_vertex`` as in ``CubicalFiltration``,
+    ``boundary`` each cell's facets as sorted positions, -1 padded to four,
+    and ``grid_id`` each cell's position on the cell grid.
     """
     rank = vertex_rank(field)
     owner, dim = lower_stars(rank)
@@ -149,4 +209,5 @@ def filtration_reference(field: ScalarField) -> SimpleNamespace:
         dims=dim.ravel()[order],
         boundary=pos[_grid_facets(h, w)[order]],
         crit_vertex=crit,
+        grid_id=order,
     )

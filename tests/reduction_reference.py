@@ -16,10 +16,12 @@ import numpy as np
 from fieldscape.cubical import CubicalFiltration
 from fieldscape.persistence import PAIR_DTYPE, PersistenceDiagram
 
+import oracles
+
 
 def reference_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     dims = filt.dims
-    boundary = filt.boundary
+    boundary = oracles.boundary(filt)
     values = filt.values
 
     pivot_owner: dict[int, int] = {}  # pivot row -> owning column

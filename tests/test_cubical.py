@@ -10,7 +10,6 @@ from fieldscape.cubical import (
     build_filtration,
     make_generic,
     read_field_csv,
-    sublevel_complex,
     vertex_rank,
     write_field_csv,
 )
@@ -18,7 +17,7 @@ from fieldscape.errors import InvalidFieldError
 from fieldscape.grf import MaternParams, field_law, substream
 
 from conftest import flat_field, random_field
-from oracles import filtration_reference
+from oracles import boundary, filtration_reference
 
 
 class TestScalarField:
@@ -91,7 +90,7 @@ class TestBuildFiltration:
         filt = build_filtration(flat_field(2, 2, [1.0, 2.0, 3.0, 4.0]))
         assert filt.values[filt.dims == 2].tolist() == [4.0]
         # the vertical edge at (0, 0), between the vertices valued 1 and 3
-        edge = next(i for i in range(filt.n_cells) if filt.dims[i] == 1 and _cell_vertices(filt, i) == {0, 2})
+        edge = next(i for i, cell in enumerate(_cell_vertices(filt)) if filt.dims[i] == 1 and cell == {0, 2})
         assert filt.values[edge] == 3.0
 
     def test_ring_faces_all_carry_center_value(self, ring_field):
@@ -112,15 +111,14 @@ class TestBuildFiltration:
         rng = np.random.default_rng(3)
         for _ in range(25):
             filt = build_filtration(random_field(rng, ties=bool(rng.integers(2))))
-            for i in range(filt.n_cells):
-                assert all(b < i for b in _facets(filt, i))
+            for i, facets in enumerate(_facets(filt)):
+                assert all(b < i for b in facets)
 
     def test_edge_and_face_values_are_boundary_maxima(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             filt = build_filtration(random_field(rng))
-            for i in range(filt.n_cells):
-                bnd = _facets(filt, i)
+            for i, bnd in enumerate(_facets(filt)):
                 if bnd:
                     assert filt.values[i] == max(filt.values[b] for b in bnd)
 
@@ -129,7 +127,8 @@ class TestBuildFiltration:
         f = random_field(rng)
         a, b = build_filtration(f), build_filtration(f)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.boundary, b.boundary)
+        assert np.array_equal(a.grid_id, b.grid_id)
+        assert np.array_equal(boundary(a), boundary(b))
         assert np.array_equal(a.crit_vertex, b.crit_vertex)
 
     def test_golden_filtration_digest(self):
@@ -147,25 +146,33 @@ class TestBuildFiltration:
         total = hashlib.sha256()
         for field in fields:
             filt = build_filtration(field)
-            for name in ("values", "dims", "boundary", "crit_vertex"):
-                a = getattr(filt, name)
+            arrays = {"values": filt.values, "dims": filt.dims, "boundary": boundary(filt),
+                      "crit_vertex": filt.crit_vertex}
+            for name, a in arrays.items():
                 total.update(f"{name},{a.dtype},{a.shape};".encode() + np.ascontiguousarray(a).tobytes())
         assert total.hexdigest() == "0aba1243affd3cbbf33edd7a5d2e6bc8e0264c065e42bbc0e36940a6c49de642"
+
+
+def _sublevel(filt, a: float) -> np.ndarray:
+    """Sorted indices of the cells with value <= a, checked to be a prefix of the filtration."""
+    cells = np.flatnonzero(filt.values <= a)
+    assert cells.tolist() == list(range(len(cells)))
+    return cells
 
 
 class TestSublevel:
     def test_below_minimum_is_empty(self, ring_field):
         filt = build_filtration(ring_field)
-        assert len(sublevel_complex(filt, -np.inf)) == 0
-        assert len(sublevel_complex(filt, 0.999)) == 0
+        assert len(_sublevel(filt, -np.inf)) == 0
+        assert len(_sublevel(filt, 0.999)) == 0
 
     def test_at_maximum_is_everything(self, ring_field):
         filt = build_filtration(ring_field)
-        assert len(sublevel_complex(filt, 10.0)) == filt.n_cells
+        assert len(_sublevel(filt, 10.0)) == filt.n_cells
 
     def test_1x3_slice_has_two_vertices_no_edges(self):
         filt = build_filtration(flat_field(1, 3, [0.0, 2.0, 1.0]))
-        cells = sublevel_complex(filt, 1.0)
+        cells = _sublevel(filt, 1.0)
         assert filt.dims[cells].tolist() == [0, 0]
         assert sorted(filt.crit_vertex[cells].tolist()) == [0, 2]
 
@@ -174,12 +181,13 @@ class TestSublevel:
         for _ in range(20):
             filt = build_filtration(random_field(rng, ties=bool(rng.integers(2))))
             thresholds = np.sort(np.unique(filt.values))
+            facets = _facets(filt)
             previous = set()
             for a in thresholds:
-                current = set(sublevel_complex(filt, float(a)).tolist())
+                current = set(_sublevel(filt, float(a)).tolist())
                 assert previous <= current
                 for i in current:
-                    assert set(_facets(filt, i)) <= current
+                    assert set(facets[i]) <= current
                 previous = current
 
 
@@ -216,19 +224,24 @@ def test_sublevel_monotone_property(rows, cols, data):
     )
     filt = build_filtration(flat_field(rows, cols, [float(x) for x in flat]))
     a, b = sorted(data.draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4))))
-    assert set(sublevel_complex(filt, a).tolist()) <= set(sublevel_complex(filt, b).tolist())
+    assert set(_sublevel(filt, a).tolist()) <= set(_sublevel(filt, b).tolist())
 
 
-def _facets(filt, i) -> list[int]:
-    """Sorted indices of the facets of cell i."""
-    return [int(b) for b in filt.boundary[i] if b >= 0]
+def _facets(filt) -> list[list[int]]:
+    """Sorted indices of the facets of each cell."""
+    return [[b for b in row if b >= 0] for row in boundary(filt).tolist()]
 
 
-def _cell_vertices(filt, i) -> set[int]:
-    """Row-major indices of the vertices of cell i: a vertex cell's own, else the union over its facets."""
-    if filt.dims[i] == 0:
-        return {int(filt.crit_vertex[i])}
-    return set().union(*(_cell_vertices(filt, b) for b in _facets(filt, i)))
+def _cell_vertices(filt) -> list[set[int]]:
+    """Row-major indices of the vertices of each cell: a vertex cell's own, else the union over its facets."""
+    facets = _facets(filt)
+
+    def of(i):
+        if filt.dims[i] == 0:
+            return {int(filt.crit_vertex[i])}
+        return set().union(*(of(b) for b in facets[i]))
+
+    return [of(i) for i in range(filt.n_cells)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,22 +250,24 @@ def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
     """On tied fields (signed zeros included) the vertex cells come in (value, index) order,
     each cell's crit_vertex is its top vertex in that order, and its value is that vertex's
     value, bit for bit.  A cell's vertices are read through its facets, so the owners of
-    ``lower_stars`` are checked against the facets of ``_grid_facets``."""
+    ``lower_stars`` are checked against the facets of ``oracles._grid_facets``."""
     flat = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
     filt = build_filtration(flat_field(rows, cols, flat))
     order = sorted(range(rows * cols), key=lambda v: (flat[v], v))
     assert filt.crit_vertex[filt.dims == 0].tolist() == order
-    for i in range(filt.n_cells):
-        assert filt.crit_vertex[i] == max(_cell_vertices(filt, i), key=order.index)
+    for i, vertices in enumerate(_cell_vertices(filt)):
+        assert filt.crit_vertex[i] == max(vertices, key=order.index)
     owner_values = np.asarray(flat)[filt.crit_vertex]
     assert filt.values.tobytes() == owner_values.tobytes()
 
 
 def assert_matches_filtration_reference(field: ScalarField):
-    """The four arrays of ``build_filtration`` equal the lexsort reference's in value and dtype."""
-    got, want = build_filtration(field), filtration_reference(field)
-    for name in ("values", "dims", "boundary", "crit_vertex"):
-        a, b = getattr(got, name), getattr(want, name)
+    """The arrays of ``build_filtration``, and its boundary matrix, equal the lexsort reference's in value and dtype."""
+    filt, want = build_filtration(field), filtration_reference(field)
+    got = {"values": filt.values, "dims": filt.dims, "boundary": boundary(filt), "crit_vertex": filt.crit_vertex,
+           "grid_id": filt.grid_id}
+    for name, a in got.items():
+        b = getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name  # bit for bit: -0.0 is not 0.0
 

@@ -138,9 +138,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"seed": 1, "models": "A:identity,A:square"})
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "../../x", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../../x", "a/b", "a\\b", "M\n1", "M\r1", "M\t1", "M\x001",
+                                      "M\u20281"])
     def test_model_name_is_one_path_component(self, name):
-        """A model name is a directory of the field tree and part of the average and difference file names."""
+        """A model name is a directory of the field tree, part of the average and difference file names,
+        and a field of manifest and report lines, which a line break or control character would split."""
         with pytest.raises(ConfigError, match="one plain path component"):
             build_config({"seed": 1, "models": f"{name}:identity,M2:square"})
 
@@ -392,6 +394,9 @@ MALFORMED_INPUTS = [
     pytest.param({"c.toml": "seed = 1\n[grid]\nrows = 8\n"}, EXPERIMENT, "config", id="config-table"),
     pytest.param({"c.toml": "seed = 1979-05-27\n"}, EXPERIMENT, "config", id="config-seed-date"),
     pytest.param({"c.toml": "seed = 1\nrows 8\n"}, EXPERIMENT, "config", id="config-not-toml"),
+    # the name's line break would split the manifest and report lines it is written into
+    pytest.param({"c.toml": 'seed = 1\nmodels = "M\\n1:identity,M2:square"\n'}, EXPERIMENT, "config",
+                 id="config-model-name-line-break"),
     # both rows would write the same field files
     pytest.param({}, SIMULATE + ["--rows", "4", "--cols", "4", "--train", "1", "--test", "1",
                                  "--matern", "4:1,4.0:1"], "config", id="flag-matern-repeated"),
@@ -416,6 +421,9 @@ MALFORMED_INPUTS = [
     pytest.param(VECTORS, ["landscape", "--vectors", "{src}/p", "--diff", "{src}/n", "--out", "{src}/n/0.csv"],
                  "config", id="landscape-out-is-a-diff-vector"),
     pytest.param(VECTORS, CLASSIFY[:-1] + ["{src}/n/2.csv"], "config", id="classify-model-out-is-a-vector"),
+    # a vector file named v.svg plotted into its own directory would be replaced by v.svg's plot
+    pytest.param({"d/v.svg": VECTORS["p/0.csv"]}, ["plot", "{src}/d/v.svg", "--out", "{src}/d"], "config",
+                 id="plot-out-overwrites-an-input"),
 ]
 
 

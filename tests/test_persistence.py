@@ -16,7 +16,7 @@ from fieldscape.persistence import (
 )
 
 from conftest import flat_field, random_field
-from oracles import elder_reference, filtration_reference
+from oracles import betti_reference, boundary, elder_reference, filtration_reference
 from reduction_reference import reference_persistence
 
 
@@ -113,13 +113,10 @@ def test_union_find_matches_reference_reduction(field):
 @settings(max_examples=100, deadline=None)
 @given(small_fields())
 def test_persistence_never_builds_the_boundary(field):
-    """``compute_persistence`` reads the cell grid only; ``boundary`` is built on first read, as the reference's."""
+    """The package keeps no boundary matrix; the one read off ``grid_id`` is the lexsort reference's."""
     filt = build_filtration(field)
-    compute_persistence(filt)
-    assert "boundary" not in vars(filt)
-    want = filtration_reference(field).boundary
-    assert filt.boundary.dtype == want.dtype and np.array_equal(filt.boundary, want)
-    assert "boundary" in vars(filt)
+    got, want = boundary(filt), filtration_reference(field).boundary
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows, cols, flat", [
@@ -237,6 +234,30 @@ class TestBettiOracle:
     def test_ring_at_nine_has_one_hole(self, ring_field):
         filt = build_filtration(ring_field)
         assert betti_oracle(filt, 9.0) == (1, 1)
+
+
+@st.composite
+def thin_or_tied_fields(draw):
+    """Fields on 1xN, Nx1 and small rectangular grids, half of them valued among -1, -0.0, 0.0 and 2."""
+    rows, cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.just(1)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    if draw(st.booleans()):
+        values = st.sampled_from([-1.0, -0.0, 0.0, 2.0])
+    else:
+        values = st.floats(-1e6, 1e6, allow_nan=False)
+    return flat_field(rows, cols, draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(thin_or_tied_fields())
+def test_betti_oracle_matches_union_find_reference(field):
+    """The cell-grid oracle equals union-find on the sublevel prefix at every value, both signed zeros and +-inf."""
+    filt = build_filtration(field)
+    for a in [-np.inf, np.inf, -0.0, 0.0, *np.unique(filt.values).tolist()]:
+        assert betti_oracle(filt, a) == betti_reference(filt, a), a
 
 
 class TestBettiCurve:
