@@ -4,17 +4,20 @@ Subcommands mirror the pipeline stages: ``simulate``, ``ph``, ``landscape``,
 ``vectorize``, ``classify``, ``experiment``, ``pipeline``, ``plot``.  Exit
 codes: 0 on success, 2 for configuration problems (bad flags, bad config
 file, malformed input files, an output that would overwrite an input, a
-problem too large to allocate), 3 for numerical failures.
+problem too large to allocate), 3 for numerical failures.  A stage command
+(``ph``, ``vectorize``, ``landscape``, ``classify``, ``plot``) that exits 2 or 3
+has written nothing: ``_cmd_stage`` writes once every input is read and checked.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .classify import evaluate, train_calibrated, write_model
-from .config import SETTINGS, check, load_config
+from .config import SETTINGS, check, check_vector_size, load_config
 from .cubical import read_field_csv
 from .errors import ConfigError, NumericalError
 from .harness import (
@@ -75,15 +78,24 @@ def _check_outputs(inputs, outputs) -> None:
         raise ConfigError(f"output {min(overwritten)} would overwrite an input")
 
 
-def _cmd_ph(args) -> int:
+def _cmd_stage(args) -> int:
+    """Check, write and print what ``args.stage`` returns: its inputs, {output path: its writer}, lines to print."""
+    inputs, outputs, lines = args.stage(args)
+    _check_outputs(inputs, outputs)
+    for path, write in outputs.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    for line in lines:
+        print(line)
+    return 0
+
+
+def _cmd_ph(args):
     fields, out = Path(args.fields), Path(args.out)
     paths = _field_csvs(fields)
-    targets = [out / path.relative_to(fields) for path in paths]
-    _check_outputs(paths, targets)
-    for path, target in zip(paths, targets):
-        write_diagram_csv(diagram_of_field(read_field_csv(path)), target)
-    print(out)
-    return 0
+    outputs = {out / path.relative_to(fields): partial(write_diagram_csv, diagram_of_field(read_field_csv(path)))
+               for path in paths}
+    return paths, outputs, [out]
 
 
 def _read_diagram(path: Path) -> PersistenceDiagram:
@@ -93,69 +105,56 @@ def _read_diagram(path: Path) -> PersistenceDiagram:
     return PersistenceDiagram(sorted_pairs(*columns, cells, cells), essential_min=float("nan"))
 
 
-def _cmd_vectorize(args) -> int:
+def _cmd_vectorize(args):
     bins, depth = check("bins", args.bins), check("depth", args.depth)
+    check_vector_size(bins, depth)
     if (args.t0 is None) != (args.t1 is None):
         raise ConfigError("--t0 and --t1 go together")
     source, out = Path(args.diagrams), Path(args.out)
     paths = _field_csvs(source)
-    targets = [out / path.relative_to(source) for path in paths]
-    _check_outputs(paths, targets)
     diagrams = [_read_diagram(p) for p in paths]
     grid = default_grid(diagrams, bins) if args.t0 is None else SampleGrid(args.t0, args.t1, bins)
-    for target, diagram in zip(targets, diagrams):
-        write_vector_csv(vectorize(diagram, grid, depth), target)
-    print(out)
-    return 0
+    outputs = {out / path.relative_to(source): partial(write_vector_csv, vectorize(diagram, grid, depth))
+               for path, diagram in zip(paths, diagrams)}
+    return paths, outputs, [out]
 
 
-def _cmd_landscape(args) -> int:
+def _cmd_landscape(args):
     paths = _field_csvs(Path(args.vectors))
     other = _field_csvs(Path(args.diff)) if args.diff else []
-    out = Path(args.out)
-    _check_outputs(paths + other, [out])
     result = average([read_vector_csv(p) for p in paths])
     if args.diff:
         result = difference(result, average([read_vector_csv(p) for p in other]))
-    write_vector_csv(result, out)
-    print(out)
-    return 0
+    return paths + other, {Path(args.out): partial(write_vector_csv, result)}, [Path(args.out)]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     cost = check("cost", args.cost)
     inputs = [_field_csvs(Path(d)) for d in (args.train_pos, args.train_neg, args.test_pos, args.test_neg)]
-    if args.model_out:
-        _check_outputs([p for paths in inputs for p in paths], [args.model_out])
     train_pos, train_neg, test_pos, test_neg = ([read_vector_csv(p) for p in paths] for paths in inputs)
     # the model's weights are read against one grid and depth, so the test vectors need the training ones
     grid, depth = check_compatible(train_pos + train_neg + test_pos + test_neg)
     model = train_calibrated(labeled_set(train_pos, train_neg), C=cost)
     report = evaluate(model, labeled_set(test_pos, test_neg))
-    if args.model_out:
-        write_model(model, grid, depth, args.model_out)
-    print(f"accuracy,{report.accuracy:.1f}")
-    print(f"calibration,{report.calibration:.1f}")
-    return 0
+    outputs = {Path(args.model_out): partial(write_model, model, grid, depth)} if args.model_out else {}
+    lines = [f"accuracy,{report.accuracy:.1f}", f"calibration,{report.calibration:.1f}"]
+    return [p for paths in inputs for p in paths], outputs, lines
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args):
     paths = [Path(p) for p in args.inputs]
     stems = [p.stem for p in paths]
     repeated = sorted({s for s in stems if stems.count(s) > 1})
     if repeated:
         raise ConfigError(f"inputs share the file name stems {repeated}; each would write the same <stem>.svg")
-    out = Path(args.out)
-    targets = [out / (path.stem + ".svg") for path in paths]
-    _check_outputs(paths, targets)
-    out.mkdir(parents=True, exist_ok=True)
-    for path, target in zip(paths, targets):
+    outputs = {}
+    for path in paths:
         if path.read_text().startswith("comparison,"):
-            render_report_svg(read_report_csv(path), target)
+            write = partial(render_report_svg, read_report_csv(path))
         else:
-            render_vector_svg(read_vector_csv(path), target, title=path.stem)
-        print(target)
-    return 0
+            write = partial(render_vector_svg, read_vector_csv(path), title=path.stem)
+        outputs[Path(args.out) / (path.stem + ".svg")] = write
+    return paths, outputs, list(outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ph", help="persistence diagrams for a directory of field CSVs")
     p.add_argument("--fields", required=True, help="directory of field CSVs")
     p.add_argument("--out", required=True, help="output directory for diagram CSVs")
-    p.set_defaults(fn=_cmd_ph)
+    p.set_defaults(fn=_cmd_stage, stage=_cmd_ph)
 
     p = sub.add_parser("vectorize", help="landscape vectors for a directory of diagram CSVs")
     p.add_argument("--diagrams", required=True, help="directory of diagram CSVs (training set defines the grid)")
@@ -180,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting_flags(p, ("bins", "depth"))
     p.add_argument("--t0", type=float, help="explicit grid lower bound")
     p.add_argument("--t1", type=float, help="explicit grid upper bound")
-    p.set_defaults(fn=_cmd_vectorize)
+    p.set_defaults(fn=_cmd_stage, stage=_cmd_vectorize)
 
     p = sub.add_parser("landscape", help="average landscape of a directory of vector CSVs")
     p.add_argument("--vectors", required=True, help="directory of vector CSVs")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--diff", help="second directory; output becomes average difference")
-    p.set_defaults(fn=_cmd_landscape)
+    p.set_defaults(fn=_cmd_stage, stage=_cmd_landscape)
 
     p = sub.add_parser("classify", help="train and evaluate a calibrated linear SVM")
     p.add_argument("--train-pos", required=True)
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-neg", required=True)
     _add_setting_flags(p, ("cost",))
     p.add_argument("--model-out", help="write the trained model file here")
-    p.set_defaults(fn=_cmd_classify)
+    p.set_defaults(fn=_cmd_stage, stage=_cmd_classify)
 
     p = sub.add_parser("experiment", help="full sweep producing the accuracy/calibration report")
     _add_config_flags(p)
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render vector or report CSVs as SVG")
     p.add_argument("inputs", nargs="+", help="vector or report CSV files")
     p.add_argument("--out", required=True, help="output directory for SVGs")
-    p.set_defaults(fn=_cmd_plot)
+    p.set_defaults(fn=_cmd_stage, stage=_cmd_plot)
 
     return parser
 

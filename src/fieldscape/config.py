@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .grf import SAMPLERS, TRANSFORMS, MaternParams
+from .landscape import MAX_ENTRIES
 
 
 def _entries(raw: str, key: str, form: str) -> list[tuple[str, str, str]]:
@@ -153,6 +154,13 @@ def check(key: str, value=None):
     return value
 
 
+def check_vector_size(bins: int, depth: int) -> None:
+    """ConfigError unless a vector file can hold the 2 (bins + 1) depth entries of one landscape vector."""
+    if 2 * (bins + 1) * depth > MAX_ENTRIES:
+        raise ConfigError(f"bins {bins} and depth {depth} give {2 * (bins + 1) * depth} landscape entries, "
+                          f"more than the {MAX_ENTRIES} a vector file may hold")
+
+
 def build_config(mapping: dict) -> ExperimentConfig:
     """Validate a raw mapping (file plus overrides) into an ExperimentConfig."""
     unknown = set(mapping) - {"seed", *SETTINGS}
@@ -163,7 +171,9 @@ def build_config(mapping: dict) -> ExperimentConfig:
     seed = _integer("seed", mapping["seed"])
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    return ExperimentConfig(seed=seed, **{key: check(key, mapping.get(key)) for key in SETTINGS})
+    cfg = ExperimentConfig(seed=seed, **{key: check(key, mapping.get(key)) for key in SETTINGS})
+    check_vector_size(cfg.bins, cfg.depth)
+    return cfg
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

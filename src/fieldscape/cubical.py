@@ -250,7 +250,9 @@ def read_field_csv(path) -> ScalarField:
     if any(len(ln) != cols for ln in lines[1:]):
         raise InvalidFieldError(f"{path}: ragged rows")
     try:
-        data = [[float(tok) for tok in ln] for ln in lines[1:]]
+        data = np.array([[float(tok) for tok in ln] for ln in lines[1:]], dtype=np.float64)
     except ValueError as exc:
         raise InvalidFieldError(f"{path}: non-numeric value") from exc
-    return ScalarField(rows, cols, np.asarray(data, dtype=np.float64))
+    if not np.all(np.isfinite(data)):
+        raise InvalidFieldError(f"{path}: non-finite value")
+    return ScalarField(rows, cols, data)

@@ -7,7 +7,9 @@ time, in manifest order.  All models of a row share one Matern covariance, so
 simulate and experiment build one field law per row (the circulant spectrum or
 Cholesky factor, see ``grf.field_law``) and draw every field of the row from
 it; only the current row's law is alive.  Each drawn sample has its own Philox
-substream, keyed by (row, model, split, index).
+substream, keyed by (row, model, split, index).  ``run_experiment`` writes
+every file after its sweep, so a sweep that fails writes nothing;
+``run_simulate`` and ``run_pipeline`` write each row's files as it is done.
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;
@@ -227,6 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     names = [name for name, _ in cfg.models]
     report_rows: list[ReportRow] = []
+    plotted: dict[Path, LandscapeVector] = {}
     for (eta, nu), samples in _rows(_samples(cfg)).items():
         vectors = _experiment_row(cfg, samples)
         label = row_label(eta, nu)
@@ -234,15 +237,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         averages = {}
         for name in names:
             averages[name] = average(vectors[name, "train"] + vectors[name, "test"])
-            write_vector_csv(averages[name], out / "averages" / f"{label}-{name}.csv")
+            plotted[out / "averages" / f"{label}-{name}.csv"] = averages[name]
         for name_a, name_b in combinations(names, 2):
             diff = difference(averages[name_a], averages[name_b])
-            write_vector_csv(diff, out / "differences" / f"{label}-{name_a}v{name_b}.csv")
+            plotted[out / "differences" / f"{label}-{name_a}v{name_b}.csv"] = diff
             result = compare_models(vectors, name_a, name_b, cfg.cost)
             report_rows.append(
                 ReportRow(f"{name_a} v {name_b}", eta, nu, result.accuracy, result.calibration)
             )
 
+    for path, vec in plotted.items():
+        write_vector_csv(vec, path)
     report = out / "report.csv"
     write_report_csv(report_rows, report)
     return report

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,13 @@ class TestFieldCsv:
         path = tmp_path / "bad.csv"
         path.write_text("2,2\n1,2\n3,oops\n")
         with pytest.raises(InvalidFieldError):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_rejects_non_finite_naming_the_file(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"2,2\n1,2\n3,{value}\n")
+        with pytest.raises(InvalidFieldError, match=f"^{re.escape(str(path))}: non-finite value$"):
             read_field_csv(path)
 
 

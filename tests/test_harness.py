@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldscape import grf
+from fieldscape import grf, harness
 from fieldscape.classify import train_calibrated
 from fieldscape.cli import _config_from_args, build_parser, main
 from fieldscape.config import (
@@ -26,7 +26,7 @@ from fieldscape.config import (
 )
 from fieldscape.critical import critical_values_from_diagram, detect_critical
 from fieldscape.cubical import ScalarField, build_filtration, read_field_csv
-from fieldscape.errors import ConfigError
+from fieldscape.errors import ConfigError, TrainingError
 from fieldscape.harness import (
     MANIFEST_COLUMNS,
     _draw,
@@ -368,6 +368,14 @@ MALFORMED_INPUTS = [
                   "run/fields/a.csv": FIELD},
                  ["pipeline", "--seed", "1", "--out", "{src}/run"], "input", id="manifest-path-repeated"),
     pytest.param({"empty.csv": ""}, ["plot", "{src}/empty.csv", "--out", "{out}"], "input", id="plot-empty-file"),
+    # a stage command reads every input before its first write
+    pytest.param({"v.csv": VECTORS["p/0.csv"], "bad.csv": "garbage\n"},
+                 ["plot", "{src}/v.csv", "{src}/bad.csv", "--out", "{out}"], "input",
+                 id="plot-second-input-unreadable"),
+    pytest.param({"f/a.csv": FIELD, "f/b.csv": "junk\n"}, ["ph", "--fields", "{src}/f", "--out", "{out}"], "input",
+                 id="ph-second-field-unreadable"),
+    pytest.param({"f/a.csv": FIELD, "f/b.csv": "1,3\n0,nan,1\n"}, ["ph", "--fields", "{src}/f", "--out", "{out}"],
+                 "input", id="ph-field-not-finite"),
     pytest.param({"r.csv": REPORT.format(5, 1, "nan")}, PLOT_REPORT, "input", id="plot-report-accuracy-nan"),
     pytest.param({"r.csv": REPORT.format(5, 1, "1e9")}, PLOT_REPORT, "input", id="plot-report-accuracy-1e9"),
     pytest.param({"r.csv": REPORT.format(5, 1, "-40")}, PLOT_REPORT, "input", id="plot-report-accuracy-negative"),
@@ -408,6 +416,12 @@ MALFORMED_INPUTS = [
     pytest.param(VECTORS, CLASSIFY + ["--cost", "inf"], "config", id="flag-cost-inf"),
     pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE + ["--bins", "0"], "config",
                  id="flag-bins-zero"),
+    # 2 (bins + 1) depth = 6000020 entries: more than a vector file may hold, known before any work
+    pytest.param({"d/a.csv": "degree,birth,death\n0,1,2\n"}, VECTORIZE + ["--bins", "300000", "--depth", "10"],
+                 "config", id="vectorize-vector-too-large"),
+    pytest.param({}, ["experiment", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "2", "--test", "2",
+                      "--models", "M1:identity,M2:square", "--matern", "4:1", "--bins", "300000", "--depth", "10",
+                      "--out", "{out}"], "config", id="experiment-vector-too-large"),
     # the fields would go to {out}/escaped, outside the output directory
     pytest.param({}, SIMULATE[:3] + ["--models", "../escaped:identity,M2:square", "--out", "{out}/run"], "config",
                  id="flag-model-name-leaves-out"),
@@ -438,11 +452,12 @@ def _run_on_files(tmp_path, files, argv) -> int:
 
 @pytest.mark.parametrize("files, argv, error", MALFORMED_INPUTS)
 def test_malformed_input_exits_2(tmp_path, capsys, files, argv, error):
-    """Exit 2 with a one-line error, every input file left as it was."""
+    """Exit 2 with a one-line error, every input file left as it was and no output file written."""
     assert _run_on_files(tmp_path, files, argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{error} error:") and "Traceback" not in err
     assert {rel: (tmp_path / "in" / rel).read_bytes().decode() for rel in files} == files
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 # the file and the column that the error of each unreadable field names
@@ -795,6 +810,26 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("input error: Unable to allocate") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_experiment_failing_on_its_last_row_writes_nothing(tmp_path, monkeypatch, capsys):
+    """The averages, differences and report are written only after the sweep's last row."""
+    calls = []
+
+    def fails_on_the_second_row(vectors, name_a, name_b, cost):
+        calls.append((name_a, name_b))
+        if len(calls) == 2:
+            raise TrainingError("no fit on the last row")
+        return compare_models(vectors, name_a, name_b, cost)
+
+    monkeypatch.setattr(harness, "compare_models", fails_on_the_second_row)
+    out = tmp_path / "run"
+    argv = ["experiment", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "2", "--test", "1",
+            "--models", "M1:identity,M2:square", "--matern", "4:1,6:1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "numerical failure: no fit on the last row\n"
+    assert len(calls) == 2
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def test_large_smoothness_grid_simulates(tmp_path):

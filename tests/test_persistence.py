@@ -131,6 +131,22 @@ def test_duality_edge_cases_match_reference(rows, cols, flat):
     assert_matches_reference(flat_field(rows, cols, flat))
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 4001), (4001, 1)], ids=["1x4001", "4001x1"])
+def test_staircase_saddles_each_kill_the_youngest_basin(rows, cols):
+    """A 2000-link elder chain: minima 0..2000 on the even columns, saddles 10000, 9999, ... between them.
+
+    Each saddle is lower than the one on its left, so it kills the youngest basin.
+    """
+    values = np.empty(4001)
+    values[0::2] = np.arange(2001)
+    values[1::2] = 10000 - np.arange(2000)
+    d = diagram_of(ScalarField(rows, cols, values.reshape(rows, cols)))
+    assert d.pairs["degree"].tolist() == [0] * 2000
+    assert sorted(zip(d.pairs["birth"].tolist(), d.pairs["death"].tolist())) == [
+        (i, 10001 - i) for i in range(1, 2001)]
+    assert d.essential_min == 0.0
+
+
 @pytest.mark.parametrize("side", [32, 64])
 @pytest.mark.parametrize("transform", [*TRANSFORMS, "rounded"])
 def test_matern_fields_match_reference(side, transform):
