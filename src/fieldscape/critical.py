@@ -21,7 +21,8 @@ subgraph of the 4-cycle: a forest unless all four faces are there.  Hence
 y = [f == 4] and c = e - f + y, with no lookup table, and the whole census
 costs O(vertices).
 
-A census keeps its events as one record array with the fields ``row``,
+A census keeps its events as one structured array (a plain ``ndarray`` whose
+rows are ``np.record``s, as a diagram's pairs) with the fields ``row``,
 ``col``, ``value``, ``index`` and ``multiplicity`` in that order: one row per
 vertex and index with events, in row-major order.  Events recovered from a
 diagram have no vertex, row = col = -1.
@@ -42,12 +43,12 @@ EVENT_DTYPE = np.dtype([("row", "i8"), ("col", "i8"), ("value", "f8"), ("index",
 
 @dataclass(frozen=True, eq=False)
 class CriticalCensus:
-    """Critical events as a record array of ``EVENT_DTYPE``; (-1, -1) marks value-only events.
+    """Critical events as a structured array of ``EVENT_DTYPE``; (-1, -1) marks value-only events.
 
     Two censuses are equal when their (value, index) multisets are.
     """
 
-    events: np.recarray
+    events: np.ndarray
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -78,7 +79,8 @@ def detect_critical(field: ScalarField) -> CriticalCensus:
     # events per vertex and index: a component starts, c - 1 merges, y holes fill
     mult = np.stack((e == 0, np.maximum(e - f + y - 1, 0), y), axis=-1)
     r, c, index = np.nonzero(mult)
-    return CriticalCensus(np.rec.fromarrays([r, c, field.values[r, c], index, mult[r, c, index]], dtype=EVENT_DTYPE))
+    columns = [r, c, field.values[r, c], index, mult[r, c, index]]
+    return CriticalCensus(np.rec.fromarrays(columns, dtype=EVENT_DTYPE).view(np.ndarray))
 
 
 def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
@@ -92,7 +94,8 @@ def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
     value = np.concatenate(([diagram.essential_min], np.column_stack((p["birth"], p["death"])).ravel()))
     index = np.concatenate(([0], np.column_stack((p["degree"], p["degree"] + 1)).ravel()))
     none = np.full(len(value), -1)
-    return CriticalCensus(events=np.rec.fromarrays([none, none, value, index, np.ones_like(none)], dtype=EVENT_DTYPE))
+    columns = [none, none, value, index, np.ones_like(none)]
+    return CriticalCensus(events=np.rec.fromarrays(columns, dtype=EVENT_DTYPE).view(np.ndarray))
 
 
 def write_census_csv(census: CriticalCensus, path) -> None:

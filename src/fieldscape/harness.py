@@ -6,10 +6,12 @@ Each runner maps one per-sample step on ``threads`` workers over one row at a
 time, in manifest order.  All models of a row share one Matern covariance, so
 simulate and experiment build one field law per row (the circulant spectrum or
 Cholesky factor, see ``grf.field_law``) and draw every field of the row from
-it; only the current row's law is alive.  Each drawn sample has its own Philox
-substream, keyed by (row, model, split, index).  ``run_experiment`` writes
-every file after its sweep, so a sweep that fails writes nothing;
-``run_simulate`` and ``run_pipeline`` write each row's files as it is done.
+it.  Each drawn sample has its own Philox substream, keyed by (row, model,
+split, index).  ``run_experiment`` keeps only the current row's law alive and
+writes every file after its sweep, so a sweep that fails writes nothing.
+``run_simulate`` builds every row's law before it writes the first field, so
+a law that fails writes nothing; ``run_pipeline`` still writes each row's
+files as it is done.
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;
@@ -133,11 +135,16 @@ def _read_records(path, columns) -> list[dict]:
 
 
 def run_simulate(cfg: ExperimentConfig) -> Path:
-    """Write one field CSV per sample plus a manifest listing every substream."""
+    """Write one field CSV per sample plus a manifest listing every substream.
+
+    Every row's law is built first, so a row whose law fails writes nothing.
+    """
     out = Path(cfg.out)
     samples = _samples(cfg)
-    for row in _rows(samples).values():
-        _simulate_row(cfg, out, row)
+    rows = list(_rows(samples).values())
+    laws = [_row_law(cfg, row) for row in rows]
+    for row, law in zip(rows, laws):
+        _parallel_map(lambda s: write_field_csv(_draw(cfg, s, law), out / s.path), row, cfg.threads)
     manifest = out / "manifest.csv"
     # CRLF line ends keep manifests byte-identical to those of earlier versions
     write_table(manifest, ",".join(MANIFEST_COLUMNS), (
@@ -146,12 +153,6 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
         for s in samples
     ), end="\r\n")
     return manifest
-
-
-def _simulate_row(cfg: ExperimentConfig, out: Path, samples: list[Sample]) -> None:
-    """Field files of one matern row's samples, all drawn from the row's one law."""
-    law = _row_law(cfg, samples)
-    _parallel_map(lambda s: write_field_csv(_draw(cfg, s, law), out / s.path), samples, cfg.threads)
 
 
 def diagram_of_field(field: ScalarField) -> PersistenceDiagram:

@@ -23,31 +23,44 @@ and Kaji, Sudo and Ahara, "Cubical Ripser" (arXiv:2005.12692).  The pairs
 are exactly those of the standard column reduction on the same filtration
 order.
 
-The rule runs its Python loop between basins only (Robins, Wood and Sheppard,
-IEEE TPAMI 33(8), 2011).  Numpy first builds a basin forest.  A node whose
-first link leads to a smaller node hangs below that node: the link finds the
-node alone and the other end in a component whose root is no larger, so it
-always merges and kills the node.  Pointer jumping gives every node the root
-of its tree, its basin, which is the smallest node of the basin.  The forest
-is exact in any link order.  A child's first link also meets its parent, so
-the parent's own first link comes no later, and strictly earlier unless the
-parent is a root.  So every node is joined to its whole path up to its basin
-root before any other link reaches it, each link finds both its ends in the
-components of their basin roots, and once one link has joined two basins a
-later link between them merges nothing.  The loop takes only the first link
-between each pair of distinct basins, in link order: a tenth to a fifth of
-the links of a Matern field.  The forest links and the loop's merges together
+The rule hangs basins in numpy, round by round, and runs its Python loop on
+the links left (Robins, Wood and Sheppard, IEEE TPAMI 33(8), 2011).  A round
+builds a basin forest.  A node whose first link leads to a smaller node
+hangs below that node: the link finds the node alone and the other end in a
+component whose root is no larger, so it always merges and kills the node.
+Pointer jumping gives every node the root of its tree, its basin, which is
+the smallest node of the basin.  The forest is exact in any link order.  A
+child's first link also meets its parent, so the parent's own first link
+comes no later, and strictly earlier unless the parent is a root.  So every
+node is joined to its whole path up to its basin root before any other link
+reaches it, and each link finds both its ends in the components of their
+basin roots.  A link inside a basin then merges nothing, and the links
+between basins merge as they would on the basin graph: one node per basin,
+named by its root, and the links between distinct basins, in link order.
+That is the same rule on a smaller graph, so the next round hangs basins the
+same way.  At a basin's first link to another basin, the basin's component
+lies inside the basin and its root is the basin's smallest node, while the
+other end's component has a root no larger than its own basin's smallest
+node.  So a basin whose first cross link leads to a smaller basin dies at
+that link.  Rounds go on while a round at least halves the nodes and more
+than ``_LOOP_LINKS`` links remain; the loop then takes the links left.  The
+halving rule bounds the rounds by log2 of the node count on any graph: on a
+1 x N staircase of minima whose saddles fall toward the youngest basin, each
+round would hang a single basin.  The link cutoff spares the small graphs of
+16 x 16 and 32 x 32 fields the rounds that would cost more than the loop
+they save.  The forest links of every round and the loop's merges together
 are the merges of the full rule.
 
 The reduced-homology convention drops the one essential component (born at
 the global minimum); on a full rectangle every degree-1 class dies, so the
 diagram contains finite pairs only.
 
-A diagram keeps its pairs as one record array, one row per pair, with the
-fields ``degree`` (int8), ``birth``, ``death``, ``birth_cell`` and
+A diagram keeps its pairs as one structured array, one row per pair, with
+the fields ``degree`` (int8), ``birth``, ``death``, ``birth_cell`` and
 ``death_cell`` in that order, the rows sorted by (degree, birth, death,
-birth_cell).  The package reads whole columns (``pairs["birth"]``); a single
-row is an ``np.record`` and reads as ``p.degree``.
+birth_cell).  It is a plain ``ndarray``, not a ``recarray``, so a column
+read (``pairs["birth"]``) skips ``recarray.__getitem__``; its dtype is a
+record dtype, so a single row is an ``np.record`` and reads as ``p.degree``.
 
 ``betti_oracle`` is an independent check that never touches the pairing.  On
 the cell grid two cells are 4-neighbours exactly when one is a facet of the
@@ -66,6 +79,10 @@ from .cubical import CubicalFiltration, parse_number, read_table, write_table
 
 DIAGRAM_HEADER = "degree,birth,death"
 
+# the elder rule's loop takes over once this many links or fewer are left:
+# one round then serves a 16 x 16 graph and two a 32 x 32 one, the fastest there
+_LOOP_LINKS = 512
+
 
 # birth_cell and death_cell are sorted cell indices in the filtration, -1 when unknown
 PAIR_DTYPE = np.dtype([("degree", "i1"), ("birth", "f8"), ("death", "f8"), ("birth_cell", "i8"), ("death_cell", "i8")])
@@ -75,7 +92,7 @@ PAIR_DTYPE = np.dtype([("degree", "i1"), ("birth", "f8"), ("death", "f8"), ("bir
 class PersistenceDiagram:
     """Finite (birth, death) pairs plus the omitted essential minimum.
 
-    ``pairs`` is a ``PAIR_DTYPE`` record array (see the module docstring);
+    ``pairs`` is a ``PAIR_DTYPE`` structured array (see the module docstring);
     equal diagrams agree in all five columns and in essential_min.
 
     Pairs whose birth and death cells lie in the same lower star (the death
@@ -86,7 +103,7 @@ class PersistenceDiagram:
     with repeated values.
     """
 
-    pairs: np.recarray
+    pairs: np.ndarray
     essential_min: float
 
     def __eq__(self, other):
@@ -102,11 +119,11 @@ class PersistenceDiagram:
         return np.column_stack((birth[keep], death[keep]))
 
 
-def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.recarray:
-    """The ``PAIR_DTYPE`` record array of these columns, rows sorted by (degree, birth, death, birth_cell)."""
+def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.ndarray:
+    """The ``PAIR_DTYPE`` structured array of these columns, rows sorted by (degree, birth, death, birth_cell)."""
     columns = [np.asarray(column) for column in (degree, birth, death, birth_cell, death_cell)]
     order = np.lexsort(columns[3::-1])  # stable: rows tied on all four keep their order
-    return np.rec.fromarrays([column[order] for column in columns], dtype=PAIR_DTYPE)
+    return np.rec.fromarrays([column[order] for column in columns], dtype=PAIR_DTYPE).view(np.ndarray)
 
 
 def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,43 +134,54 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     merging links, in link order, and the roots they kill.  The graph must be
     connected: AssertionError unless exactly ``n_nodes - 1`` links merge.
 
-    Forest: ``first`` holds each node's first position in the flattened
-    links, and the same position in the flattened swapped links holds that
-    link's other end.  A node on no link keeps the sentinel ``2m``, which
-    reads the pad ``n_nodes``, so it is a root and the merge count catches
-    it.  A node whose first link's other end is smaller hangs below that
-    end, and the link kills it.  Basins: pointer jumping sends every node to
-    its root, the smallest node of its tree.  Loop: union-find over the basin
-    roots, on the first link between each pair of distinct basins
-    (``np.unique`` of the key ``lo * n_nodes + hi``), in link order.  The
-    module docstring gives the argument that this is exact in any link order.
+    Rounds (the module docstring gives the argument that they are exact in
+    any link order).  Forest: ``first`` holds each node's first position in
+    the flattened links, and the partner of a flat position p is p ^ 1.  A
+    node on no link keeps the sentinel, whose partner reads the pad ``n``, so
+    it is a root and the merge count catches it.  A node whose first link's
+    other end is smaller hangs below that end, and the link kills it.
+    Basins: pointer jumping sends every node to its root.  Basin graph: the
+    roots, renumbered ``0..n'-1`` in order, are the next round's nodes, and
+    ``name`` maps each back to its original node; the links between distinct
+    basins, in link order, are the next round's links, and ``pos`` keeps
+    each one's original position.  Rounds stop once a round fails to halve
+    the nodes or ``_LOOP_LINKS`` links or fewer are left.  Loop: union-find
+    over the last round's basins, on every link left, until one component
+    remains.
     """
-    # forest: a node hangs below the other end of its first link when that end is smaller
-    m = len(links)
-    first = np.full(n_nodes, 2 * m)
-    np.minimum.at(first, links.ravel(), np.arange(2 * m))
-    node = np.arange(n_nodes)
-    basin = np.minimum(np.append(links[:, ::-1], n_nodes)[first], node)  # the other end, or the pad
-    forest = np.flatnonzero(basin < node)
-    while True:  # pointer jumping to each tree's root
-        jumped = basin[basin]
-        if (jumped == basin).all():
+    killed_by = np.full(len(links), -1)  # by link position, the original node each merging link kills
+    name, pos, n = np.arange(n_nodes), np.arange(len(links)), n_nodes
+    while True:
+        # forest: a node hangs below the other end of its first link when that end is smaller
+        flat = links.ravel()
+        first = np.full(n, len(flat))
+        np.minimum.at(first, flat, np.arange(len(flat)))
+        node = np.arange(n)
+        basin = np.minimum(np.append(flat, (n, n))[first ^ 1], node)  # the other end, or the pad
+        forest = np.flatnonzero(basin < node)
+        killed_by[pos[first[forest] >> 1]] = name[forest]
+        while True:  # pointer jumping to each tree's root
+            jumped = basin[basin]
+            if (jumped == basin).all():
+                break
+            basin = jumped
+        # the basin graph: roots renumbered in order, links between distinct basins
+        root = np.flatnonzero(basin == node)
+        ids = np.empty(n, dtype=np.int64)
+        ids[root] = np.arange(len(root))
+        links = ids[basin].take(flat).reshape(-1, 2)
+        cross = np.flatnonzero(links[:, 0] != links[:, 1])
+        links, pos, name = links.take(cross, axis=0), pos[cross], name[root]  # take: 5x faster than [] on rows
+        n, halved = len(root), 2 * len(root) <= n
+        if not halved or len(links) <= _LOOP_LINKS:
             break
-        basin = jumped
-    # the first link between each pair of distinct basins, in link order
-    lo, hi = basin[links[:, 0]], basin[links[:, 1]]
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    cross = np.flatnonzero(lo != hi)
-    _, firsts = np.unique(lo[cross] * n_nodes + hi[cross], return_index=True)
-    keep = np.zeros(len(cross), dtype=bool)  # a mask keeps link order without a sort
-    keep[firsts] = True
-    between = cross[keep]
 
     # flat lists: small tuples cost more in garbage collection than the pass;
     # find() is inlined with path halving, 20 % faster than a call
     at, killed = [], []
-    par = list(range(n_nodes))
-    for i, u, v in zip(between.tolist(), lo[between].tolist(), hi[between].tolist()):
+    par = list(range(n))
+    remaining = n - 1
+    for i, u, v in zip(pos.tolist(), links[:, 0].tolist(), links[:, 1].tolist()):
         while par[u] != u:
             par[u] = u = par[par[u]]
         while par[v] != v:
@@ -164,10 +192,11 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
             par[v] = u
             at.append(i)
             killed.append(v)
+            remaining -= 1
+            if not remaining:  # one component left: no later link merges
+                break
 
-    killed_by = np.full(m, -1)  # by link position: the forest's merges (flat position >> 1) and the loop's
-    killed_by[first[forest] >> 1] = forest
-    killed_by[at] = killed
+    killed_by[at] = name.take(killed)
     at = np.flatnonzero(killed_by >= 0)
     if len(at) != n_nodes - 1:
         raise AssertionError(f"{n_nodes} nodes but {len(at)} merges: the graph is not connected")

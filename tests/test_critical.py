@@ -20,6 +20,16 @@ def diagram_of(field):
     return compute_persistence(build_filtration(field))
 
 
+def test_pairs_and_events_are_plain_structured_arrays(ring_field):
+    """Column reads skip ``recarray.__getitem__``, while a row is still an ``np.record`` read by attribute."""
+    diagram = diagram_of(ring_field)
+    census = detect_critical(ring_field)
+    for array in (diagram.pairs, census.events, critical_values_from_diagram(diagram).events):
+        assert type(array) is np.ndarray and type(array[0]) is np.record
+    assert (diagram.pairs[0].degree, diagram.pairs[0].birth) == (1, 8.0)
+    assert [ev.index for ev in census.events] == census.events["index"].tolist()
+
+
 class TestDetectCritical:
     def test_1x3_census(self):
         census = detect_critical(flat_field(1, 3, [0.0, 2.0, 1.0]))

@@ -832,6 +832,16 @@ def test_experiment_failing_on_its_last_row_writes_nothing(tmp_path, monkeypatch
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def test_simulate_whose_last_row_law_fails_writes_nothing(tmp_path, capsys):
+    """Row 2's circulant embedding fails and 70x70 is past the Cholesky guard: exit 3 before row 1's fields."""
+    out = tmp_path / "sim"
+    argv = ["simulate", "--seed", "1", "--rows", "70", "--cols", "70", "--matern", "2:1,1000:100",
+            "--train", "2", "--test", "1", "--models", "M1:identity,M2:square", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: circulant embedding not nonnegative definite")
+    assert not out.exists()
+
+
 def test_large_smoothness_grid_simulates(tmp_path):
     """At nu=100 the torus corners are far enough for s**nu to overflow; their covariance is 0, so it embeds."""
     argv = ["simulate", "--seed", "1", "--rows", "64", "--cols", "64", "--train", "1", "--test", "1",

@@ -78,7 +78,7 @@ class TestComputePersistence:
         filt = build_filtration(ring_field)
         d = compute_persistence(filt)
         assert d.pairs.dtype.names == ("degree", "birth", "death", "birth_cell", "death_cell")
-        assert d.pairs.degree.dtype == np.int8
+        assert d.pairs["degree"].dtype == np.int8
         p = d.pairs[0]
         assert (p.degree, p.birth, p.death) == (1, 8.0, 10.0)
         assert (filt.dims[p.birth_cell], filt.dims[p.death_cell]) == (1, 2)
@@ -196,6 +196,39 @@ def test_elder_rule_matches_reference(graph):
     at, killed = _elder_rule(links, n_nodes)
     assert at.dtype == killed.dtype == np.int64
     assert at.tolist() == want[0].tolist() and killed.tolist() == want[1].tolist()
+
+
+def large_multigraph(rng: np.random.Generator, n: int, by_larger_end: bool) -> np.ndarray:
+    """A random spanning tree of ``n`` nodes plus ``n`` random links and ``n // 4`` repeats of tree links.
+
+    The links are in random order and orientation under a random labelling,
+    or reordered by their larger end, as a filtration orders edges.
+    """
+    tree = np.column_stack((rng.integers(0, np.arange(1, n)), np.arange(1, n)))
+    extra = rng.integers(0, n, size=(n, 2))
+    repeats = tree[rng.integers(0, n - 1, size=n // 4)]
+    links = rng.permutation(n)[np.concatenate((tree, extra, repeats))]
+    links = links[rng.permutation(len(links))]
+    flip = rng.random(len(links)) < 0.5
+    links[flip] = links[flip, ::-1]
+    if by_larger_end:
+        links = links[np.argsort(links.max(axis=1), kind="stable")]
+    return links
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_elder_rule_rounds_match_reference(seed):
+    """Graphs of hundreds to thousands of nodes pass the loop's link cutoff, so their basin graphs are
+    hung again: for three to six rounds when the links come by larger end, and in random order until
+    a round fails to halve the nodes, mostly after the second."""
+    rng = np.random.default_rng(seed)
+    for by_larger_end in (False, True):
+        n = int(rng.integers(300, 3001))
+        links = large_multigraph(rng, n, by_larger_end)
+        at, killed = _elder_rule(links, n)
+        want = elder_reference(links, n)
+        assert at.dtype == killed.dtype == np.int64
+        assert at.tolist() == want[0].tolist() and killed.tolist() == want[1].tolist()
 
 
 class TestElderRule:
