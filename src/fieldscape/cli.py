@@ -4,9 +4,11 @@ Subcommands mirror the pipeline stages: ``simulate``, ``ph``, ``landscape``,
 ``vectorize``, ``classify``, ``experiment``, ``pipeline``, ``plot``.  Exit
 codes: 0 on success, 2 for configuration problems (bad flags, bad config
 file, malformed input files, an output that would overwrite an input, a
-problem too large to allocate), 3 for numerical failures.  A stage command
-(``ph``, ``vectorize``, ``landscape``, ``classify``, ``plot``) that exits 2 or 3
-has written nothing: ``_cmd_stage`` writes once every input is read and checked.
+problem too large to allocate), 3 for numerical failures.  Each command
+reads and checks its inputs and computes what can fail before it writes
+through ``harness.write_outputs``, so one that exits 2 or 3 has written
+nothing, short of a failed write.  The exception: ``pipeline`` without a
+manifest first runs ``simulate``, and that complete corpus stays.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .harness import (
     run_experiment,
     run_pipeline,
     run_simulate,
+    write_outputs,
 )
 from .landscape import (
     SampleGrid,
@@ -82,9 +85,7 @@ def _cmd_stage(args) -> int:
     """Check, write and print what ``args.stage`` returns: its inputs, {output path: its writer}, lines to print."""
     inputs, outputs, lines = args.stage(args)
     _check_outputs(inputs, outputs)
-    for path, write in outputs.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+    write_outputs(outputs)
     for line in lines:
         print(line)
     return 0

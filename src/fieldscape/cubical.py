@@ -221,9 +221,8 @@ def parse_number(path, column: str, text: str, kind=float):
 
 
 def write_table(path, header: str, rows, end: str = "\n") -> None:
-    """The header line, then each row's fields joined by commas; ``end`` closes every line.  Makes missing parents."""
+    """The header line, then each row's fields joined by commas; ``end`` closes every line."""
     lines = [header, *(",".join(row) for row in rows)]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(end.join(lines) + end)
 
 

@@ -527,6 +527,50 @@ def test_manifest_field_missing_exits_2_before_writing(tmp_path, capsys):
     assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
 
 
+def test_pipeline_with_a_field_that_does_not_parse_writes_nothing(tmp_path, capsys):
+    """A field of the last row that does not parse stops the run before the first row writes its outputs."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "3", "--test", "2",
+                 "--models", "M1:identity,M2:square", "--matern", "5:1,5:2", "--out", str(run)]) == 0
+    (run / "fields" / "eta5-nu2" / "M2" / "test-0001.csv").write_text("1,1\nx")
+    assert main(["pipeline", "--seed", "1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "test-0001.csv: non-numeric value" in err
+    assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
+
+
+def test_pipeline_whose_later_row_has_no_usable_training_diagram_writes_nothing(tmp_path, capsys):
+    """Row 5's only training field is flat, so it has no grid; row 4, which has one, writes nothing either."""
+    run = tmp_path / "run"
+    (run / "fields").mkdir(parents=True)
+    (run / "fields" / "a.csv").write_text(FIELD)
+    (run / "fields" / "b.csv").write_text("1,3\n1,1,1\n")
+    (run / "manifest.csv").write_text("eta,nu,model,split,index,substream,path\n"
+                                      "4,1,M1,train,0,1:0.0.0.0,fields/a.csv\n5,1,M1,train,0,1:1.0.0.0,fields/b.csv\n")
+    assert main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "every training diagram is empty" in err
+    assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_writes_its_manifest_after_every_field(tmp_path, monkeypatch, threads):
+    """A manifest on disk always lists a complete corpus."""
+    written = []
+
+    def recording(write, path_at):
+        def wrapper(*args, **kwargs):
+            write(*args, **kwargs)
+            written.append(Path(args[path_at]).name)
+        return wrapper
+
+    monkeypatch.setattr(harness, "write_field_csv", recording(harness.write_field_csv, 1))
+    monkeypatch.setattr(harness, "write_table", recording(harness.write_table, 0))
+    run_simulate(tiny_config(tmp_path / "run", matern="4:1,6:1", train=3, test=2, threads=threads))
+    assert len(written) == 2 * 2 * 5 + 1
+    assert written[-1] == "manifest.csv" and "manifest.csv" not in written[:-1]
+
+
 @pytest.mark.parametrize("command", ["simulate", "pipeline", "experiment"])
 @pytest.mark.parametrize("models", [
     # "A v vB" and "Av v B" would both write the difference file "...-AvvB.csv"
@@ -970,6 +1014,7 @@ class TestCli:
         pairs = np.concatenate([d.pairs for d in diagrams])
         assert (len(pairs) == 0) == empty
         assert np.all(pairs["birth"] > -5.0) and np.all(pairs["death"] < 5.0)
+        (tmp_path / "d").mkdir()
         for i, d in enumerate(diagrams):
             write_diagram_csv(d, tmp_path / "d" / f"{i}.csv")
         out = tmp_path / "v"

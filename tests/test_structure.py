@@ -52,6 +52,18 @@ def test_every_definition_is_read_by_the_program():
     assert not unread, f"definitions no program code reads: {unread}"
 
 
+def test_only_write_outputs_makes_directories():
+    """Every output directory is made by ``harness.write_outputs``, the one writer; no other code calls ``mkdir``."""
+    calls = []
+    for path, tree in _parse("src/fieldscape/*.py").items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("mkdir", "makedirs")):
+                    calls.append(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
+    assert calls == ["harness.write_outputs"]
+
+
 def test_harness_import_leaves_scipy_ndimage_unloaded():
     """``betti_oracle`` imports ``scipy.ndimage`` when called, so importing the harness does not pay for it."""
     code = "import sys, fieldscape.harness; print('scipy.ndimage' in sys.modules)"
