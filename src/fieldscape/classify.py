@@ -259,5 +259,4 @@ def write_model(model: ClassifierModel, grid: SampleGrid, depth: int, path) -> N
     if model.platt is None:
         raise ValueError("write_model expects a calibrated model")
     a, b = model.platt
-    meta = [str(grid.n_intervals), str(depth)] + [format(x, ".17g") for x in (model.C, a, b, model.b)]
-    write_sparse(path, MODEL_HEADER, meta, model.w)
+    write_sparse(path, MODEL_HEADER, "%d,%d" + ",%.17g" * 4, (grid.n_intervals, depth, model.C, a, b, model.b), model.w)

@@ -99,8 +99,7 @@ def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
 
 
 def write_census_csv(census: CriticalCensus, path) -> None:
-    """CSV with header ``row,col,value,index,multiplicity``, sorted by (row, col, value, index)."""
+    """Header ``row,col,value,index,multiplicity``, rows sorted by (row, col, value, index)."""
     ev = census.events
     events = ev[np.lexsort((ev["index"], ev["value"], ev["col"], ev["row"]))].tolist()
-    rows = ((str(r), str(c), format(v, ".17g"), str(i), str(m)) for r, c, v, i, m in events)
-    write_table(path, "row,col,value,index,multiplicity", rows)
+    write_table(path, "row,col,value,index,multiplicity", "%d,%d,%.17g,%d,%d", events)

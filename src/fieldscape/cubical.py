@@ -37,6 +37,7 @@ the Betti oracle read the grid itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -198,10 +199,9 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
 
 
 def read_table(path, header: str | None = None) -> list[list[str]]:
-    """Comma-split non-blank lines of a text table, below ``header`` if given.
+    """Comma-split non-blank lines of a ``write_table`` file, below ``header`` if given.
 
-    Every file format of the package is such a table.  A missing or
-    different header line raises ValueError.
+    A missing or different header line raises ValueError.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if header is not None:
@@ -209,6 +209,14 @@ def read_table(path, header: str | None = None) -> list[list[str]]:
             raise ValueError(f"{path}: expected header {header!r}")
         lines = lines[1:]
     return [ln.split(",") for ln in lines]
+
+
+def read_records(path, columns) -> list[dict]:
+    """Rows of a text table with the given columns, as dicts of their text fields."""
+    rows = read_table(path, ",".join(columns))
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: every line needs the {len(columns)} fields {','.join(columns)}")
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def parse_number(path, column: str, text: str, kind=float):
@@ -220,20 +228,25 @@ def parse_number(path, column: str, text: str, kind=float):
         raise ValueError(f"{path}: {column} must be {noun}, got {text!r}") from None
 
 
-def write_table(path, header: str, rows, end: str = "\n") -> None:
-    """The header line, then each row's fields joined by commas; ``end`` closes every line."""
-    lines = [header, *(",".join(row) for row in rows)]
-    Path(path).write_text(end.join(lines) + end)
+def write_table(path, header: str, row_format: str, rows, end: str = "\n") -> None:
+    """The one writer of text tables: the ``header`` line, then ``row_format % row`` for each row.
+
+    Every file of the package is such a table: comma-separated fields, each
+    line closed by ``end``.  That is LF, except for the manifest, whose CRLF
+    keeps it byte-identical to the manifests of earlier versions.  Floats
+    that must read back exactly are written as ``%.17g``, enough digits for
+    a float64 round trip.  Values enter only as ``%`` arguments, of
+    ``row_format`` or of the caller's own template for a header line, never
+    into a template, so a value holding ``%`` is written as it is.  ``rows``
+    is a sequence of rows, each a sequence of one value per field.
+    """
+    values = tuple(chain.from_iterable(rows))
+    Path(path).write_text(header + end + ((row_format + end) * len(rows)) % values)
 
 
 def write_field_csv(field: ScalarField, path) -> None:
-    """CSV layout: first line ``rows,cols``, then one line per grid row.
-
-    Values are printed with 17 significant digits, enough for an exact
-    float64 round trip.
-    """
-    rows = ([format(v, ".17g") for v in row] for row in field.values)
-    write_table(path, f"{field.rows},{field.cols}", rows)
+    """First line ``rows,cols``, then one line per grid row."""
+    write_table(path, "%d,%d" % field.values.shape, ",".join(["%.17g"] * field.cols), field.values.tolist())
 
 
 def read_field_csv(path) -> ScalarField:

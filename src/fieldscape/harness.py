@@ -21,8 +21,8 @@ calibration parameters likewise come from the training split only.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -38,7 +38,7 @@ from .cubical import (
     build_filtration,
     parse_number,
     read_field_csv,
-    read_table,
+    read_records,
     write_field_csv,
     write_table,
 )
@@ -56,21 +56,9 @@ from .persistence import PersistenceDiagram, compute_persistence, write_diagram_
 MANIFEST_COLUMNS = ("eta", "nu", "model", "split", "index", "substream", "path")
 REPORT_COLUMNS = ("comparison", "eta", "nu", "accuracy", "calibration")
 
-@dataclass(frozen=True)
-class ReportRow:
-    comparison: str
-    eta: float
-    nu: float
-    accuracy: float
-    calibration: float
-
-
-def _fmt_g(x: float) -> str:
-    return format(x, "g")
-
 
 def row_label(eta: float, nu: float) -> str:
-    return f"eta{_fmt_g(eta)}-nu{_fmt_g(nu)}"
+    return "eta%g-nu%g" % (eta, nu)
 
 
 def model_specs(cfg: ExperimentConfig, eta: float, nu: float) -> list[ModelSpec]:
@@ -87,8 +75,19 @@ def _parallel_map(fn, items, threads: int):
 
 
 def write_outputs(outputs: dict, threads: int = 1) -> None:
-    """The one writer: make each parent of the ordered {path: writer} map once, then call each writer with its path."""
-    for parent in dict.fromkeys(path.parent for path in outputs):
+    """The one writer: make each parent of the ordered {path: writer} map once, then call each writer with its path.
+
+    An output path that is an existing directory raises IsADirectoryError
+    before any directory is made or any file written.
+    """
+    parents = dict.fromkeys(path.parent for path in outputs)
+    # one listing per existing parent: a stat per output path would keep each key's path string to the end
+    directories = {parent / entry.name for parent in parents if parent.is_dir()
+                   for entry in os.scandir(parent) if entry.is_dir()}
+    for path in outputs:
+        if path in directories:
+            raise IsADirectoryError(f"output {path} is an existing directory")
+    for parent in parents:
         parent.mkdir(parents=True, exist_ok=True)
     _parallel_map(lambda item: item[1](item[0]), outputs.items(), threads)
 
@@ -139,14 +138,6 @@ def _computed(write, compute, *args):
     return lambda path: write(compute(*args), path)
 
 
-def _read_records(path, columns) -> list[dict]:
-    """Rows of a text table with the given columns, as dicts."""
-    rows = read_table(path, ",".join(columns))
-    if any(len(row) != len(columns) for row in rows):
-        raise ValueError(f"{path}: every line needs the {len(columns)} fields {','.join(columns)}")
-    return [dict(zip(columns, row)) for row in rows]
-
-
 def run_simulate(cfg: ExperimentConfig) -> Path:
     """Write one field CSV per sample, then a manifest listing every substream.
 
@@ -160,10 +151,9 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
     write_outputs({out / s.path: _computed(write_field_csv, _draw, cfg, s, law)
                    for row, law in zip(rows, laws) for s in row}, cfg.threads)
     manifest = out / "manifest.csv"
-    lines = [(_fmt_g(s.eta), _fmt_g(s.nu), s.model, s.split, str(s.key[3]),
-              f"{cfg.seed}:{'.'.join(map(str, s.key))}", str(s.path)) for s in samples]
-    # CRLF line ends keep manifests byte-identical to those of earlier versions
-    write_outputs({manifest: partial(write_table, header=",".join(MANIFEST_COLUMNS), rows=lines, end="\r\n")})
+    rows = [(s.eta, s.nu, s.model, s.split, s.key[3], cfg.seed, *s.key, s.path) for s in samples]
+    write_outputs({manifest: partial(write_table, header=",".join(MANIFEST_COLUMNS),
+                                     row_format="%g,%g,%s,%s,%d,%d:%d.%d.%d.%d,%s", rows=rows, end="\r\n")})
     return manifest
 
 
@@ -199,11 +189,9 @@ def compare_models(vectors: dict[tuple[str, str], list[LandscapeVector]], name_a
     return evaluate(train_calibrated(train, C=cost), test)
 
 
-def write_report_csv(rows: list[ReportRow], path) -> None:
-    write_table(path, ",".join(REPORT_COLUMNS), (
-        (r.comparison, _fmt_g(r.eta), _fmt_g(r.nu), f"{r.accuracy:.1f}", f"{r.calibration:.1f}")
-        for r in rows
-    ))
+def write_report_csv(rows: list[tuple], path) -> None:
+    """One line per (comparison, eta, nu, accuracy, calibration) row."""
+    write_table(path, ",".join(REPORT_COLUMNS), "%s,%g,%g,%.1f,%.1f", rows)
 
 
 def read_report_csv(path) -> list[dict]:
@@ -212,7 +200,7 @@ def read_report_csv(path) -> list[dict]:
     Values the writer never writes raise ValueError: accuracy or calibration
     outside [0, 100], and eta or nu not finite and positive.
     """
-    rows = _read_records(path, REPORT_COLUMNS)
+    rows = read_records(path, REPORT_COLUMNS)
     for row in rows:
         eta, nu, accuracy, calibration = (parse_number(path, key, row[key]) for key in REPORT_COLUMNS[1:])
         if not (0.0 < eta < math.inf and 0.0 < nu < math.inf
@@ -231,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     check_class_size(cfg.train)
     out = Path(cfg.out)
     names = [name for name, _ in cfg.models]
-    report_rows: list[ReportRow] = []
+    report_rows = []
     outputs = {}
     for (eta, nu), samples in _rows(_samples(cfg)).items():
         vectors = _experiment_row(cfg, samples)
@@ -245,7 +233,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             diff = difference(averages[name_a], averages[name_b])
             outputs[out / "differences" / f"{label}-{name_a}v{name_b}.csv"] = partial(write_vector_csv, diff)
             result = compare_models(vectors, name_a, name_b, cfg.cost)
-            report_rows.append(ReportRow(f"{name_a} v {name_b}", eta, nu, result.accuracy, result.calibration))
+            report_rows.append((f"{name_a} v {name_b}", eta, nu, result.accuracy, result.calibration))
 
     report = out / "report.csv"
     outputs[report] = partial(write_report_csv, report_rows)
@@ -283,7 +271,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     if not manifest.exists():
         run_simulate(cfg)
     samples: dict[Path, Sample] = {}
-    for entry in _read_records(manifest, MANIFEST_COLUMNS):
+    for entry in read_records(manifest, MANIFEST_COLUMNS):
         path = Path(entry["path"])
         # every read and write stays inside the output tree: no absolute path, no '..'
         if path.parts[:1] != ("fields",) or len(path.parts) < 2 or ".." in path.parts:

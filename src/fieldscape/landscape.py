@@ -166,8 +166,8 @@ def default_grid(diagrams, n_intervals: int) -> SampleGrid:
     return SampleGrid(float(lo), float(hi), n_intervals)
 
 
-def write_sparse(path, header: str, meta, entries: np.ndarray) -> None:
-    """Index/value file: ``header``, the ``meta`` fields, ``index,value``, then nonzero entries.
+def write_sparse(path, header: str, meta_format: str, meta: tuple, entries: np.ndarray) -> None:
+    """Index/value file: ``header``, the ``meta`` line as ``meta_format``, ``index,value``, then nonzero entries.
 
     Landscape vectors and classifier weights share this layout; ``meta``
     starts with N and K, which fix the entry count at 2(N+1)K.  More than
@@ -176,9 +176,9 @@ def write_sparse(path, header: str, meta, entries: np.ndarray) -> None:
     """
     if len(entries) > MAX_ENTRIES:
         raise ValueError(f"{len(entries)} entries exceed the {MAX_ENTRIES} an index/value file may hold")
-    idx = np.nonzero(entries)[0]
-    body = ((str(i), format(entries[i], ".17g")) for i in idx)
-    write_table(path, header, [meta, ("index", "value"), *body])
+    idx = np.flatnonzero(entries)
+    body = list(zip(idx.tolist(), entries[idx].tolist()))
+    write_table(path, "\n".join((header, meta_format % meta, "index,value")), "%d,%.17g", body)
 
 
 def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
@@ -214,8 +214,7 @@ def read_sparse(path, header: str) -> tuple[int, int, list[float], np.ndarray]:
 def write_vector_csv(v: LandscapeVector, path) -> None:
     """Header ``N,K,t0,tN`` plus sparse ``index,value`` lines; the meta line is the grid's fields."""
     ts = v.grid.ts  # its ends are t0 and tN, but linspace starts a -0.0 grid at 0.0, and files keep "0"
-    meta = (str(v.grid.n_intervals), str(v.depth), format(ts[0], ".17g"), format(ts[-1], ".17g"))
-    write_sparse(path, VECTOR_HEADER, meta, v.entries)
+    write_sparse(path, VECTOR_HEADER, "%d,%d,%.17g,%.17g", (v.grid.n_intervals, v.depth, ts[0], ts[-1]), v.entries)
 
 
 def read_vector_csv(path) -> LandscapeVector:

@@ -75,9 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import CubicalFiltration, parse_number, read_table, write_table
+from .cubical import CubicalFiltration, parse_number, read_records, write_table
 
-DIAGRAM_HEADER = "degree,birth,death"
+DIAGRAM_COLUMNS = ("degree", "birth", "death")
 
 # the elder rule's loop takes over once this many links or fewer are left:
 # one round then serves a 16 x 16 graph and two a 32 x 32 one, the fastest there
@@ -284,9 +284,8 @@ def betti_curve(diagram: PersistenceDiagram, a: float) -> tuple[int, int]:
 
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
-    """CSV with header ``degree,birth,death``, sorted by (degree, birth, death) as the pairs are."""
-    rows = ((str(d), format(b, ".17g"), format(dd, ".17g")) for d, b, dd, _, _ in diagram.pairs.tolist())
-    write_table(path, DIAGRAM_HEADER, rows)
+    """Header ``degree,birth,death``, rows sorted by (degree, birth, death) as the pairs are."""
+    write_table(path, ",".join(DIAGRAM_COLUMNS), "%d,%.17g,%.17g", diagram.pairs[list(DIAGRAM_COLUMNS)].tolist())
 
 
 def read_diagram_csv(path) -> list[tuple[int, float, float]]:
@@ -296,12 +295,10 @@ def read_diagram_csv(path) -> list[tuple[int, float, float]]:
     than 0 and 1, non-finite values and death < birth raise ValueError.
     """
     out = []
-    for row in read_table(path, DIAGRAM_HEADER):
-        if len(row) != 3:
-            raise ValueError(f"{path}: every line needs the 3 fields {DIAGRAM_HEADER}, got {','.join(row)!r}")
-        degree = parse_number(path, "degree", row[0], int)
-        birth, death = parse_number(path, "birth", row[1]), parse_number(path, "death", row[2])
+    for row in read_records(path, DIAGRAM_COLUMNS):
+        degree = parse_number(path, "degree", row["degree"], int)
+        birth, death = (parse_number(path, key, row[key]) for key in DIAGRAM_COLUMNS[1:])
         if degree not in (0, 1) or not -np.inf < birth <= death < np.inf:
-            raise ValueError(f"{path}: bad pair {','.join(row)!r}")
+            raise ValueError(f"{path}: bad pair {','.join(row.values())!r}")
         out.append((degree, birth, death))
     return out

@@ -220,6 +220,17 @@ class TestFieldCsv:
             read_field_csv(path)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False),
+                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                                  -1.7976931348623157e308])))
+def test_row_templates_format_as_format_does(x):
+    """The ``%`` conversions of the table templates print a float as the ``format`` spellings always have."""
+    assert "%.17g" % x == format(x, ".17g")
+    assert "%g" % x == format(x, "g")
+    assert "%.1f" % x == f"{x:.1f}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(1, 4),

@@ -25,7 +25,7 @@ from fieldscape.config import (
     load_config,
 )
 from fieldscape.critical import critical_values_from_diagram, detect_critical
-from fieldscape.cubical import ScalarField, build_filtration, read_field_csv
+from fieldscape.cubical import ScalarField, build_filtration, read_field_csv, read_records
 from fieldscape.errors import ConfigError, TrainingError
 from fieldscape.harness import (
     MANIFEST_COLUMNS,
@@ -551,6 +551,32 @@ def test_pipeline_whose_later_row_has_no_usable_training_diagram_writes_nothing(
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "every training diagram is empty" in err
     assert sorted(p.name for p in run.iterdir()) == ["fields", "manifest.csv"]
+
+
+def test_output_path_that_is_a_directory_exits_2_before_writing(tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "report.csv").mkdir(parents=True)
+    assert main(["experiment", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "2", "--test", "1",
+                 "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(run / "report.csv") in err
+    assert list(run.rglob("*")) == [run / "report.csv"]
+
+
+def test_model_names_holding_percent_signs_are_written_as_they_are(tmp_path):
+    """Values enter a table only as ``%`` arguments, never into its row template."""
+    names = ["M%d", "50%"]
+    argv = ["--seed", "1", "--rows", "6", "--cols", "6", "--train", "2", "--test", "1",
+            "--models", "M%d:identity,50%:square", "--matern", "4:1"]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "run")]) == 0
+    assert main(["pipeline", *argv, "--out", str(tmp_path / "run")]) == 0
+    manifest = read_records(tmp_path / "run" / "manifest.csv", MANIFEST_COLUMNS)
+    assert [entry["model"] for entry in manifest] == [name for name in names for _ in range(3)]
+    for entry in manifest:
+        assert (tmp_path / "run" / "vectors" / Path(entry["path"]).relative_to("fields")).is_file()
+    assert main(["experiment", *argv, "--out", str(tmp_path / "exp")]) == 0
+    assert [row["comparison"] for row in read_report_csv(tmp_path / "exp" / "report.csv")] == ["M%d v 50%"]
+    assert (tmp_path / "exp" / "differences" / "eta4-nu1-M%dv50%.csv").is_file()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
