@@ -77,10 +77,15 @@ def _parallel_map(fn, items, threads: int):
 def write_outputs(outputs: dict, threads: int = 1) -> None:
     """The one writer: make each parent of the ordered {path: writer} map once, then call each writer with its path.
 
-    An output path that is an existing directory raises IsADirectoryError
-    before any directory is made or any file written.
+    An output path that is an existing directory raises IsADirectoryError,
+    and a parent whose nearest existing ancestor is not a directory raises
+    NotADirectoryError, before any directory is made or any file written.
     """
     parents = dict.fromkeys(path.parent for path in outputs)
+    for parent in parents:
+        ancestor = next(p for p in (parent, *parent.parents) if os.path.lexists(p))
+        if not ancestor.is_dir():
+            raise NotADirectoryError(f"output directory {ancestor} is an existing file")
     # one listing per existing parent: a stat per output path would keep each key's path string to the end
     directories = {parent / entry.name for parent in parents if parent.is_dir()
                    for entry in os.scandir(parent) if entry.is_dir()}

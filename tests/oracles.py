@@ -7,14 +7,15 @@ definitions.  They are written for clarity, not speed.
 every bar's tent value at t and take the k-th largest.  ``max_depth`` is the
 exact depth of a bar set, the peak overlap count found by a sweep over its
 interval endpoints.  ``primal_objective`` is the soft-margin SVM primal that
-the dual optimum of ``train_svm`` must meet, and ``dcd_reference`` is the
-same dual coordinate descent as ``train_svm`` written in the primal form:
-it keeps w with the bias as a constant feature and computes each gradient
-as a dot product with w.  ``elder_reference`` is the elder rule of
-``persistence._elder_rule`` as one union-find pass over every link, with no
-basin forest and no deduplication.  ``filtration_reference`` is the
-filtration of ``cubical.build_filtration`` as one lexsort of every cell on
-(owner, dim), with the boundary matrix remapped to sorted positions.
+the dual optimum of ``train_svm`` must meet, and ``dcd_reference`` is
+plain cyclic dual coordinate descent written in the primal form, with none
+of ``train_svm``'s Newton steps: it keeps w with the bias as a constant
+feature and computes each gradient as a dot product with w.
+``elder_reference`` is the elder rule of ``persistence._elder_rule`` as one
+union-find pass over every link, with no basin forest and no deduplication.
+``filtration_reference`` is the filtration of ``cubical.build_filtration``
+as one lexsort of every cell on (owner, dim), with the boundary matrix
+remapped to sorted positions.
 
 The package keeps no boundary matrix: facets are neighbours on the cell grid.
 ``boundary`` builds one for a filtration from its grid ids, through the
@@ -71,7 +72,7 @@ def primal_objective(data: LabeledSet, model: ClassifierModel) -> float:
 
 
 def dcd_reference(data: LabeledSet, C: float) -> ClassifierModel:
-    """Cyclic dual coordinate descent on the weight vector, the iterate path ``train_svm`` must follow."""
+    """Cyclic dual coordinate descent on the weight vector: the optimum ``train_svm`` must reach, by a plainer path."""
     y = data.y
     n, dim = data.X.shape
     Xa = np.hstack([data.X, np.ones((n, 1))])  # bias as a constant feature

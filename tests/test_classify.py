@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from fieldscape import classify
 from fieldscape.classify import (
-    KKT_TOL,
     MODEL_HEADER,
     ClassifierModel,
     LabeledSet,
@@ -161,18 +161,51 @@ def _desk_shaped(rng):
 
 @pytest.mark.parametrize("make", [_dense, _at_cost, _duplicated, _desk_shaped],
                          ids=["dense-30x6", "alphas-at-C", "duplicated-rows", "desk-200x2020"])
-def test_train_svm_follows_the_reference_path(make):
-    """The Gram-matrix solver takes the iterate path of the primal-form loop and stops in the same sweep."""
+def test_train_svm_reaches_the_reference_optimum(make):
+    """The Newton steps leave plain coordinate descent's path but reach its optimum, no worse and at the same (w, b).
+
+    The primal is strictly convex in (w, b), so its optimum is unique.
+    """
     X, y, C = make(np.random.default_rng(59))
     data = LabeledSet(X=X, y=y)
     model, ref = train_svm(data, C=C), dcd_reference(data, C=C)
     if make is _at_cost:
         assert np.count_nonzero(y * ref.decision(X) < 0.9) > 3
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(ref.w))))
+    assert primal_objective(data, model) <= primal_objective(data, ref) * (1.0 + 1e-12)
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(ref.w))))
     assert np.max(np.abs(model.w - ref.w)) <= tol
     assert abs(model.b - ref.b) <= tol
-    assert (np.count_nonzero(y * model.decision(X) <= 1.0 + KKT_TOL)
-            == np.count_nonzero(y * ref.decision(X) <= 1.0 + KKT_TOL))
+
+
+def test_newton_steps_cut_the_sweeps(monkeypatch):
+    """Plain coordinate descent needs 102 sweeps on the desk-shaped set; the Newton steps finish it within 30."""
+    X, y, C = _desk_shaped(np.random.default_rng(59))
+    data = LabeledSet(X=X, y=y)
+    monkeypatch.setattr(classify, "MAX_EPOCHS", 30)
+    train_svm(data, C=C)
+    monkeypatch.setattr(classify, "NEWTON_EVERY", 31)
+    with pytest.raises(TrainingError):
+        train_svm(data, C=C)
+
+
+def test_newton_step_on_a_singular_free_set(monkeypatch):
+    """Duplicated rows make Q_FF singular; the least-squares step still ends at the exact optimum."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 2))
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    X, y = np.vstack([X, X, X[:1]]), np.hstack([y, y, y[:1]])
+    step, deficits = classify._free_set_newton_step, []
+
+    def recorded(Q, G, alpha, C):
+        free = np.flatnonzero((alpha > 0.0) & (alpha < C))
+        deficits.append(free.size - np.linalg.matrix_rank(Q[np.ix_(free, free)]) if free.size else 0)
+        return step(Q, G, alpha, C)
+
+    monkeypatch.setattr(classify, "_free_set_newton_step", recorded)
+    data = LabeledSet(X=X, y=y)
+    oracle = qp_oracle(X, y, 10.0)
+    assert abs(primal_objective(data, train_svm(data, C=10.0)) - oracle) <= 1e-6 * abs(oracle)
+    assert max(deficits, default=0) > 0
 
 
 class TestPlatt:

@@ -563,6 +563,18 @@ def test_output_path_that_is_a_directory_exits_2_before_writing(tmp_path, capsys
     assert list(run.rglob("*")) == [run / "report.csv"]
 
 
+def test_output_parent_that_is_a_file_exits_2_before_writing(tmp_path, capsys):
+    """No directory is made when a later one cannot be: the averages directory comes before differences."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "differences").write_text("")
+    assert main(["experiment", "--seed", "1", "--rows", "6", "--cols", "6", "--train", "2", "--test", "1",
+                 "--models", "M1:identity,M2:square", "--matern", "4:1", "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(run / "differences") in err
+    assert list(run.rglob("*")) == [run / "differences"]
+
+
 def test_model_names_holding_percent_signs_are_written_as_they_are(tmp_path):
     """Values enter a table only as ``%`` arguments, never into its row template."""
     names = ["M%d", "50%"]
