@@ -11,9 +11,11 @@ shared law.
 
 A field's law is set by its range eta and smoothness nu alone, with lags
 counted in grid steps.  Both samplers read one table, ``_lag_covariance``:
-the Matern correlation at each (row, column) lag.  The torus spectrum is its
-``fft2`` on the wrapped lags, and the dense covariance indexes it by each
-vertex pair's lags.
+the Matern correlation at lags 0..n-1 on each axis.  The dense covariance
+indexes it by each vertex pair's lags |i - k| and |j - l|; the tr x tc torus
+reads a (tr/2 + 1) x (tc/2 + 1) table at the wrapped lags min(i, tr - i) and
+min(j, tc - j), which never exceed tr/2 and tc/2.  Equal lags give equal
+``matern_cov`` values, so the spectrum is bitwise that of the whole torus.
 
 Model classes are pointwise transformations of the Gaussian field.  The
 built-in M1/M2/M3 assignments (identity, square, absolute) are illustrative
@@ -103,20 +105,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _lag_covariance(p: MaternParams, di: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    """The len(di) x len(dj) table of the covariance at row lag di[a] and column lag dj[b]."""
+def _lag_covariance(p: MaternParams, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols lag table: the covariance at row lag a and column lag b, for a < rows and b < cols."""
+    di, dj = np.arange(rows), np.arange(cols)
     return matern_cov(np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0), p)
 
 
 def covariance_matrix(p: MaternParams, rows: int, cols: int) -> np.ndarray:
-    """Dense vertex-by-vertex covariance, vertices in row-major order.
-
-    Vertices (i, j) and (k, l) read the lag table at (|i - k|, |j - l|), so
-    ``matern_cov`` runs on rows x cols lags, not on every vertex pair.
-    """
+    """Dense covariance of the row-major vertices: the rows x cols lag table at (|i - k|, |j - l|)."""
     i, j = np.arange(rows), np.arange(cols)
     lag_i, lag_j = np.abs(i[:, None] - i), np.abs(j[:, None] - j)
-    table = _lag_covariance(p, i, j)
+    table = _lag_covariance(p, rows, cols)
     return table[lag_i[:, None, :, None], lag_j[None, :, None, :]].reshape(rows * cols, rows * cols)
 
 
@@ -163,9 +162,10 @@ def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
 
 
 def _circulant_eigenvalues(p: MaternParams, torus_rows: int, torus_cols: int) -> np.ndarray:
-    i = np.arange(torus_rows)
-    j = np.arange(torus_cols)
-    kernel = _lag_covariance(p, np.minimum(i, torus_rows - i), np.minimum(j, torus_cols - j))
+    """Torus spectrum: ``fft2`` of the (tr/2 + 1) x (tc/2 + 1) lag table at (min(i, tr - i), min(j, tc - j))."""
+    i, j = np.arange(torus_rows), np.arange(torus_cols)
+    table = _lag_covariance(p, torus_rows // 2 + 1, torus_cols // 2 + 1)
+    kernel = table[np.minimum(i, torus_rows - i)[:, None], np.minimum(j, torus_cols - j)]
     return np.fft.fft2(kernel).real  # kernel is even in both axes
 
 

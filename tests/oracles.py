@@ -15,7 +15,9 @@ feature and computes each gradient as a dot product with w.
 union-find pass over every link, with no basin forest and no deduplication.
 ``filtration_reference`` is the filtration of ``cubical.build_filtration``
 as one lexsort of every cell on (owner, dim), with the boundary matrix
-remapped to sorted positions.
+remapped to sorted positions.  ``circulant_eigenvalues_reference`` is the
+torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
+evaluated at every torus index, not once per distinct lag.
 
 The package keeps no boundary matrix: facets are neighbours on the cell grid.
 ``boundary`` builds one for a filtration from its grid ids, through the
@@ -34,6 +36,7 @@ import numpy as np
 from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
 from fieldscape.cubical import CubicalFiltration, ScalarField, lower_stars, vertex_rank
 from fieldscape.errors import TrainingError
+from fieldscape.grf import MaternParams, matern_cov
 
 
 def tent(birth: float, death: float, t) -> np.ndarray | float:
@@ -212,3 +215,10 @@ def filtration_reference(field: ScalarField) -> SimpleNamespace:
         crit_vertex=crit,
         grid_id=order,
     )
+
+
+def circulant_eigenvalues_reference(p: MaternParams, torus_rows: int, torus_cols: int) -> np.ndarray:
+    """``fft2`` of ``matern_cov`` at sqrt(min(i, tr - i)**2 + min(j, tc - j)**2) over the whole tr x tc torus."""
+    i, j = np.arange(torus_rows), np.arange(torus_cols)
+    di, dj = np.minimum(i, torus_rows - i), np.minimum(j, torus_cols - j)
+    return np.fft.fft2(matern_cov(np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0), p)).real

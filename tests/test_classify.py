@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from fieldscape.errors import TrainingError
 from fieldscape.landscape import SampleGrid, read_sparse
 
 from oracles import dcd_reference, primal_objective
+
+DATA = Path(__file__).parent / "data"
 
 
 def qp_oracle(X, y, C):
@@ -206,6 +209,26 @@ def test_newton_step_on_a_singular_free_set(monkeypatch):
     oracle = qp_oracle(X, y, 10.0)
     assert abs(primal_objective(data, train_svm(data, C=10.0)) - oracle) <= 1e-6 * abs(oracle)
     assert max(deficits, default=0) > 0
+
+
+@pytest.mark.parametrize("name", ["desk-slice5", "desk-slice7"])
+def test_train_svm_fits_the_hard_desk_slices(name):
+    """Two degree-0 level-1 slices of desk, on which plain coordinate descent ran past ``MAX_EPOCHS``, fit within it.
+
+    Each file holds the first 101 columns (degree 0, level 1) of one of the 9
+    final training sets of the desk experiment: ``run_experiment`` at the
+    config defaults, seed 20250809, with ``harness.compare_models`` wrapped to
+    keep each training set, saved by ``np.savez_compressed(path, X=X[:, :101],
+    y=y)``.  ``desk-slice5`` is the 5th set, row 10:1, M1 v M3 (35 nonzero
+    columns), and ``desk-slice7`` the 7th, row 5:2, M1 v M2 (53 nonzero
+    columns).  ``train_svm`` returns only once a full sweep's largest
+    projected-gradient violation is below ``KKT_TOL``.
+    """
+    with np.load(DATA / f"{name}.npz") as saved:
+        data = LabeledSet(X=saved["X"], y=saved["y"])
+    assert data.X.shape == (200, 101) and np.sum(data.y > 0) == 100
+    model = train_svm(data, C=1.0)
+    assert np.all(np.isfinite(model.w))
 
 
 class TestPlatt:

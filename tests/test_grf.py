@@ -19,6 +19,7 @@ from fieldscape.grf import (
     sample_model,
     substream,
 )
+from oracles import circulant_eigenvalues_reference
 
 # pinned from the integral-representation quadrature oracle:
 # sqrt(2) * K_1(sqrt(2)), the covariance at one range length for nu=1
@@ -238,6 +239,44 @@ class TestCirculantSampler:
         t_big = best_of_three(256)
         # vertex count grows 16x; O(n log n) predicts ~21x, quadratic 256x
         assert t_big < t_small * 80
+
+
+class TestCirculantSpectrum:
+    """The torus spectrum reads one quarter-torus lag table, bit for bit the spectrum of every torus lag."""
+
+    @pytest.mark.parametrize("eta,nu", [(5.0, 1.0), (1.0, 0.5), (20.0, 3.0)], ids=["5:1", "1:0.5", "20:3"])
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (5, 4), (17, 23), (1, 9)])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 4, 8])
+    def test_equals_the_full_lag_spectrum(self, pad_factor, rows, cols, eta, nu):
+        p, tr, tc = MaternParams(eta, nu), 2 * pad_factor * rows, 2 * pad_factor * cols
+        lam = grf._circulant_eigenvalues(p, tr, tc)
+        assert lam.shape == (tr, tc)
+        assert np.array_equal(lam.view(np.int64), circulant_eigenvalues_reference(p, tr, tc).view(np.int64))
+
+    def test_lag_tables_span_a_quarter_torus(self, monkeypatch):
+        """A law build runs ``matern_cov`` on (tr/2 + 1) x (tc/2 + 1) lags per pad factor tried.
+
+        The Cholesky law, also as the fallback past ``MAX_PAD_FACTOR``, runs it on rows x cols lags.
+        """
+        shapes = []
+
+        def recording(d, p):
+            shapes.append(np.shape(d))
+            return cov(d, p)
+
+        def tables(p, rows, cols, sampler="circulant"):
+            shapes.clear()
+            field_law(p, rows, cols, sampler)
+            return shapes
+
+        cov = grf.matern_cov
+        monkeypatch.setattr(grf, "matern_cov", recording)
+        assert tables(MaternParams(5, 1), 16, 16) == [(17, 17), (33, 33)]
+        assert tables(MaternParams(1, 1), 16, 16) == [(17, 17)]
+        assert tables(MaternParams(5, 1), 5, 4, "cholesky") == [(5, 4)]
+        assert tables(MaternParams(5, 1), 5, 4) == [(6, 5), (11, 9), (21, 17), (41, 33)]
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert tables(MaternParams(10, 1), 5, 4) == [(6, 5), (11, 9), (21, 17), (41, 33), (5, 4)]
 
 
 class TestFieldLaw:
