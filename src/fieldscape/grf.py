@@ -139,14 +139,13 @@ class FieldLaw:
         self.root.flags.writeable = False
 
     def draw(self, rng: np.random.Generator) -> ScalarField:
-        """One field from ``rng``, a ``substream`` generator."""
+        """One field from ``rng``, a ``substream`` generator: on the torus, ``fft2(root * eps).real[:rows, :cols]``."""
         rows, cols = self.rows, self.cols
         if self.pad_factor is None:
             z = self.root @ rng.standard_normal(rows * cols)
             return ScalarField(rows, cols, z.reshape(rows, cols))
-        shape = self.root.shape
-        eps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return ScalarField(rows, cols, np.fft.fft2(self.root * eps).real[:rows, :cols])
+        eps = rng.standard_normal(self.root.shape) + 1j * rng.standard_normal(self.root.shape)
+        return ScalarField(rows, cols, np.fft.fft(np.fft.fft(self.root * eps)[:, :cols], axis=0)[:rows].real)
 
 
 def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:
@@ -207,10 +206,10 @@ def field_law(p: MaternParams, rows: int, cols: int, sampler: str = "circulant")
     """The law of one Matern field on a rows x cols grid under ``sampler``, built for many draws.
 
     Every field of one covariance draws from one law, so the spectrum or the
-    factor is built once and each ``draw`` costs only its random numbers and
-    one FFT or one matrix product.  The fallback warning and any
-    FactorizationError come from here, once per law; ``law.draw(rng)`` with a
-    ``substream`` generator draws a field.
+    factor is built once and each ``draw`` costs its random numbers and one
+    matrix product, or ``fft2`` pruned to the grid's columns, then rows.  The
+    fallback warning and any FactorizationError come from here, once per law;
+    ``law.draw(rng)`` with a ``substream`` generator draws a field.
     """
     try:
         build = SAMPLERS[sampler]

@@ -1,8 +1,8 @@
 """Persistence landscapes, their discretization, and their index/value files.
 
-The level-k landscape of a set of (birth, death) bars evaluates to the k-th
-largest tent value max(0, min(t - birth, death - t)) at each t.  Levels are
-nonincreasing in k and each level is 1-Lipschitz.
+Level k of the landscape of (birth, death) bars is the k-th largest tent value
+max(0, min(t - birth, death - t)) at t, nonincreasing in k and 1-Lipschitz.
+A tent is positive only strictly inside its bar, so it is sampled only there.
 
 The flattened vector samples levels 1..K on a ``SampleGrid``, the uniform
 grid t_0 < ... < t_N that ``(t0, tN, N)`` fix by construction, for degree 0,
@@ -94,24 +94,24 @@ class LandscapeVector:
         )
 
 
-def _sample_levels(bars, ts: np.ndarray, depth: int) -> np.ndarray:
-    """(depth, len(ts)) matrix of landscape levels 1..depth sampled at ts."""
-    out = np.zeros((depth, len(ts)))
-    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
-    tents = np.minimum(ts[None, :] - b[:, None], d[:, None] - ts[None, :])
-    np.maximum(tents, 0.0, out=tents)
-    tents = -np.sort(-tents, axis=0)  # descending per sample point
-    k = min(depth, len(bars))
-    out[:k] = tents[:k]
-    return out
-
-
 def vectorize_bars(deg0_bars, deg1_bars, grid: SampleGrid, depth: int) -> LandscapeVector:
-    """Flattened landscape samples from explicit bar lists per degree."""
+    """Flattened landscape samples per degree; each bar's tent is evaluated only at the points strictly inside it."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    blocks = [_sample_levels(bars, grid.ts, depth) for bars in (deg0_bars, deg1_bars)]
-    return LandscapeVector(grid=grid, depth=depth, entries=np.concatenate([b.ravel() for b in blocks]))
+    ts, npts = grid.ts, len(grid.ts)
+    b, d = np.concatenate([np.asarray(bars, dtype=np.float64).reshape(-1, 2) for bars in (deg0_bars, deg1_bars)]).T
+    lo = np.searchsorted(ts, b, side="right")  # points lo, ..., lo + count - 1 lie strictly inside (b, d)
+    count = np.maximum(np.searchsorted(ts, d, side="left") - lo, 0)
+    bar = np.repeat(np.arange(len(b)), count)
+    t = np.arange(len(bar)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    tent = np.minimum(ts[t] - b[bar], d[bar] - ts[t])
+    column = t + depth * npts * (bar >= len(deg0_bars))  # the entry of level 1 at (degree, t)
+    order = np.lexsort((-tent, column))  # by column, largest tent first
+    column, tent = column[order], tent[order]
+    level = np.arange(len(column)) - np.searchsorted(column, column)  # 0 for level 1
+    out = np.zeros(2 * depth * npts)
+    out[(column + level * npts)[level < depth]] = tent[level < depth]
+    return LandscapeVector(grid=grid, depth=depth, entries=out)
 
 
 def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> LandscapeVector:

@@ -18,6 +18,9 @@ as one lexsort of every cell on (owner, dim), with the boundary matrix
 remapped to sorted positions.  ``circulant_eigenvalues_reference`` is the
 torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
 evaluated at every torus index, not once per distinct lag.
+``sample_levels_reference`` is one degree's block of ``vectorize_bars`` from
+the dense bars x points tent matrix, each column sorted: every bar evaluated
+at every sample point, not only at the points inside it.
 
 The package keeps no boundary matrix: facets are neighbours on the cell grid.
 ``boundary`` builds one for a filtration from its grid ids, through the
@@ -222,3 +225,15 @@ def circulant_eigenvalues_reference(p: MaternParams, torus_rows: int, torus_cols
     i, j = np.arange(torus_rows), np.arange(torus_cols)
     di, dj = np.minimum(i, torus_rows - i), np.minimum(j, torus_cols - j)
     return np.fft.fft2(matern_cov(np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0), p)).real
+
+
+def sample_levels_reference(bars, ts: np.ndarray, depth: int) -> np.ndarray:
+    """(depth, len(ts)) matrix of landscape levels 1..depth sampled at ts."""
+    out = np.zeros((depth, len(ts)))
+    b, d = np.asarray(bars, dtype=np.float64).reshape(-1, 2).T
+    tents = np.minimum(ts[None, :] - b[:, None], d[:, None] - ts[None, :])
+    np.maximum(tents, 0.0, out=tents)
+    tents = -np.sort(-tents, axis=0)  # descending per sample point
+    k = min(depth, len(bars))
+    out[:k] = tents[:k]
+    return out

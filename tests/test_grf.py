@@ -317,6 +317,18 @@ class TestFieldLaw:
             self._same_draws(law, lambda rng: field_law(p, 5, 4).draw(rng), "6d1a5be9e74a1261")
             self._same_draws(law, lambda rng: field_law(p, 5, 4, "cholesky").draw(rng), "6d1a5be9e74a1261")
 
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (5, 4), (17, 23), (1, 9)])
+    @pytest.mark.parametrize("pad_factor", [1, 2, 4, 8])
+    def test_torus_draw_is_the_full_fft2_cut_to_the_grid(self, pad_factor, rows, cols):
+        """``draw`` prunes both passes of ``fft2``, and its field is bitwise the full transform's corner."""
+        shape = (2 * pad_factor * rows, 2 * pad_factor * cols)
+        root = substream(46, pad_factor, rows, cols).uniform(0.0, 1.0, shape)
+        law = grf.FieldLaw(rows, cols, pad_factor, root)
+        rng = substream(47, pad_factor)
+        eps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.fft.fft2(root * eps).real[:rows, :cols]
+        assert np.array_equal(law.draw(substream(47, pad_factor)).values.view(np.int64), full.view(np.int64))
+
     def test_cholesky_sampler(self):
         p = MaternParams(eta=5, nu=2)
         law = field_law(p, 5, 4, "cholesky")

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldscape.cubical import ScalarField, build_filtration
@@ -19,7 +21,7 @@ from fieldscape.landscape import (
 from fieldscape.persistence import compute_persistence
 
 from conftest import flat_field
-from oracles import eval_landscape, max_depth
+from oracles import eval_landscape, max_depth, sample_levels_reference
 
 
 def brute_force_level(bars, k, t):
@@ -152,6 +154,51 @@ class TestVectorize:
         for deg in (0, 1):
             for k in (1, 2):
                 assert not vec.level(deg, k)[outside].any()
+
+
+@st.composite
+def grids_and_bars(draw):
+    """A grid of 1 to 12 intervals, ends at signed zeros too, and two bar lists of 0 to 10 bars each.
+
+    Bar ends fall on sample points, on +-0.0 or anywhere around the grid, in either order, so bars can be
+    reversed or of zero length.
+    """
+    t0 = draw(st.sampled_from([-1.0, -0.0, 0.0, 0.25]))
+    tn = draw(st.sampled_from([-0.0, 0.0, 1.0, 3.5]).filter(lambda tn: tn > t0))
+    grid = SampleGrid(t0, tn, draw(st.integers(1, 12)))
+    ends = st.one_of(st.sampled_from(grid.ts.tolist()), st.sampled_from([-0.0, 0.0]), st.floats(t0 - 1.0, tn + 1.0))
+    bars = st.lists(st.tuples(ends, ends), max_size=10)
+    return grid, draw(bars), draw(bars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_bars(), st.integers(1, 12))
+@example((SampleGrid(-1.0, -0.0, 1), [(-1.0, -0.0), (-0.0, 0.0)], []), 3)
+@example((SampleGrid(0.0, 2.0, 2), [(0.0, 2.0), (2.0, 0.0), (1.0, 1.0)], [(-0.0, 1.5)]), 5)
+def test_vectorize_bars_equals_the_dense_tent_sort(grid_bars, depth):
+    """Bit for bit the dense bars x points tent matrix sorted per point, even at depths above the bar count."""
+    grid, bars0, bars1 = grid_bars
+    dense = np.concatenate([sample_levels_reference(bars, grid.ts, depth).ravel() for bars in (bars0, bars1)])
+    assert np.array_equal(vectorize_bars(bars0, bars1, grid, depth).entries.view(np.int64), dense.view(np.int64))
+
+
+def test_vectorize_bars_memory_follows_the_covered_points():
+    """4000 bars per degree on 1001 points, each around at most one point: no bars x points temporary.
+
+    A dense tent matrix would take 4000 x 1001 x 8 bytes, 32 MB, per degree.
+    """
+    grid = SampleGrid(0.0, 1000.0, 1000)
+    births = np.random.default_rng(39).uniform(-1.0, 1000.0, 4000)
+    bars = np.column_stack((births, births + 0.5))
+    tracemalloc.start()
+    try:
+        vec = vectorize_bars(bars, bars[::-1], grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    covered = np.unique(np.ceil(births[np.ceil(births) < births + 0.5]))
+    assert np.count_nonzero(vec.level(0, 1)) == np.count_nonzero(vec.level(1, 1)) == len(covered)
 
 
 class TestMaxDepth:
