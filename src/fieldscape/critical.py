@@ -79,8 +79,10 @@ def detect_critical(field: ScalarField) -> CriticalCensus:
     # events per vertex and index: a component starts, c - 1 merges, y holes fill
     mult = np.stack((e == 0, np.maximum(e - f + y - 1, 0), y), axis=-1)
     r, c, index = np.nonzero(mult)
-    columns = [r, c, field.values[r, c], index, mult[r, c, index]]
-    return CriticalCensus(np.rec.fromarrays(columns, dtype=EVENT_DTYPE).view(np.ndarray))
+    events = np.empty(len(r), (np.record, EVENT_DTYPE))
+    for name, column in zip(EVENT_DTYPE.names, (r, c, field.values[r, c], index, mult[r, c, index])):
+        events[name] = column
+    return CriticalCensus(events)
 
 
 def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
@@ -93,9 +95,9 @@ def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
     p = diagram.pairs
     value = np.concatenate(([diagram.essential_min], np.column_stack((p["birth"], p["death"])).ravel()))
     index = np.concatenate(([0], np.column_stack((p["degree"], p["degree"] + 1)).ravel()))
-    none = np.full(len(value), -1)
-    columns = [none, none, value, index, np.ones_like(none)]
-    return CriticalCensus(events=np.rec.fromarrays(columns, dtype=EVENT_DTYPE).view(np.ndarray))
+    events = np.empty(len(value), (np.record, EVENT_DTYPE))
+    events["row"], events["col"], events["value"], events["index"], events["multiplicity"] = -1, -1, value, index, 1
+    return CriticalCensus(events)
 
 
 def write_census_csv(census: CriticalCensus, path) -> None:

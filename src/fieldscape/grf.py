@@ -139,13 +139,18 @@ class FieldLaw:
         self.root.flags.writeable = False
 
     def draw(self, rng: np.random.Generator) -> ScalarField:
-        """One field from ``rng``, a ``substream`` generator: on the torus, ``fft2(root * eps).real[:rows, :cols]``."""
-        rows, cols = self.rows, self.cols
+        """One field from ``rng``, a ``substream`` generator: on the torus, ``fft2(root * eps).real[:rows, :cols]``.
+
+        ``root`` scales the real normals of ``eps``, drawn first, and then its imaginary ones straight into one
+        complex array: ``root * eps`` but for the sign of an exact zero, so the field is the same bit for bit.
+        """
+        rows, cols, root = self.rows, self.cols, self.root
         if self.pad_factor is None:
-            z = self.root @ rng.standard_normal(rows * cols)
-            return ScalarField(rows, cols, z.reshape(rows, cols))
-        eps = rng.standard_normal(self.root.shape) + 1j * rng.standard_normal(self.root.shape)
-        return ScalarField(rows, cols, np.fft.fft(np.fft.fft(self.root * eps)[:, :cols], axis=0)[:rows].real)
+            return ScalarField(rows, cols, (root @ rng.standard_normal(rows * cols)).reshape(rows, cols))
+        z = np.empty(root.shape, dtype=np.complex128)
+        np.multiply(root, rng.standard_normal(root.shape), out=z.real)
+        np.multiply(root, rng.standard_normal(root.shape), out=z.imag)
+        return ScalarField(rows, cols, np.fft.fft(np.fft.fft(z)[:, :cols], axis=0)[:rows].real)
 
 
 def _cholesky_law(p: MaternParams, rows: int, cols: int) -> FieldLaw:

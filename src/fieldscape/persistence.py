@@ -17,11 +17,15 @@ its one face to the outer node.  As face j is node F - j, a later face is
 the elder and the rule reads the same way; a merging edge is the birth of
 the cycle that its killed face closes.  The one invariant is that both
 graphs are connected: n - 1 merges on n nodes, V - 1 and F, so every edge
-merges in exactly one pass, since E = (V - 1) + F on a rectangle.  See
-Garin et al., "Duality in persistent homology of images" (arXiv:2005.04597),
-and Kaji, Sudo and Ahara, "Cubical Ripser" (arXiv:2005.12692).  The pairs
-are exactly those of the standard column reduction on the same filtration
-order.
+merges in exactly one pass, since E = (V - 1) + F on a rectangle.  So each
+pass takes only the edges that can merge in it.  Edge j's slot holds j, and
+a face's last edge, the largest of its four slots, closes the face's
+4-cycle, so degree 0 skips it: it merges nothing, and a link that merges
+nothing changes no component.  Degree 1 takes the F edges that degree 0
+left, a spanning tree of the dual graph.  See Garin et al., "Duality in
+persistent homology of images" (arXiv:2005.04597), and Kaji, Sudo and Ahara,
+"Cubical Ripser" (arXiv:2005.12692).  The pairs are exactly those of the
+standard column reduction on the same filtration order.
 
 The rule hangs basins in numpy, round by round, and runs its Python loop on
 the links left (Robins, Wood and Sheppard, IEEE TPAMI 33(8), 2011).  A round
@@ -38,11 +42,7 @@ basin roots.  A link inside a basin then merges nothing, and the links
 between basins merge as they would on the basin graph: one node per basin,
 named by its root, and the links between distinct basins, in link order.
 That is the same rule on a smaller graph, so the next round hangs basins the
-same way.  At a basin's first link to another basin, the basin's component
-lies inside the basin and its root is the basin's smallest node, while the
-other end's component has a root no larger than its own basin's smallest
-node.  So a basin whose first cross link leads to a smaller basin dies at
-that link.  Rounds go on while a round at least halves the nodes and more
+same way.  Rounds go on while a round at least halves the nodes and more
 than ``_LOOP_LINKS`` links remain; the loop then takes the links left.  The
 halving rule bounds the rounds by log2 of the node count on any graph: on a
 1 x N staircase of minima whose saddles fall toward the youngest basin, each
@@ -79,8 +79,8 @@ from .cubical import CubicalFiltration, parse_number, read_records, write_table
 
 DIAGRAM_COLUMNS = ("degree", "birth", "death")
 
-# the elder rule's loop takes over once this many links or fewer are left:
-# one round then serves a 16 x 16 graph and two a 32 x 32 one, the fastest there
+# the elder rule's loop takes over once this many links or fewer are left: one round then
+# serves both graphs of a 16 x 16 or 32 x 32 field, and cutoffs from 256 to 1024 time alike
 _LOOP_LINKS = 512
 
 
@@ -121,9 +121,11 @@ class PersistenceDiagram:
 
 def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.ndarray:
     """The ``PAIR_DTYPE`` structured array of these columns, rows sorted by (degree, birth, death, birth_cell)."""
-    columns = [np.asarray(column) for column in (degree, birth, death, birth_cell, death_cell)]
-    order = np.lexsort(columns[3::-1])  # stable: rows tied on all four keep their order
-    return np.rec.fromarrays([column[order] for column in columns], dtype=PAIR_DTYPE).view(np.ndarray)
+    order = np.lexsort((birth_cell, death, birth, degree))  # stable: rows tied on all four keep their order
+    pairs = np.empty(len(order), (np.record, PAIR_DTYPE))
+    for name, column in zip(PAIR_DTYPE.names, (degree, birth, death, birth_cell, death_cell)):
+        pairs[name] = np.asarray(column)[order]
+    return pairs
 
 
 def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +146,8 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     roots, renumbered ``0..n'-1`` in order, are the next round's nodes, and
     ``name`` maps each back to its original node; the links between distinct
     basins, in link order, are the next round's links, and ``pos`` keeps
-    each one's original position.  Rounds stop once a round fails to halve
-    the nodes or ``_LOOP_LINKS`` links or fewer are left.  Loop: union-find
-    over the last round's basins, on every link left, until one component
-    remains.
+    each one's original position.  Loop: union-find over the last round's
+    basins, on every link left, until one component remains.
     """
     killed_by = np.full(len(links), -1)  # by link position, the original node each merging link kills
     name, pos, n = np.arange(n_nodes), np.arange(len(links)), n_nodes
@@ -207,53 +207,52 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     """The diagram of ``filt`` in degrees 0 and 1, by the elder rule on the primal and dual graphs.
 
     Degree 0 pairs a vertex with the edge that kills its component, degree 1
-    an edge with the face that fills the cycle it closes (see the module
-    docstring).  Both graphs are read from one label grid, through
-    ``filt.grid_id`` and ``filt.grid_shape``, with no boundary matrix.
+    an edge with the face that fills the cycle it closes.  Both graphs are read
+    from one label grid, through ``filt.grid_id`` and ``filt.grid_shape``, and
+    each gets only the edges that can merge in it (see the module docstring).
     Pairs inside one lower star are dropped; ``essential_min`` is the value
     of the first vertex, the one component that never dies.
     """
-    dims, values = filt.dims, filt.values
-    vertices = np.flatnonzero(dims == 0)
-    edges = np.flatnonzero(dims == 1)
-    faces = np.flatnonzero(dims == 2)
-    n_faces = len(faces)
+    vertices, edges, faces = (np.flatnonzero(filt.dims == dim) for dim in range(3))
     h, w = filt.grid_shape
     # each cell's position on the cell grid padded by a ring of outer positions
-    row = filt.grid_id // w
-    pos = filt.grid_id + 2 * row + (w + 3)
+    pos = filt.grid_id + 2 * (filt.grid_id // w) + (w + 3)
     # one label per padded position: vertex j (its rank) is node j, face j is
-    # dual node F - j, and the ring is the outer node 0
+    # dual node F - j, the ring is the outer node 0, and edge j holds its order j
     label = np.zeros((h + 2) * (w + 2), dtype=np.int64)
     label[pos[vertices]] = np.arange(len(vertices))
-    label[pos[faces]] = np.arange(n_faces, 0, -1)
-    # an edge's odd axis runs across its two vertices: rows for a vertical edge (odd row)
-    across = np.where(row[edges] & 1, w + 2, 1)
+    label[pos[faces]] = np.arange(len(faces), 0, -1)
+    label[pos[edges]] = np.arange(len(edges))
+    # a face's last edge, the latest of its four, closes its 4-cycle: degree 0 skips it
+    f = pos[faces]
+    last = np.maximum(np.maximum(label[f - 1], label[f + 1]), np.maximum(label[f - w - 2], label[f + w + 2]))
+    kept = np.flatnonzero(np.bincount(last, minlength=len(edges)) == 0)
     pos = pos[edges]
-    del row
-    # degree 0: the primal graph, each edge joining the two vertices across its
-    # odd axis.  Degree 1: the dual graph, each edge joining the faces (or the
-    # outer node) across its even axis, below and above a horizontal edge and
-    # right and left of a vertical one.
-    primal = np.column_stack((label[pos - across], label[pos + across]))
-    across = (w + 3) - across  # the other axis: strides 1 and w + 2 swap
-    dual = np.column_stack((label[pos + across], label[pos - across]))
-    del label, pos, across
-
-    # degree 0 takes the edges in filtration order, degree 1 in reverse
-    at, killed = _elder_rule(primal, len(vertices))
-    raw = [(vertices[killed], edges[at])]
-    del primal
-    at, killed = _elder_rule(dual[::-1], n_faces + 1)
-    raw.append((edges[::-1][at], faces[n_faces - killed]))
+    # degree 0: the primal graph in filtration order, each edge joining the two vertices across its
+    # odd axis: rows (stride w + 2) for a vertical edge, which lies on an even padded row
+    e = pos[kept]
+    a = np.where(e // (w + 2) & 1, 1, w + 2)
+    links = np.column_stack((label[e - a], label[e + a]))
+    del f, last, e, a  # freed before the rule runs, as label and pos are before degree 1
+    at, killed = _elder_rule(links, len(vertices))
+    raw = [(vertices[killed], edges[kept[at]])]
+    # degree 1: the dual graph in reverse filtration order, on the F edges degree 0 left, each joining the
+    # faces (or the outer node) across its even axis: below and above a horizontal edge, right and left of a vertical
+    kept = np.flatnonzero(np.bincount(kept[at], minlength=len(edges)) == 0)[::-1]
+    e = pos[kept]
+    a = np.where(e // (w + 2) & 1, w + 2, 1)
+    links = np.column_stack((label[e + a], label[e - a]))
+    del label, pos, e, a
+    at, killed = _elder_rule(links, len(faces) + 1)
+    raw.append((edges[kept[at]], faces[len(faces) - killed]))
 
     keep = [filt.crit_vertex[b] != filt.crit_vertex[d] for b, d in raw]  # same lower star: zero persistence
     degree = np.repeat(np.arange(2, dtype=np.int8), [np.count_nonzero(k) for k in keep])
     b, d = (np.concatenate([cells[k] for cells, k in zip(side, keep)]) for side in zip(*raw))
-    pairs = sorted_pairs(degree, values[b], values[d], b, d)
+    pairs = sorted_pairs(degree, filt.values[b], filt.values[d], b, d)
 
     # the one surviving root is the oldest vertex
-    return PersistenceDiagram(pairs=pairs, essential_min=float(values[vertices[0]]))
+    return PersistenceDiagram(pairs=pairs, essential_min=float(filt.values[vertices[0]]))
 
 
 def betti_oracle(filt: CubicalFiltration, a: float) -> tuple[int, int]:

@@ -329,6 +329,20 @@ class TestFieldLaw:
         full = np.fft.fft2(root * eps).real[:rows, :cols]
         assert np.array_equal(law.draw(substream(47, pad_factor)).values.view(np.int64), full.view(np.int64))
 
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (5, 4), (1, 9)])
+    @pytest.mark.parametrize("pad_factor", [1, 2])
+    def test_torus_draw_with_clipped_eigenvalues(self, pad_factor, rows, cols):
+        """A root with exact zeros, as ``np.maximum(lam, 0.0)`` leaves: the zeros' signs never reach the field."""
+        shape = (2 * pad_factor * rows, 2 * pad_factor * cols)
+        stream = substream(48, pad_factor, rows, cols)
+        root = np.where(stream.random(shape) < 0.4, 0.0, stream.uniform(0.0, 1.0, shape))
+        law = grf.FieldLaw(rows, cols, pad_factor, root)
+        rng = substream(49, pad_factor)
+        eps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = np.fft.fft2(root * eps).real[:rows, :cols]
+        assert np.count_nonzero(root == 0.0) > 0
+        assert np.array_equal(law.draw(substream(49, pad_factor)).values.view(np.int64), full.view(np.int64))
+
     def test_cholesky_sampler(self):
         p = MaternParams(eta=5, nu=2)
         law = field_law(p, 5, 4, "cholesky")

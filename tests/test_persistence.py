@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldscape import persistence
 from fieldscape.cubical import ScalarField, build_filtration
 from fieldscape.grf import TRANSFORMS, MaternParams, field_law, substream
 from fieldscape.persistence import (
@@ -307,6 +308,64 @@ def test_betti_oracle_matches_union_find_reference(field):
     filt = build_filtration(field)
     for a in [-np.inf, np.inf, -0.0, 0.0, *np.unique(filt.values).tolist()]:
         assert betti_oracle(filt, a) == betti_reference(filt, a), a
+
+
+def full_graphs(filt):
+    """Both graphs on every edge, read from the boundary matrix: (primal links, dual links, each face's last edge).
+
+    Links are by edge order, the dual's not yet reversed; vertex j is node j,
+    face j is dual node F - j and the outer node 0 fills a border edge's
+    missing cofaces.  The last edges are edge orders.
+    """
+    bnd = boundary(filt)
+    vertices, edges, faces = (np.flatnonzero(filt.dims == dim) for dim in range(3))
+    node, edge_order = np.zeros(filt.n_cells, dtype=np.int64), np.zeros(filt.n_cells, dtype=np.int64)
+    node[vertices] = np.arange(len(vertices))
+    node[faces] = np.arange(len(faces), 0, -1)
+    edge_order[edges] = np.arange(len(edges))
+    dual, cofaces = np.zeros((len(edges), 2), dtype=np.int64), np.zeros(len(edges), dtype=np.int64)
+    for f in faces.tolist():
+        for e in edge_order[bnd[f]].tolist():
+            dual[e, cofaces[e]] = node[f]
+            cofaces[e] += 1
+    return node[bnd[edges, :2]], dual, edge_order[bnd[faces]].max(axis=1, initial=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(thin_or_tied_fields())
+def test_face_last_edges_never_merge_and_the_degrees_split_the_edges(field):
+    """On the unpruned graphs: a face's last edge closes its 4-cycle, so degree 0 never merges it, and
+    degree 1 merges exactly the edges degree 0 does not, so each degree can drop the other's edges."""
+    filt = build_filtration(field)
+    primal, dual, last = full_graphs(filt)
+    merged0 = elder_reference(primal, np.count_nonzero(filt.dims == 0))[0]
+    merged1 = len(dual) - 1 - elder_reference(dual[::-1], len(last) + 1)[0]
+    assert not np.isin(last, merged0).any()
+    assert sorted(merged1.tolist()) == sorted(set(range(len(dual))) - set(merged0.tolist()))
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(flat_field(1, 1, [2.5]), id="1x1"),
+    pytest.param(flat_field(1, 7, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]), id="1xn"),
+    pytest.param(flat_field(7, 1, [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0]), id="nx1"),
+    pytest.param(flat_field(4, 5, [1.5] * 20), id="constant"),
+    pytest.param(flat_field(3, 4, [2.0, 0.0, 1.0, 2.0, 0.0, 2.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0]), id="ties"),
+    pytest.param(field_law(MaternParams(5, 1), 32, 32).draw(substream(23)), id="matern-32x32"),
+])
+def test_elder_rule_gets_only_the_edges_that_can_merge(field, monkeypatch):
+    """Degree 0 gets E less the distinct face-last edges, degree 1 the F edges degree 0 left."""
+    calls = []
+
+    def counted(links, n_nodes):
+        calls.append((len(links), n_nodes))
+        return _elder_rule(links, n_nodes)
+
+    monkeypatch.setattr(persistence, "_elder_rule", counted)
+    filt = build_filtration(field)
+    _, dual, last = full_graphs(filt)
+    compute_persistence(filt)
+    n_vertices, n_faces = field.rows * field.cols, len(last)
+    assert calls == [(len(dual) - len(np.unique(last)), n_vertices), (n_faces, n_faces + 1)]
 
 
 class TestBettiCurve:
