@@ -151,10 +151,10 @@ def _cmd_plot(args):
     outputs = {}
     for path in paths:
         if path.read_text().startswith("comparison,"):
-            write = partial(render_report_svg, read_report_csv(path))
+            svg = render_report_svg(read_report_csv(path))
         else:
-            write = partial(render_vector_svg, read_vector_csv(path), title=path.stem)
-        outputs[Path(args.out) / (path.stem + ".svg")] = write
+            svg = render_vector_svg(read_vector_csv(path), title=path.stem)
+        outputs[Path(args.out) / (path.stem + ".svg")] = partial(Path.write_text, data=svg)
     return paths, outputs, list(outputs)
 
 

@@ -2,7 +2,8 @@
 
 Level k of the landscape of (birth, death) bars is the k-th largest tent value
 max(0, min(t - birth, death - t)) at t, nonincreasing in k and 1-Lipschitz.
-A tent is positive only strictly inside its bar, so it is sampled only there.
+A tent is positive only strictly inside its bar, so ``vectorize``, the one
+sampler, evaluates it only there: a zero-length pair covers no sample point.
 
 The flattened vector samples levels 1..K on a ``SampleGrid``, the uniform
 grid t_0 < ... < t_N that ``(t0, tN, N)`` fix by construction, for degree 0,
@@ -57,8 +58,8 @@ class LandscapeVector:
     """Flattened landscape samples of one diagram (or an average/difference).
 
     ``entries`` has length 2 * (N+1) * K laid out degree-major, then
-    level-major, then t.  Difference vectors reuse this container but may
-    hold negative entries; they are not landscapes.
+    level-major, then t, every entry finite.  Difference vectors reuse this
+    container but may hold negative entries; they are not landscapes.
     """
 
     grid: SampleGrid
@@ -72,6 +73,8 @@ class LandscapeVector:
         expected = 2 * len(self.grid.ts) * self.depth
         if ent.shape != (expected,):
             raise ValueError(f"expected {expected} entries, got {ent.shape}")
+        if not np.all(np.isfinite(ent)):
+            raise ValueError("landscape vector entries are not all finite")
         ent = ent.copy()
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
@@ -94,32 +97,29 @@ class LandscapeVector:
         )
 
 
-def vectorize_bars(deg0_bars, deg1_bars, grid: SampleGrid, depth: int) -> LandscapeVector:
-    """Flattened landscape samples per degree; each bar's tent is evaluated only at the points strictly inside it."""
+def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> LandscapeVector:
+    """Sample both degrees' landscapes on the grid and flatten; the one sampler of landscape vectors.
+
+    Each pair's tent is evaluated only at the sample points strictly inside
+    (birth, death), so a zero-length pair covers no point and adds nothing.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ts, npts = grid.ts, len(grid.ts)
-    b, d = np.concatenate([np.asarray(bars, dtype=np.float64).reshape(-1, 2) for bars in (deg0_bars, deg1_bars)]).T
+    p = diagram.pairs
+    b, d = p["birth"].copy(), p["death"].copy()  # aligned copies: gathers from the packed pair rows are slow
     lo = np.searchsorted(ts, b, side="right")  # points lo, ..., lo + count - 1 lie strictly inside (b, d)
     count = np.maximum(np.searchsorted(ts, d, side="left") - lo, 0)
     bar = np.repeat(np.arange(len(b)), count)
     t = np.arange(len(bar)) + np.repeat(lo - (np.cumsum(count) - count), count)
     tent = np.minimum(ts[t] - b[bar], d[bar] - ts[t])
-    column = t + depth * npts * (bar >= len(deg0_bars))  # the entry of level 1 at (degree, t)
+    column = t + depth * npts * (p["degree"][bar] == 1)  # the entry of level 1 at (degree, t)
     order = np.lexsort((-tent, column))  # by column, largest tent first
     column, tent = column[order], tent[order]
     level = np.arange(len(column)) - np.searchsorted(column, column)  # 0 for level 1
     out = np.zeros(2 * depth * npts)
     out[(column + level * npts)[level < depth]] = tent[level < depth]
     return LandscapeVector(grid=grid, depth=depth, entries=out)
-
-
-def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> LandscapeVector:
-    """Sample both degrees' landscapes on the grid and flatten.
-
-    The bars are the diagram's (birth, death) columns per degree, zero-length pairs left out.
-    """
-    return vectorize_bars(diagram.bars(0), diagram.bars(1), grid, depth)
 
 
 def check_compatible(vectors) -> tuple[SampleGrid, int]:
@@ -138,15 +138,17 @@ def average(vectors) -> LandscapeVector:
         raise ValueError("cannot average zero vectors")
     grid, depth = check_compatible(vectors)
     mean = np.zeros_like(vectors[0].entries)
-    for i, v in enumerate(vectors, start=1):
-        mean += (v.entries - mean) / i
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected as a non-finite entry
+        for i, v in enumerate(vectors, start=1):
+            mean += (v.entries - mean) / i
     return LandscapeVector(grid=grid, depth=depth, entries=mean)
 
 
 def difference(a: LandscapeVector, b: LandscapeVector) -> LandscapeVector:
     """a - b entrywise; the result can be negative and is not a landscape."""
     check_compatible([a, b])
-    return LandscapeVector(grid=a.grid, depth=a.depth, entries=a.entries - b.entries)
+    with np.errstate(over="ignore"):  # an overflow is rejected as a non-finite entry
+        return LandscapeVector(grid=a.grid, depth=a.depth, entries=a.entries - b.entries)
 
 
 def default_grid(diagrams, n_intervals: int) -> SampleGrid:
@@ -162,7 +164,7 @@ def default_grid(diagrams, n_intervals: int) -> SampleGrid:
             lo = min(lo, birth[birth.argmin()])
             hi = max(hi, death[death.argmax()])
     if not lo < hi:
-        raise ValueError("every training diagram is empty, so no sample grid can be derived")
+        raise ValueError("every training diagram is empty or its pairs span no interval, so no grid can be derived")
     return SampleGrid(float(lo), float(hi), n_intervals)
 
 

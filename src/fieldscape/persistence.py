@@ -111,13 +111,6 @@ class PersistenceDiagram:
             return NotImplemented
         return np.array_equal(self.pairs, other.pairs) and self.essential_min == other.essential_min
 
-    def bars(self, degree: int) -> np.ndarray:
-        """(birth, death) rows of the pairs in ``degree`` with positive length, landscape input."""
-        p = self.pairs
-        birth, death = p["birth"], p["death"]
-        keep = (p["degree"] == degree) & (death > birth)
-        return np.column_stack((birth[keep], death[keep]))
-
 
 def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.ndarray:
     """The ``PAIR_DTYPE`` structured array of these columns, rows sorted by (degree, birth, death, birth_cell)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import html
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -87,13 +86,15 @@ def _panel(vec: LandscapeVector, degree: int, x0: float, ymin: float, ymax: floa
     return parts
 
 
-def render_vector_svg(vec: LandscapeVector, path, title: str = "") -> None:
-    """Two panels (degree 0 and degree 1) of K overlaid level polylines."""
+def render_vector_svg(vec: LandscapeVector, title: str = "") -> str:
+    """SVG text of two panels (degree 0 and degree 1) of K level polylines each; ValueError if the y-span overflows."""
     symmetric = bool(np.any(vec.entries < 0))
     peak = float(np.max(np.abs(vec.entries))) if len(vec.entries) else 0.0
     if peak == 0.0:
         peak = 1.0  # all-zero vector still gets visible axes
     ymin, ymax = (-peak, peak) if symmetric else (0.0, peak)
+    if not np.isfinite(ymax - ymin):
+        raise ValueError(f"{title}: a y-axis from {ymin:g} to {ymax:g} spans more than a float holds")
 
     width = 2 * _PANEL_W + 10
     parts = [
@@ -107,11 +108,11 @@ def render_vector_svg(vec: LandscapeVector, path, title: str = "") -> None:
     parts += _panel(vec, 0, 0, ymin, ymax, deg_labels[0])
     parts += _panel(vec, 1, _PANEL_W + 10, ymin, ymax, deg_labels[1])
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def render_report_svg(rows: list[dict], path) -> None:
-    """Accuracy/calibration bars per report row, one group per comparison."""
+def render_report_svg(rows: list[dict]) -> str:
+    """SVG text of accuracy/calibration bars per report row, one group per comparison."""
     bar_w, gap, group_gap = 18, 4, 26
     n = len(rows)
     width = _MARGIN + n * (2 * bar_w + gap + group_gap) + 20
@@ -155,4 +156,4 @@ def render_report_svg(rows: list[dict], path) -> None:
         )
         x += 2 * bar_w + gap + group_gap
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

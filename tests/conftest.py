@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from fieldscape.cubical import ScalarField
+from fieldscape.persistence import PAIR_DTYPE, PersistenceDiagram
 
 
 def flat_field(rows: int, cols: int, flat) -> ScalarField:
     """A rows x cols field from its values in row-major order."""
     return ScalarField(rows, cols, np.reshape(flat, (rows, cols)))
+
+
+def bar_diagram(bars0, bars1=()) -> PersistenceDiagram:
+    """A diagram of the (birth, death) bars of degree 0, then of degree 1, rows in the order given, cells -1.
+
+    Nothing is sorted or dropped, so reversed, zero-length and reordered bars reach ``vectorize`` as given.
+    """
+    rows = [(degree, b, d, -1, -1) for degree, bars in enumerate((bars0, bars1)) for b, d in bars]
+    return PersistenceDiagram(np.array(rows, dtype=(np.record, PAIR_DTYPE)), essential_min=float("nan"))
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ as one lexsort of every cell on (owner, dim), with the boundary matrix
 remapped to sorted positions.  ``circulant_eigenvalues_reference`` is the
 torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
 evaluated at every torus index, not once per distinct lag.
-``sample_levels_reference`` is one degree's block of ``vectorize_bars`` from
-the dense bars x points tent matrix, each column sorted: every bar evaluated
-at every sample point, not only at the points inside it.
+``sample_levels_reference`` is one degree's block of ``landscape.vectorize``
+from the dense bars x points tent matrix, each column sorted: every bar
+evaluated at every sample point, not only at the points inside it.
 
 The package keeps no boundary matrix: facets are neighbours on the cell grid.
 ``boundary`` builds one for a filtration from its grid ids, through the

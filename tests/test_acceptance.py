@@ -31,12 +31,11 @@ from fieldscape.landscape import (
     default_grid,
     read_vector_csv,
     vectorize,
-    vectorize_bars,
     write_vector_csv,
 )
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
-from conftest import flat_field
+from conftest import bar_diagram, flat_field
 from test_grf import matern_oracle
 
 # pinned from the pilot run (identity transform, eta 5 vs 10, 32x32,
@@ -124,7 +123,7 @@ def test_landscape_laws_1000_diagrams():
         for _ in range(n_bars):
             b = float(rng.uniform(-2, 3))
             bars.append((b, b + float(rng.uniform(1e-3, 2.0))))
-        vec = vectorize_bars(bars, [], grid, depth)
+        vec = vectorize(bar_diagram(bars), grid, depth)
         assert np.all(vec.entries >= 0)
         for k in range(1, depth):
             upper, lower = vec.level(0, k), vec.level(0, k + 1)
@@ -148,7 +147,7 @@ def test_vector_shape_and_sparse_round_trip(tmp_path):
         k = int(rng.integers(1, 9))
         grid = SampleGrid(0.0, float(rng.uniform(0.5, 4.0)), n)
         bars = [(b, b + float(rng.uniform(0.01, 1.0))) for b in rng.uniform(0, 2, rng.integers(0, 8))]
-        vec = vectorize_bars(bars, bars[::-1], grid, k)
+        vec = vectorize(bar_diagram(bars, bars[::-1]), grid, k)
         assert len(vec.entries) == 2 * (n + 1) * k
         write_vector_csv(vec, tmp_path / "vec.csv")
         assert read_vector_csv(tmp_path / "vec.csv") == vec

@@ -318,6 +318,7 @@ VECTORS = {f"{cls}/{i}.csv": f"N,K,t0,tN\n2,1,0,1\nindex,value\n{index},{i + 1}\
 FIELD = "1,3\n0,2,1\n"
 PLOT_REPORT = ["plot", "{src}/r.csv", "--out", "{out}"]
 REPORT = "comparison,eta,nu,accuracy,calibration\nM1 v M2,{},{},{},90.0\n"
+ONE_INTERVAL = "N,K,t0,tN\n1,1,0,1\nindex,value\n{}\n"
 MALFORMED_INPUTS = [
     pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n-1,5\n"}, LANDSCAPE, "input",
                  id="vector-index-minus-one"),
@@ -333,6 +334,16 @@ MALFORMED_INPUTS = [
     pytest.param({"v/a.csv": "N,K,t0,tN\nx,1,0,1\nindex,value\n"}, LANDSCAPE, "input", id="vector-meta-not-a-number"),
     pytest.param({"v/a.csv": "N,K,t0,tN\n2,1,0,1\nindex,value\n1.5,5\n"}, LANDSCAPE, "input",
                  id="vector-index-fractional"),
+    # an average or a difference that overflows would write a vector file that the readers reject
+    pytest.param({"v/a.csv": ONE_INTERVAL.format("0,1.7e308"), "v/b.csv": ONE_INTERVAL.format("0,-1.7e308")},
+                 LANDSCAPE, "input", id="landscape-average-overflows"),
+    pytest.param({"v/a.csv": ONE_INTERVAL.format("0,1e308"), "w/a.csv": ONE_INTERVAL.format("0,-1e308")},
+                 LANDSCAPE + ["--diff", "{src}/w"], "input", id="landscape-difference-overflows"),
+    # a symmetric y-axis past 8.99e307 spans more than a float holds
+    pytest.param({"v.csv": ONE_INTERVAL.format("0,1e308\n1,-1e308")}, ["plot", "{src}/v.csv", "--out", "{out}"],
+                 "input", id="plot-span-overflows"),
+    pytest.param({"a.csv": VECTORS["p/0.csv"], "v.csv": ONE_INTERVAL.format("0,1e308\n1,-1e308")},
+                 ["plot", "{src}/a.csv", "{src}/v.csv", "--out", "{out}"], "input", id="plot-second-span-overflows"),
     pytest.param({"d/a.csv": "degree,birth,death\n0,nan,1\n"}, VECTORIZE, "input", id="diagram-nan-birth"),
     pytest.param({"d/a.csv": "degree,birth,death\nx,1,2\n"}, VECTORIZE, "input", id="diagram-degree-not-a-number"),
     pytest.param({"d/a.csv": "degree,birth,death\n0,1\n"}, VECTORIZE, "input", id="diagram-line-short"),

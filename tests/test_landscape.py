@@ -15,12 +15,11 @@ from fieldscape.landscape import (
     difference,
     read_vector_csv,
     vectorize,
-    vectorize_bars,
     write_vector_csv,
 )
-from fieldscape.persistence import compute_persistence
+from fieldscape.persistence import PAIR_DTYPE, PersistenceDiagram, compute_persistence, sorted_pairs
 
-from conftest import flat_field
+from conftest import bar_diagram, flat_field
 from oracles import eval_landscape, max_depth, sample_levels_reference
 
 
@@ -93,25 +92,25 @@ class TestEvalLandscape:
 class TestVectorize:
     def test_single_bar_layout(self):
         grid = SampleGrid(0.0, 2.0, 2)
-        vec = vectorize_bars([(0.0, 2.0)], [], grid, 1)
+        vec = vectorize(bar_diagram([(0.0, 2.0)]), grid, 1)
         assert vec.entries.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_empty_diagram_is_zero(self):
         grid = SampleGrid(0.0, 1.0, 4)
-        vec = vectorize_bars([], [], grid, 3)
+        vec = vectorize(bar_diagram([]), grid, 3)
         assert vec.entries.shape == (2 * 5 * 3,)
         assert not vec.entries.any()
 
     def test_length_formula(self):
         grid = SampleGrid(0.0, 1.0, 2)  # N = 2
-        vec = vectorize_bars([(0.0, 1.0)], [], grid, 2)  # K = 2
+        vec = vectorize(bar_diagram([(0.0, 1.0)]), grid, 2)  # K = 2
         assert len(vec.entries) == 12
 
     def test_level_blocks_match_eval(self):
         rng = np.random.default_rng(32)
         grid = SampleGrid(-1.0, 4.0, 17)
         bars0, bars1 = random_bars(rng), random_bars(rng)
-        vec = vectorize_bars(bars0, bars1, grid, 5)
+        vec = vectorize(bar_diagram(bars0, bars1), grid, 5)
         for deg, bars in ((0, bars0), (1, bars1)):
             for k in range(1, 6):
                 expected = [eval_landscape(bars, k, float(t)) for t in grid.ts]
@@ -123,7 +122,19 @@ class TestVectorize:
         bars = random_bars(rng, 8)
         shuffled = list(bars)
         rng.shuffle(shuffled)
-        assert vectorize_bars(bars, [], grid, 4) == vectorize_bars(shuffled, [], grid, 4)
+        assert vectorize(bar_diagram(bars), grid, 4) == vectorize(bar_diagram(shuffled), grid, 4)
+
+    def test_rows_not_grouped_by_degree(self):
+        """Pairs of both degrees interleaved give the bytes of the same pairs sorted by degree."""
+        rng = np.random.default_rng(38)
+        grid = SampleGrid(-2.0, 5.0, 30)
+        for _ in range(20):
+            pairs = bar_diagram(random_bars(rng), random_bars(rng)).pairs
+            mixed = pairs[rng.permutation(len(pairs))]
+            ordered = sorted_pairs(*(mixed[name] for name in PAIR_DTYPE.names))
+            mixed_vec, ordered_vec = (vectorize(PersistenceDiagram(p, essential_min=float("nan")), grid, 4)
+                                      for p in (mixed, ordered))
+            assert mixed_vec.entries.tobytes() == ordered_vec.entries.tobytes()
 
     def test_from_diagram(self, ring_field):
         diagram = compute_persistence(build_filtration(ring_field))
@@ -138,7 +149,7 @@ class TestVectorize:
         grid = SampleGrid(-2.0, 5.0, 40)
         dt = float(grid.ts[1] - grid.ts[0])
         for _ in range(50):
-            vec = vectorize_bars(random_bars(rng), random_bars(rng), grid, 6)
+            vec = vectorize(bar_diagram(random_bars(rng), random_bars(rng)), grid, 6)
             assert np.all(vec.entries >= 0)
             for deg in (0, 1):
                 for k in range(1, 6):
@@ -148,7 +159,7 @@ class TestVectorize:
 
     def test_finite_support(self):
         grid = SampleGrid(-10.0, 10.0, 20)
-        vec = vectorize_bars([(0.0, 2.0)], [(1.0, 1.5)], grid, 2)
+        vec = vectorize(bar_diagram([(0.0, 2.0)], [(1.0, 1.5)]), grid, 2)
         ts = grid.ts
         outside = (ts < 0.0) | (ts > 2.0)
         for deg in (0, 1):
@@ -175,14 +186,15 @@ def grids_and_bars(draw):
 @given(grids_and_bars(), st.integers(1, 12))
 @example((SampleGrid(-1.0, -0.0, 1), [(-1.0, -0.0), (-0.0, 0.0)], []), 3)
 @example((SampleGrid(0.0, 2.0, 2), [(0.0, 2.0), (2.0, 0.0), (1.0, 1.0)], [(-0.0, 1.5)]), 5)
-def test_vectorize_bars_equals_the_dense_tent_sort(grid_bars, depth):
+def test_vectorize_equals_the_dense_tent_sort(grid_bars, depth):
     """Bit for bit the dense bars x points tent matrix sorted per point, even at depths above the bar count."""
     grid, bars0, bars1 = grid_bars
     dense = np.concatenate([sample_levels_reference(bars, grid.ts, depth).ravel() for bars in (bars0, bars1)])
-    assert np.array_equal(vectorize_bars(bars0, bars1, grid, depth).entries.view(np.int64), dense.view(np.int64))
+    vec = vectorize(bar_diagram(bars0, bars1), grid, depth)
+    assert np.array_equal(vec.entries.view(np.int64), dense.view(np.int64))
 
 
-def test_vectorize_bars_memory_follows_the_covered_points():
+def test_vectorize_memory_follows_the_covered_points():
     """4000 bars per degree on 1001 points, each around at most one point: no bars x points temporary.
 
     A dense tent matrix would take 4000 x 1001 x 8 bytes, 32 MB, per degree.
@@ -190,9 +202,10 @@ def test_vectorize_bars_memory_follows_the_covered_points():
     grid = SampleGrid(0.0, 1000.0, 1000)
     births = np.random.default_rng(39).uniform(-1.0, 1000.0, 4000)
     bars = np.column_stack((births, births + 0.5))
+    diagram = bar_diagram(bars, bars[::-1])
     tracemalloc.start()
     try:
-        vec = vectorize_bars(bars, bars[::-1], grid, 3)
+        vec = vectorize(diagram, grid, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -242,7 +255,7 @@ class TestAverageDifference:
         rng = np.random.default_rng(35)
         grid = SampleGrid(0.0, 2.0, 30)
         vecs = [
-            vectorize_bars(random_bars(rng, 6), random_bars(rng, 6), grid, 3)
+            vectorize(bar_diagram(random_bars(rng, 6), random_bars(rng, 6)), grid, 3)
             for _ in range(1000)
         ]
         streamed = average(vecs).entries
@@ -321,7 +334,7 @@ class TestVectorCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(36)
         grid = SampleGrid(-0.75, 2.25, 12)
-        vec = vectorize_bars(random_bars(rng), random_bars(rng), grid, 3)
+        vec = vectorize(bar_diagram(random_bars(rng), random_bars(rng)), grid, 3)
         path = tmp_path / "vec.csv"
         write_vector_csv(vec, path)
         assert read_vector_csv(path) == vec
