@@ -10,9 +10,14 @@ Vertices are totally ordered by (value, row-major index): ties between equal
 stored values are broken by index, never by perturbing the numbers.
 ``vertex_rank`` is that order and the one tie-break of the package: the
 filtration here and the local census in ``critical`` compare vertices only
-through it.  Cells are filtered by (owner rank, dim, grid position), where a
-cell's owner is its boundary vertex of highest rank; the order puts every
-cell after its boundary, and is (value, dim, anchor) when values are distinct.
+through it.  It comes from numpy's default argsort, which is fast and not
+stable.  Where no two values compare equal, the sorted order is the only one,
+so it is the (value, index) order; where two do (ties, or ``-0.0`` beside
+``0.0``), they sit side by side in sorted order, and the vertices are sorted
+again with a stable sort.  Cells are filtered by (owner rank, dim, grid
+position), where a cell's owner is its boundary vertex of highest rank; the
+order puts every cell after its boundary, and is (value, dim, anchor) when
+values are distinct.
 
 All cells of a rows x cols grid live in one (2 rows - 1) x (2 cols - 1) cell
 grid, the layout of Cubical Ripser (Kaji, Sudo and Ahara, arXiv:2005.12692).
@@ -22,7 +27,9 @@ anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
 its odd axes: (above, below) across an odd row, (left, right) across an odd
 column, so a face lists (top, bottom, left, right) edges and an edge its two
 vertices.  ``lower_stars`` fills that grid with each cell's owner and
-dimension, the key of the filtration order and of the census.
+dimension, the key of the filtration order and of the census;
+``build_filtration`` fills the owners alone, into a grid padded by a ring that
+no vertex owns.
 
 The order needs no sort of the cells.  A vertex's star has nine fixed slots
 on the cell grid (itself, four edges, four faces), and listed as in
@@ -90,9 +97,18 @@ def _vertex_order(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Row-major vertex indices in (value, row-major index) order, and its inverse as a rows x cols array.
 
     The one vertex sort of the package: ``vertex_rank`` is the inverse, and
-    ``build_filtration`` reads both.
+    ``build_filtration`` reads both.  The default argsort is several times
+    faster than the stable one at 256 x 256 but may put equal values in any
+    order.  Equal values end up adjacent in sorted order, so when no two
+    neighbours there compare equal, all values are distinct and the order is
+    exact; otherwise the stable sort orders the ties (``-0.0 == 0.0`` among
+    them) by index.
     """
-    order = np.argsort(make_generic(field).values, axis=None, kind="stable")
+    values = make_generic(field).values.ravel()
+    order = np.argsort(values)
+    ordered = values.take(order)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(values, kind="stable")
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     return order, rank.reshape(field.rows, field.cols)
@@ -140,13 +156,18 @@ def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     census counts it.
     """
     rows, cols = rank.shape
-    owner = np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64)
-    owner[::2, ::2] = rank
-    owner[::2, 1::2] = np.maximum(rank[:, :-1], rank[:, 1:])
-    # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
-    owner[1::2] = np.maximum(owner[:-1:2], owner[2::2])
+    owner = _fill_owners(np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64), rank)
     i, j = np.ogrid[: owner.shape[0], : owner.shape[1]]
     return owner, (i % 2).astype(np.int8) + (j % 2).astype(np.int8)
+
+
+def _fill_owners(owner: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """``owner``, a cell-grid array (or view) for the ``vertex_rank`` array ``rank``, filled with each cell's owner."""
+    owner[::2, ::2] = rank
+    np.maximum(rank[:, :-1], rank[:, 1:], out=owner[::2, 1::2])
+    # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
+    np.maximum(owner[:-1:2], owner[2::2], out=owner[1::2])
+    return owner
 
 
 # a vertex's star on the cell grid: (row, col) offsets of itself, its up, left,
@@ -171,18 +192,21 @@ def build_filtration(field: ScalarField) -> CubicalFiltration:
     Lower-dimensional cells precede their cofaces at equal value, so the
     order is always a valid filtration.  Deterministic: identical fields give
     identical orderings.
+
+    The owners are filled straight into a cell grid padded by a ring owned
+    by no vertex (the dimensions that ``lower_stars`` adds are fixed by the
+    slots), and each vertex's row of nine slot flags is gathered into rank
+    order with ``take``, several times faster than ``[]`` on rows.
     """
     order, rank = _vertex_order(field)
-    owner, _ = lower_stars(rank)
-    h, w = owner.shape
+    h, w = 2 * field.rows - 1, 2 * field.cols - 1
     padded = np.full((h + 2, w + 2), -1, dtype=np.int64)  # slots off the grid are owned by no vertex
-    padded[1:-1, 1:-1] = owner
-    del owner
+    _fill_owners(padded[1:-1, 1:-1], rank)
     owns = np.empty((rank.size, len(_STAR)), dtype=bool)  # vertex by row-major index, slot
     for k, (di, dj) in enumerate(_STAR):
         owns[:, k] = (padded[1 + di : h + 1 + di : 2, 1 + dj : w + 1 + dj : 2] == rank).ravel()
     del padded
-    slot = np.flatnonzero(owns[order])  # (owner rank, slot) flattened, in filtration order
+    slot = np.flatnonzero(owns.take(order, axis=0))  # (owner rank, slot) flattened, in filtration order
     owner_rank = slot // len(_STAR)
     slot -= len(_STAR) * owner_rank
     # the owner's own grid id, 2 (row w + col), then the slot's offset from it

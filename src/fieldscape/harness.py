@@ -133,9 +133,15 @@ def _row_law(cfg: ExperimentConfig, samples: list[Sample]) -> FieldLaw:
     return field_law(MaternParams(samples[0].eta, samples[0].nu), cfg.rows, cfg.cols, cfg.sampler)
 
 
-def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw) -> ScalarField:
-    spec = model_specs(cfg, sample.eta, sample.nu)[sample.key[1]]
-    return sample_model(spec, cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), law=law)
+def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw, specs: list[ModelSpec] | None = None) -> ScalarField:
+    """The sample's field, drawn from its row's ``law``.
+
+    ``specs`` is the row's ``model_specs``, built once per row by a caller
+    that draws many fields; without it this call builds its own.
+    """
+    if specs is None:
+        specs = model_specs(cfg, sample.eta, sample.nu)
+    return sample_model(specs[sample.key[1]], cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), law=law)
 
 
 def _computed(write, compute, *args):
@@ -151,10 +157,9 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
     """
     out = Path(cfg.out)
     samples = _samples(cfg)
-    rows = list(_rows(samples).values())
-    laws = [_row_law(cfg, row) for row in rows]
-    write_outputs({out / s.path: _computed(write_field_csv, _draw, cfg, s, law)
-                   for row, law in zip(rows, laws) for s in row}, cfg.threads)
+    rows = [(row, _row_law(cfg, row), model_specs(cfg, eta, nu)) for (eta, nu), row in _rows(samples).items()]
+    write_outputs({out / s.path: _computed(write_field_csv, _draw, cfg, s, law, specs)
+                   for row, law, specs in rows for s in row}, cfg.threads)
     manifest = out / "manifest.csv"
     rows = [(s.eta, s.nu, s.model, s.split, s.key[3], cfg.seed, *s.key, s.path) for s in samples]
     write_outputs({manifest: partial(write_table, header=",".join(MANIFEST_COLUMNS),
@@ -169,8 +174,8 @@ def diagram_of_field(field: ScalarField) -> PersistenceDiagram:
 
 def _experiment_row(cfg: ExperimentConfig, samples: list[Sample]) -> dict[tuple[str, str], list[LandscapeVector]]:
     """Landscape vectors of one matern row, keyed by (model name, split), in sample order."""
-    law = _row_law(cfg, samples)
-    diagrams = _parallel_map(lambda s: diagram_of_field(_draw(cfg, s, law)), samples, cfg.threads)
+    law, specs = _row_law(cfg, samples), model_specs(cfg, samples[0].eta, samples[0].nu)
+    diagrams = _parallel_map(lambda s: diagram_of_field(_draw(cfg, s, law, specs)), samples, cfg.threads)
     grid = default_grid([d for s, d in zip(samples, diagrams) if s.split == "train"], cfg.bins)
     vectors: dict[tuple[str, str], list[LandscapeVector]] = {}
     for sample, diagram in zip(samples, diagrams):

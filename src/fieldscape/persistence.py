@@ -135,12 +135,13 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     node on no link keeps the sentinel, whose partner reads the pad ``n``, so
     it is a root and the merge count catches it.  A node whose first link's
     other end is smaller hangs below that end, and the link kills it.
-    Basins: pointer jumping sends every node to its root.  Basin graph: the
-    roots, renumbered ``0..n'-1`` in order, are the next round's nodes, and
-    ``name`` maps each back to its original node; the links between distinct
-    basins, in link order, are the next round's links, and ``pos`` keeps
-    each one's original position.  Loop: union-find over the last round's
-    basins, on every link left, until one component remains.
+    Basins: pointer jumping sends every node to its root; a jump from a
+    root stays there, so the loop jumps twice per convergence check.  Basin
+    graph: the roots, renumbered ``0..n'-1`` in order, are the next round's
+    nodes, and ``name`` maps each back to its original node; the links
+    between distinct basins, in link order, are the next round's links, and
+    ``pos`` keeps each one's original position.  Loop: union-find over the
+    last round's basins, on every link left, until one component remains.
     """
     killed_by = np.full(len(links), -1)  # by link position, the original node each merging link kills
     name, pos, n = np.arange(n_nodes), np.arange(len(links)), n_nodes
@@ -153,7 +154,8 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
         basin = np.minimum(np.append(flat, (n, n))[first ^ 1], node)  # the other end, or the pad
         forest = np.flatnonzero(basin < node)
         killed_by[pos[first[forest] >> 1]] = name[forest]
-        while True:  # pointer jumping to each tree's root
+        while True:  # pointer jumping to each tree's root, two jumps per check
+            basin = basin[basin]
             jumped = basin[basin]
             if (jumped == basin).all():
                 break
@@ -216,17 +218,19 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     label[pos[vertices]] = np.arange(len(vertices))
     label[pos[faces]] = np.arange(len(faces), 0, -1)
     label[pos[edges]] = np.arange(len(edges))
-    # a face's last edge, the latest of its four, closes its 4-cycle: degree 0 skips it
-    f = pos[faces]
-    last = np.maximum(np.maximum(label[f - 1], label[f + 1]), np.maximum(label[f - w - 2], label[f + w + 2]))
-    kept = np.flatnonzero(np.bincount(last, minlength=len(edges)) == 0)
+    # a face's last edge, the latest of its four, closes its 4-cycle: degree 0 skips it.  Faces sit at
+    # even padded rows and columns from 2 to h - 1 and w - 1; their edges one step off on either axis
+    grid = label.reshape(h + 2, w + 2)
+    last = np.maximum(np.maximum(grid[1 : h - 1 : 2, 2:w:2], grid[3 : h + 1 : 2, 2:w:2]),
+                      np.maximum(grid[2:h:2, 1 : w - 1 : 2], grid[2:h:2, 3 : w + 1 : 2]))
+    kept = np.flatnonzero(np.bincount(last.ravel(), minlength=len(edges)) == 0)
     pos = pos[edges]
     # degree 0: the primal graph in filtration order, each edge joining the two vertices across its
     # odd axis: rows (stride w + 2) for a vertical edge, which lies on an even padded row
     e = pos[kept]
     a = np.where(e // (w + 2) & 1, 1, w + 2)
     links = np.column_stack((label[e - a], label[e + a]))
-    del f, last, e, a  # freed before the rule runs, as label and pos are before degree 1
+    del grid, last, e, a  # freed before the rule runs, as label and pos are before degree 1
     at, killed = _elder_rule(links, len(vertices))
     raw = [(vertices[killed], edges[kept[at]])]
     # degree 1: the dual graph in reverse filtration order, on the F edges degree 0 left, each joining the

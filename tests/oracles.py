@@ -15,8 +15,9 @@ feature and computes each gradient as a dot product with w.
 union-find pass over every link, with no basin forest and no deduplication.
 ``filtration_reference`` is the filtration of ``cubical.build_filtration``
 as one lexsort of every cell on (owner, dim), with the boundary matrix
-remapped to sorted positions.  ``circulant_eigenvalues_reference`` is the
-torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
+remapped to sorted positions; it ranks the vertices by its own stable
+argsort, not through ``vertex_rank``.  ``circulant_eigenvalues_reference``
+is the torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
 evaluated at every torus index, not once per distinct lag.
 ``sample_levels_reference`` is one degree's block of ``landscape.vectorize``
 from the dense bars x points tent matrix, each column sorted: every bar
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
-from fieldscape.cubical import CubicalFiltration, ScalarField, lower_stars, vertex_rank
+from fieldscape.cubical import CubicalFiltration, ScalarField, lower_stars
 from fieldscape.errors import TrainingError
 from fieldscape.grf import MaternParams, matern_cov
 
@@ -199,16 +200,16 @@ def filtration_reference(field: ScalarField) -> SimpleNamespace:
     ``boundary`` each cell's facets as sorted positions, -1 padded to four,
     and ``grid_id`` each cell's position on the cell grid.
     """
-    rank = vertex_rank(field)
-    owner, dim = lower_stars(rank)
+    by_rank = np.argsort(field.values, axis=None, kind="stable")  # (value, row-major index) order
+    rank = np.empty(by_rank.size, dtype=np.int64)
+    rank[by_rank] = np.arange(by_rank.size)
+    owner, dim = lower_stars(rank.reshape(field.rows, field.cols))
     h, w = owner.shape
     order = np.lexsort((dim.ravel(), owner.ravel()))
     # sorted position of each grid id; the trailing -1 keeps the -1 padding
     pos = np.full(h * w + 1, -1, dtype=np.int64)
     pos[order] = np.arange(h * w)
 
-    by_rank = np.empty(rank.size, dtype=np.int64)
-    by_rank[rank.ravel()] = np.arange(rank.size)
     crit = by_rank[owner.ravel()[order]]
 
     return SimpleNamespace(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fieldscape.cubical import (
     ScalarField,
@@ -80,6 +81,26 @@ class TestVertexRank:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidFieldError):
             vertex_rank(flat_field(1, 2, [0.0, np.nan]))
+
+
+@st.composite
+def tied_or_distinct_grids(draw):
+    """Grids of 1 x 1 up to 48 x 48: tie-heavy values with signed zeros, or normal draws with no two equal."""
+    rows, cols = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    if draw(st.booleans()):
+        values = draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([-1.0, -0.0, 0.0, 2.0])))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    return ScalarField(rows, cols, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_or_distinct_grids())
+def test_vertex_rank_is_the_stable_argsort_order(field):
+    """The rank is the inverse of a stable argsort of the values, whether the fast sort alone runs (no two values
+    equal) or its stable fallback does (ties, ``-0.0`` beside ``0.0``)."""
+    order = np.argsort(field.values, axis=None, kind="stable")
+    assert vertex_rank(field).ravel()[order].tolist() == list(range(order.size))
 
 
 class TestBuildFiltration:

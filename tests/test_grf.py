@@ -146,6 +146,15 @@ class TestCovarianceMatrix:
             squared = np.sum(diff * diff, axis=-1).astype(np.int64)
             assert cov[start:start + 512].tobytes() == by_squared_distance[squared].tobytes()
 
+    @pytest.mark.parametrize("eta,nu", [(5.0, 1.0), (1.0, 0.5), (2.0, 150.0)])
+    @pytest.mark.parametrize("rows,cols", [(6, 11), (13, 4)])
+    def test_non_square_grid_is_matern_of_each_distance(self, rows, cols, eta, nu):
+        """Bit for bit, ``matern_cov`` evaluated directly on the whole matrix of vertex distances, no lag table."""
+        p = MaternParams(eta, nu)
+        i, j = np.divmod(np.arange(rows * cols), cols)
+        distance = np.sqrt((i[:, None] - i) ** 2.0 + (j[:, None] - j) ** 2.0)
+        assert covariance_matrix(p, rows, cols).tobytes() == matern_cov(distance, p).tobytes()
+
 
 class TestCholeskySampler:
     def test_seed_determinism(self):
@@ -254,29 +263,37 @@ class TestCirculantSpectrum:
         assert np.array_equal(lam.view(np.int64), circulant_eigenvalues_reference(p, tr, tc).view(np.int64))
 
     def test_lag_tables_span_a_quarter_torus(self, monkeypatch):
-        """A law build runs ``matern_cov`` on (tr/2 + 1) x (tc/2 + 1) lags per pad factor tried.
+        """A law build runs ``matern_cov`` once per distinct squared lag a**2 + b**2 of a (tr/2 + 1) x (tc/2 + 1)
+        table, for each pad factor tried, at the exact roots of those squares.
 
-        The Cholesky law, also as the fallback past ``MAX_PAD_FACTOR``, runs it on rows x cols lags.
+        The Cholesky law, also as the fallback past ``MAX_PAD_FACTOR``, runs it on the distinct squares of its
+        rows x cols table.
         """
-        shapes = []
+        lags = []
 
         def recording(d, p):
-            shapes.append(np.shape(d))
+            lags.append(np.asarray(d).tolist())
             return cov(d, p)
 
         def tables(p, rows, cols, sampler="circulant"):
-            shapes.clear()
+            lags.clear()
             field_law(p, rows, cols, sampler)
-            return shapes
+            return lags
+
+        def roots(rows, cols):
+            """The roots of the distinct a**2 + b**2 over a < rows and b < cols, ascending."""
+            return np.sqrt(sorted({a * a + b * b for a in range(rows) for b in range(cols)})).tolist()
 
         cov = grf.matern_cov
         monkeypatch.setattr(grf, "matern_cov", recording)
-        assert tables(MaternParams(5, 1), 16, 16) == [(17, 17), (33, 33)]
-        assert tables(MaternParams(1, 1), 16, 16) == [(17, 17)]
-        assert tables(MaternParams(5, 1), 5, 4, "cholesky") == [(5, 4)]
-        assert tables(MaternParams(5, 1), 5, 4) == [(6, 5), (11, 9), (21, 17), (41, 33)]
+        assert tables(MaternParams(5, 1), 16, 16) == [roots(17, 17), roots(33, 33)]
+        assert tables(MaternParams(1, 1), 16, 16) == [roots(17, 17)]
+        assert tables(MaternParams(5, 1), 5, 4, "cholesky") == [roots(5, 4)]
+        quarter_tables = [roots(6, 5), roots(11, 9), roots(21, 17), roots(41, 33)]
+        assert tables(MaternParams(5, 1), 5, 4) == quarter_tables
+        assert [len(t) for t in quarter_tables] == [19, 58, 188, 651]
         with pytest.warns(RuntimeWarning, match="falling back"):
-            assert tables(MaternParams(10, 1), 5, 4) == [(6, 5), (11, 9), (21, 17), (41, 33), (5, 4)]
+            assert tables(MaternParams(10, 1), 5, 4) == quarter_tables + [roots(5, 4)]
 
 
 class TestFieldLaw:
