@@ -12,6 +12,10 @@ through ``write_outputs``, so a run that fails writes nothing; simulate's
 manifest comes after every field.  ``run_pipeline`` holds every row's diagrams
 and censuses until then, about 4.2 KB per 16x16 field and 0.78 MB per 256x256;
 vectors and simulated fields are computed by their writers, so none is held.
+``run_experiment`` holds one matern row's landscape vectors at a time, 2(N+1)K
+float64 per field, and keeps only each row's averages and differences; each
+comparison holds its stacked training set, then, once its model is trained,
+its test set.
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;
@@ -194,9 +198,9 @@ def compare_models(vectors: dict[tuple[str, str], list[LandscapeVector]], name_a
 
     The first model is the positive class.
     """
-    train = labeled_set(vectors[name_a, "train"], vectors[name_b, "train"])
-    test = labeled_set(vectors[name_a, "test"], vectors[name_b, "test"])
-    return evaluate(train_calibrated(train, C=cost), test)
+    model = train_calibrated(labeled_set(vectors[name_a, "train"], vectors[name_b, "train"]), C=cost)
+    # stacked only now, so the test matrix never sits beside the training matrix and its fold copies
+    return evaluate(model, labeled_set(vectors[name_a, "test"], vectors[name_b, "test"]))
 
 
 def write_report_csv(rows: list[tuple], path) -> None:
@@ -244,6 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             outputs[out / "differences" / f"{label}-{name_a}v{name_b}.csv"] = partial(write_vector_csv, diff)
             result = compare_models(vectors, name_a, name_b, cfg.cost)
             report_rows.append((f"{name_a} v {name_b}", eta, nu, result.accuracy, result.calibration))
+        del vectors  # freed before the next row's vectors are built, so one row's vectors are held at a time
 
     report = out / "report.csv"
     outputs[report] = partial(write_report_csv, report_rows)

@@ -114,8 +114,12 @@ def vectorize(diagram: PersistenceDiagram, grid: SampleGrid, depth: int) -> Land
     t = np.arange(len(bar)) + np.repeat(lo - (np.cumsum(count) - count), count)
     tent = np.minimum(ts[t] - b[bar], d[bar] - ts[t])
     column = t + depth * npts * (p["degree"][bar] == 1)  # the entry of level 1 at (degree, t)
-    order = np.lexsort((-tent, column))  # by column, largest tent first
-    column, tent = column[order], tent[order]
+    # by column, largest tent first: a stable sort of the columns in descending tent order, where tied
+    # tents are equal floats; the narrowest column dtype (uint16 at the defaults) sorts by radix
+    order = np.argsort(-tent)
+    column = column.astype(np.min_scalar_type(2 * depth * npts)).take(order)
+    by_column = np.argsort(column, kind="stable")
+    column, tent = column.take(by_column), tent.take(order.take(by_column))
     level = np.arange(len(column)) - np.searchsorted(column, column)  # 0 for level 1
     out = np.zeros(2 * depth * npts)
     out[(column + level * npts)[level < depth]] = tent[level < depth]

@@ -6,6 +6,7 @@ import io
 import math
 import tempfile
 import tomllib
+import tracemalloc
 import warnings
 from pathlib import Path
 from xml.dom import minidom
@@ -273,6 +274,19 @@ class TestExperiment:
         assert refit.platt is not None
         again = compare_models(vectors, "M1", "M2", cfg.cost)
         assert (result.accuracy, result.calibration) == (again.accuracy, again.calibration)
+
+    def test_traced_peak_stays_below_two_rows_of_vectors(self, tmp_path):
+        """Each row's vectors are freed before the next row's are built, and a comparison stacks one set at a time."""
+        cfg = tiny_config(tmp_path / "m", rows=8, cols=8, train=20, test=20, bins=100, depth=10,
+                          models="M1:identity,M2:square,M3:absolute", matern="2:1,3:1,2:2")
+        row_bytes = len(cfg.models) * (cfg.train + cfg.test) * 2 * (cfg.bins + 1) * cfg.depth * 8
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * row_bytes
 
     def test_row_label_stable(self):
         assert row_label(5.0, 1.0) == "eta5-nu1"

@@ -186,6 +186,7 @@ def grids_and_bars(draw):
 @given(grids_and_bars(), st.integers(1, 12))
 @example((SampleGrid(-1.0, -0.0, 1), [(-1.0, -0.0), (-0.0, 0.0)], []), 3)
 @example((SampleGrid(0.0, 2.0, 2), [(0.0, 2.0), (2.0, 0.0), (1.0, 1.0)], [(-0.0, 1.5)]), 5)
+@example((SampleGrid(0.0, 1.0, 40000), [(0.0, 1.0), (0.25, 0.75)], [(0.5, 1.0), (0.6, 0.9), (0.7, 0.8)]), 2)
 def test_vectorize_equals_the_dense_tent_sort(grid_bars, depth):
     """Bit for bit the dense bars x points tent matrix sorted per point, even at depths above the bar count."""
     grid, bars0, bars1 = grid_bars
