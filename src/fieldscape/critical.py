@@ -11,15 +11,15 @@ in that graph,
     index 1 events: c - 1 (merges or loop closures, locally ambiguous),
     index 2 events: y (each filled-in cycle ends a hole).
 
-"Below v" means lower ``vertex_rank``, the (value, row-major index) order
-that also sorts the filtration, so the census and the persistence diagram
-break value ties the same way.  The census counts the (owner, dim) key of
-``cubical.lower_stars``, the key the filtration sorts on: v's link nodes are
-the e edges it owns and its link arcs the f faces it owns.  A face v owns
-also makes v the owner of the face's two edges at v, so the lower link is a
-subgraph of the 4-cycle: a forest unless all four faces are there.  Hence
-y = [f == 4] and c = e - f + y, with no lookup table, and the whole census
-costs O(vertices).
+"Below v" means lower rank in the (value, row-major index) order that also
+sorts the filtration, so the census and the persistence diagram break value
+ties the same way.  The census counts the filtration's star slots, the
+``cubical._star_slots`` flags of the cells each vertex owns: v's link nodes
+are the e edges it owns and its link arcs the f faces it owns.  A face v
+owns also makes v the owner of the face's two edges at v, so the lower link
+is a subgraph of the 4-cycle: a forest unless all four faces are there.
+Hence y = [f == 4] and c = e - f + y, with no lookup table, and the whole
+census costs O(vertices).
 
 A census keeps its events as one structured array (a plain ``ndarray`` whose
 rows are ``np.record``s, as a diagram's pairs) with the fields ``row``,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubical import ScalarField, lower_stars, vertex_rank, write_table
+from .cubical import ScalarField, _star_slots, _vertex_order, write_table
 from .persistence import PersistenceDiagram
 
 EVENT_DTYPE = np.dtype([("row", "i8"), ("col", "i8"), ("value", "f8"), ("index", "i8"), ("multiplicity", "i8")])
@@ -69,11 +69,12 @@ class CriticalCensus:
 
 def detect_critical(field: ScalarField) -> CriticalCensus:
     """Census of critical events from each vertex's 3x3 neighborhood only."""
-    rank = vertex_rank(field)
-    owner, dim = lower_stars(rank)
-    # cells of each dimension in each vertex's lower star: 1 vertex, e edges, f faces
-    star = np.bincount((3 * owner + dim).ravel(), minlength=3 * rank.size).reshape(-1, 3)[rank]
-    e, f = star[..., 1], star[..., 2]
+    # one int8 row per star slot: slots 1-4 are a vertex's edges, 5-8 its faces.  Four adds of whole
+    # rows are 3 to 14 times faster than a .sum(axis=1); the counts then go to int64, since int8
+    # subtraction would map 64 KiB of library code that no other stage runs
+    slots = _star_slots(_vertex_order(field)[1]).view(np.int8).T
+    e = (slots[1] + slots[2] + slots[3] + slots[4]).astype(np.int64).reshape(field.rows, field.cols)
+    f = (slots[5] + slots[6] + slots[7] + slots[8]).astype(np.int64).reshape(field.rows, field.cols)
     y = f == 4
 
     # events per vertex and index: a component starts, c - 1 merges, y holes fill

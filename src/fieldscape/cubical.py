@@ -8,16 +8,15 @@ maximum of the values on their boundary vertices, so every sublevel slice
 
 Vertices are totally ordered by (value, row-major index): ties between equal
 stored values are broken by index, never by perturbing the numbers.
-``vertex_rank`` is that order and the one tie-break of the package: the
-filtration here and the local census in ``critical`` compare vertices only
-through it.  It comes from numpy's default argsort, which is fast and not
-stable.  Where no two values compare equal, the sorted order is the only one,
-so it is the (value, index) order; where two do (ties, or ``-0.0`` beside
-``0.0``), they sit side by side in sorted order, and the vertices are sorted
-again with a stable sort.  Cells are filtered by (owner rank, dim, grid
-position), where a cell's owner is its boundary vertex of highest rank; the
-order puts every cell after its boundary, and is (value, dim, anchor) when
-values are distinct.
+``_vertex_order`` sorts them so and is the one tie-break of the package.  It
+uses numpy's default argsort, which is fast and not stable.  Where no two
+values compare equal, the sorted order is the only one, so it is the (value,
+index) order; where two do (ties, or ``-0.0`` beside ``0.0``), they sit side
+by side in sorted order, and the vertices are sorted again with a stable
+sort.  A vertex's rank is its position in that order.  Cells are filtered by
+(owner rank, dim, grid position), where a cell's owner is its boundary vertex
+of highest rank; the order puts every cell after its boundary, and is (value,
+dim, anchor) when values are distinct.
 
 All cells of a rows x cols grid live in one (2 rows - 1) x (2 cols - 1) cell
 grid, the layout of Cubical Ripser (Kaji, Sudo and Ahara, arXiv:2005.12692).
@@ -26,17 +25,17 @@ exactly one is odd (vertical when i is), and a face when both are odd; its
 anchor is (i // 2, j // 2).  A cell's facets are its grid neighbours along
 its odd axes: (above, below) across an odd row, (left, right) across an odd
 column, so a face lists (top, bottom, left, right) edges and an edge its two
-vertices.  ``lower_stars`` fills that grid with each cell's owner and
-dimension, the key of the filtration order and of the census;
-``build_filtration`` fills the owners alone, into a grid padded by a ring that
-no vertex owns.
+vertices.
 
 The order needs no sort of the cells.  A vertex's star has nine fixed slots
 on the cell grid (itself, four edges, four faces), and listed as in
-``_STAR`` they are already in (dim, grid position) order.  So the
-filtration is the vertices in rank order, each followed by the slots of its
-star that it owns.  ``CubicalFiltration`` keeps, per sorted cell, the value,
-dimension, owner and grid position, together with the cell-grid shape.
+``_STAR`` they are already in (dim, grid position) order.  ``_star_slots``
+is the one owner layout: it says which slots each vertex owns, and the
+cells a vertex owns are its lower star.  The filtration is the vertices in
+rank order, each followed by the slots of its star that it owns, and the
+census of ``critical`` counts the same slots.  ``CubicalFiltration`` keeps,
+per sorted cell, the value, dimension, owner and grid position, together
+with the cell-grid shape.
 Facets are grid neighbours, so no boundary matrix is kept: persistence and
 the Betti oracle read the grid itself.
 """
@@ -85,8 +84,8 @@ def make_generic(field: ScalarField) -> ScalarField:
     """The field as it is, once all its values are checked to be finite; InvalidFieldError otherwise.
 
     It changes no value and resolves no tie.  Ties are broken by
-    ``vertex_rank`` alone, which orders vertices by (value, row-major index),
-    an infinitesimal index-ordered perturbation.  Idempotent.
+    ``_vertex_order`` alone, which orders vertices by (value, row-major
+    index), an infinitesimal index-ordered perturbation.  Idempotent.
     """
     if not np.all(np.isfinite(field.values)):
         raise InvalidFieldError("field contains non-finite values")
@@ -96,13 +95,13 @@ def make_generic(field: ScalarField) -> ScalarField:
 def _vertex_order(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """Row-major vertex indices in (value, row-major index) order, and its inverse as a rows x cols array.
 
-    The one vertex sort of the package: ``vertex_rank`` is the inverse, and
-    ``build_filtration`` reads both.  The default argsort is several times
-    faster than the stable one at 256 x 256 but may put equal values in any
-    order.  Equal values end up adjacent in sorted order, so when no two
-    neighbours there compare equal, all values are distinct and the order is
-    exact; otherwise the stable sort orders the ties (``-0.0 == 0.0`` among
-    them) by index.
+    The one vertex sort of the package, read by ``build_filtration`` and the
+    census of ``critical``.  The default argsort is several times faster
+    than the stable one at 256 x 256 but may put equal values in any order.
+    Equal values end up adjacent in sorted order, so when no two neighbours
+    there compare equal, all values are distinct and the order is exact;
+    otherwise the stable sort orders the ties (``-0.0 == 0.0`` among them)
+    by index.
     """
     values = make_generic(field).values.ravel()
     order = np.argsort(values)
@@ -114,23 +113,13 @@ def _vertex_order(field: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     return order, rank.reshape(field.rows, field.cols)
 
 
-def vertex_rank(field: ScalarField) -> np.ndarray:
-    """Each vertex's position in the (value, row-major index) order, as a rows x cols int64 array.
-
-    Equal values, ``-0.0`` and ``0.0`` included, rank by index.  Every
-    vertex comparison of the filtration and the census is a comparison of
-    ranks.
-    """
-    return _vertex_order(field)[1]
-
-
 @dataclass(frozen=True, eq=False)
 class CubicalFiltration:
     """All cells of the grid complex in filtration order: arrays indexed by sorted position.
 
     ``values[i]`` is cell i's value and ``dims[i]`` its dimension.
     ``crit_vertex[i]`` is the row-major index of cell i's owner, the
-    boundary vertex of highest ``vertex_rank``, whose value the cell attains
+    boundary vertex of highest rank, whose value the cell attains
     (the cell belongs to that vertex's lower star).  ``grid_id[i]`` is cell
     i's row-major position on the cell grid of shape ``grid_shape``, whose
     grid neighbours along its odd axes are its facets.
@@ -147,65 +136,59 @@ class CubicalFiltration:
         return len(self.values)
 
 
-def lower_stars(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner rank and dimension of each cell, on the cell grid: the key of every lower star.
-
-    ``rank`` is a ``vertex_rank`` array.  A cell's owner is its boundary
-    vertex of highest rank, so the cells of owner r are the lower star of the
-    vertex of rank r.  The filtration is ordered by (owner, dim) and the
-    census counts it.
-    """
-    rows, cols = rank.shape
-    owner = _fill_owners(np.empty((2 * rows - 1, 2 * cols - 1), dtype=np.int64), rank)
-    i, j = np.ogrid[: owner.shape[0], : owner.shape[1]]
-    return owner, (i % 2).astype(np.int8) + (j % 2).astype(np.int8)
-
-
-def _fill_owners(owner: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """``owner``, a cell-grid array (or view) for the ``vertex_rank`` array ``rank``, filled with each cell's owner."""
-    owner[::2, ::2] = rank
-    np.maximum(rank[:, :-1], rank[:, 1:], out=owner[::2, 1::2])
-    # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
-    np.maximum(owner[:-1:2], owner[2::2], out=owner[1::2])
-    return owner
-
-
 # a vertex's star on the cell grid: (row, col) offsets of itself, its up, left,
 # right and down edges, then its up-left, up-right, down-left and down-right faces
 _STAR = ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 _STAR_DIM = np.array([0, 1, 1, 1, 1, 2, 2, 2, 2], dtype=np.int8)
 
 
+def _star_slots(rank: np.ndarray) -> np.ndarray:
+    """Which of the nine ``_STAR`` slots of its star each vertex owns, for the rows x cols ranks of ``_vertex_order``.
+
+    A (V, 9) bool array with one row per vertex in row-major order: entry
+    (v, k) is set when slot k of v's star is on the grid and v is its owner,
+    the boundary vertex of highest rank.  The owners are filled straight into
+    a cell grid padded by a ring that no vertex owns, so a slot off the grid
+    compares unequal to every rank.
+    """
+    h, w = 2 * rank.shape[0] - 1, 2 * rank.shape[1] - 1
+    padded = np.full((h + 2, w + 2), -1, dtype=np.int64)  # slots off the grid are owned by no vertex
+    owner = padded[1:-1, 1:-1]
+    owner[::2, ::2] = rank
+    np.maximum(rank[:, :-1], rank[:, 1:], out=owner[::2, 1::2])
+    # odd rows: a vertical edge or face is owned like the higher of the cells above and below it
+    np.maximum(owner[:-1:2], owner[2::2], out=owner[1::2])
+    owns = np.empty((rank.size, len(_STAR)), dtype=bool)  # vertex by row-major index, slot
+    for k, (di, dj) in enumerate(_STAR):
+        owns[:, k] = (padded[1 + di : h + 1 + di : 2, 1 + dj : w + 1 + dj : 2] == rank).ravel()
+    return owns
+
+
 def build_filtration(field: ScalarField) -> CubicalFiltration:
     """All cells with max-extension values, in filtration order, without a sort of the cells.
 
-    Each cell is owned by its boundary vertex of highest ``vertex_rank`` and
-    takes that vertex's value.  The order is (owner rank, dim, grid id),
-    which is (value, owning vertex, ...) since rank follows (value, index):
-    the lower stars of the vertices in rank order, each star's cells by
-    dimension and then in grid order.  A vertex's star has nine slots on the
-    cell grid, listed in ``_STAR`` in exactly that order, so the filtration
-    is the vertex order with each vertex expanded into the slots it owns.
-    When all vertex values are distinct the order is exactly (value, dim,
-    anchor); with repeated values it additionally keeps each vertex's lower
-    star contiguous, which the critical-event census requires.
+    Each cell is owned by its boundary vertex of highest rank and takes that
+    vertex's value.  The order is (owner rank, dim, grid id), which is
+    (value, owning vertex, ...) since rank follows (value, index): the lower
+    stars of the vertices in rank order, each star's cells by dimension and
+    then in grid order.  A vertex's star has nine slots on the cell grid,
+    listed in ``_STAR`` in exactly that order, so the filtration is the
+    vertex order with each vertex expanded into the slots it owns.  When all
+    vertex values are distinct the order is exactly (value, dim, anchor);
+    with repeated values it additionally keeps each vertex's lower star
+    contiguous, which the critical-event census requires.
     Lower-dimensional cells precede their cofaces at equal value, so the
     order is always a valid filtration.  Deterministic: identical fields give
     identical orderings.
 
-    The owners are filled straight into a cell grid padded by a ring owned
-    by no vertex (the dimensions that ``lower_stars`` adds are fixed by the
-    slots), and each vertex's row of nine slot flags is gathered into rank
-    order with ``take``, several times faster than ``[]`` on rows.
+    Each vertex's row of nine slot flags from ``_star_slots`` is gathered
+    into rank order with ``take``, several times faster than ``[]`` on rows.
     """
+    # rank stays bound to the end: freed before the arrays below, at 256 x 256 its hole let the heap
+    # top be trimmed, and each later field of a run took about 2000 more page faults
     order, rank = _vertex_order(field)
+    owns = _star_slots(rank)
     h, w = 2 * field.rows - 1, 2 * field.cols - 1
-    padded = np.full((h + 2, w + 2), -1, dtype=np.int64)  # slots off the grid are owned by no vertex
-    _fill_owners(padded[1:-1, 1:-1], rank)
-    owns = np.empty((rank.size, len(_STAR)), dtype=bool)  # vertex by row-major index, slot
-    for k, (di, dj) in enumerate(_STAR):
-        owns[:, k] = (padded[1 + di : h + 1 + di : 2, 1 + dj : w + 1 + dj : 2] == rank).ravel()
-    del padded
     slot = np.flatnonzero(owns.take(order, axis=0))  # (owner rank, slot) flattened, in filtration order
     owner_rank = slot // len(_STAR)
     slot -= len(_STAR) * owner_rank

@@ -137,14 +137,8 @@ def _row_law(cfg: ExperimentConfig, samples: list[Sample]) -> FieldLaw:
     return field_law(MaternParams(samples[0].eta, samples[0].nu), cfg.rows, cfg.cols, cfg.sampler)
 
 
-def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw, specs: list[ModelSpec] | None = None) -> ScalarField:
-    """The sample's field, drawn from its row's ``law``.
-
-    ``specs`` is the row's ``model_specs``, built once per row by a caller
-    that draws many fields; without it this call builds its own.
-    """
-    if specs is None:
-        specs = model_specs(cfg, sample.eta, sample.nu)
+def _draw(cfg: ExperimentConfig, sample: Sample, law: FieldLaw, specs: list[ModelSpec]) -> ScalarField:
+    """The sample's field, drawn from its row's ``law`` and ``specs``, the row's ``model_specs``, built once per row."""
     return sample_model(specs[sample.key[1]], cfg.rows, cfg.cols, substream(cfg.seed, *sample.key), law=law)
 
 

@@ -13,12 +13,15 @@ of ``train_svm``'s Newton steps: it keeps w with the bias as a constant
 feature and computes each gradient as a dot product with w.
 ``elder_reference`` is the elder rule of ``persistence._elder_rule`` as one
 union-find pass over every link, with no basin forest and no deduplication.
-``filtration_reference`` is the filtration of ``cubical.build_filtration``
-as one lexsort of every cell on (owner, dim), with the boundary matrix
-remapped to sorted positions; it ranks the vertices by its own stable
-argsort, not through ``vertex_rank``.  ``circulant_eigenvalues_reference``
-is the torus spectrum of ``grf._circulant_eigenvalues`` with ``matern_cov``
-evaluated at every torus index, not once per distinct lag.
+``vertex_rank_reference`` ranks the vertices in (value, row-major index)
+order by a stable argsort.  ``filtration_reference`` is the filtration of
+``cubical.build_filtration`` as one lexsort of every cell on (owner, dim),
+with the boundary matrix remapped to sorted positions.  Its owners are its
+own: each cell's owner is the highest of its corner vertices' ranks, read
+from the cell's grid position, with no code of ``cubical``.
+``circulant_eigenvalues_reference`` is the torus spectrum of
+``grf._circulant_eigenvalues`` with ``matern_cov`` evaluated at every torus
+index, not once per distinct lag.
 ``sample_levels_reference`` is one degree's block of ``landscape.vectorize``
 from the dense bars x points tent matrix, each column sorted: every bar
 evaluated at every sample point, not only at the points inside it.
@@ -38,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fieldscape.classify import KKT_TOL, MAX_EPOCHS, ClassifierModel, LabeledSet
-from fieldscape.cubical import CubicalFiltration, ScalarField, lower_stars
+from fieldscape.cubical import CubicalFiltration, ScalarField
 from fieldscape.errors import TrainingError
 from fieldscape.grf import MaternParams, matern_cov
 
@@ -193,24 +196,35 @@ def betti_reference(filt: CubicalFiltration, a: float) -> tuple[int, int]:
     return (components, components - (n_v - n_e + n_f))
 
 
+def vertex_rank_reference(field: ScalarField) -> np.ndarray:
+    """Each vertex's position in the (value, row-major index) order, by a stable argsort, as a rows x cols int64 array."""
+    by_rank = np.argsort(field.values, axis=None, kind="stable")
+    rank = np.empty(by_rank.size, dtype=np.int64)
+    rank[by_rank] = np.arange(by_rank.size)
+    return rank.reshape(field.rows, field.cols)
+
+
 def filtration_reference(field: ScalarField) -> SimpleNamespace:
     """All cells sorted on (owner rank, dim, grid id) by one lexsort: the arrays ``build_filtration`` must give.
 
     ``values``, ``dims`` and ``crit_vertex`` as in ``CubicalFiltration``,
     ``boundary`` each cell's facets as sorted positions, -1 padded to four,
-    and ``grid_id`` each cell's position on the cell grid.
+    and ``grid_id`` each cell's position on the cell grid.  The cell at grid
+    position (i, j) has the corner vertices at rows i // 2 and (i + 1) // 2
+    and columns j // 2 and (j + 1) // 2; its owner is the one of highest rank
+    and its dimension i % 2 + j % 2.
     """
-    by_rank = np.argsort(field.values, axis=None, kind="stable")  # (value, row-major index) order
-    rank = np.empty(by_rank.size, dtype=np.int64)
-    rank[by_rank] = np.arange(by_rank.size)
-    owner, dim = lower_stars(rank.reshape(field.rows, field.cols))
+    rank = vertex_rank_reference(field)
+    i, j = np.ogrid[: 2 * field.rows - 1, : 2 * field.cols - 1]
+    owner = np.maximum.reduce([rank[a, b] for a in (i // 2, (i + 1) // 2) for b in (j // 2, (j + 1) // 2)])
+    dim = (i % 2 + j % 2).astype(np.int8)
     h, w = owner.shape
     order = np.lexsort((dim.ravel(), owner.ravel()))
     # sorted position of each grid id; the trailing -1 keeps the -1 padding
     pos = np.full(h * w + 1, -1, dtype=np.int64)
     pos[order] = np.arange(h * w)
 
-    crit = by_rank[owner.ravel()[order]]
+    crit = np.argsort(rank, axis=None)[owner.ravel()[order]]  # the vertex of each owner rank
 
     return SimpleNamespace(
         values=field.values.ravel()[crit],

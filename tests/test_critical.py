@@ -5,15 +5,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldscape.critical import (
+    EVENT_DTYPE,
     CriticalCensus,
     critical_values_from_diagram,
     detect_critical,
     write_census_csv,
 )
-from fieldscape.cubical import ScalarField, build_filtration, vertex_rank
+from fieldscape.cubical import ScalarField, build_filtration
 from fieldscape.persistence import betti_curve, betti_oracle, compute_persistence
 
 from conftest import flat_field, random_field
+from oracles import filtration_reference, vertex_rank_reference
 
 
 def diagram_of(field):
@@ -143,6 +145,28 @@ def test_census_is_the_euler_characteristic_of_each_lower_star(field):
     assert local.tolist() == star.tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(tied_fields())
+@example(flat_field(1, 1, [-0.0]))
+@example(flat_field(1, 5, [0.0, -0.0, 2.0, -0.0, 0.0]))
+@example(flat_field(4, 1, [-0.0, 2.0, 0.0, -1.0]))
+def test_census_counts_the_lower_stars_of_the_filtration(field):
+    """The census, rows and cols included, byte for byte, is the one its formula gives from the cells of
+    ``filtration_reference`` whose crit_vertex each vertex is: with e edges and f faces there, [e == 0]
+    index 0, max(e - f + [f == 4] - 1, 0) index 1 and [f == 4] index 2 events, vertex by vertex in row-major order."""
+    ref = filtration_reference(field)
+    star = np.bincount(3 * ref.crit_vertex + ref.dims, minlength=3 * field.rows * field.cols).reshape(-1, 3)
+    want = []
+    for v, (_, e, f) in enumerate(star.tolist()):
+        r, c = divmod(v, field.cols)
+        y = int(f == 4)
+        want += [(r, c, field.values[r, c], index, m)
+                 for index, m in enumerate((int(e == 0), max(e - f + y - 1, 0), y)) if m]
+    got = detect_critical(field).events
+    assert got.dtype.descr == EVENT_DTYPE.descr
+    assert got.tobytes() == np.array(want, dtype=EVENT_DTYPE).tobytes()  # bit for bit: -0.0 is not 0.0
+
+
 def _lower_link_events(rank: np.ndarray, r: int, c: int) -> list[tuple[int, int]]:
     """(index, multiplicity) at vertex (r, c) from its lower link, built and counted by brute force.
 
@@ -181,7 +205,7 @@ def test_census_counts_the_components_and_cycles_of_each_lower_link():
     for signs in product((-1.0, 1.0), repeat=8):
         vals = np.insert(np.array(signs), 4, 0.0).reshape(3, 3)
         field = ScalarField(3, 3, vals)
-        rank = vertex_rank(field)
+        rank = vertex_rank_reference(field)
         found: dict = {}
         for ev in detect_critical(field).events:
             found.setdefault((ev.row, ev.col), []).append((ev.index, ev.multiplicity))

@@ -12,14 +12,14 @@ from fieldscape.cubical import (
     build_filtration,
     make_generic,
     read_field_csv,
-    vertex_rank,
     write_field_csv,
 )
+from fieldscape.critical import detect_critical
 from fieldscape.errors import InvalidFieldError
 from fieldscape.grf import MaternParams, field_law, substream
 
 from conftest import flat_field, random_field
-from oracles import boundary, filtration_reference
+from oracles import boundary, filtration_reference, vertex_rank_reference
 
 
 class TestScalarField:
@@ -64,23 +64,37 @@ class TestMakeGeneric:
         assert make_generic(make_generic(f)) == make_generic(f)
 
 
+def filtration_rank(field: ScalarField) -> np.ndarray:
+    """Each vertex's rank as ``build_filtration`` orders it, the position of its vertex cell among the vertex cells."""
+    filt = build_filtration(field)
+    order = filt.crit_vertex[filt.dims == 0]
+    rank = np.full(field.rows * field.cols, -1, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank.reshape(field.rows, field.cols)
+
+
 class TestVertexRank:
     def test_is_a_permutation(self):
-        rank = vertex_rank(random_field(np.random.default_rng(8), ties=True))
-        assert rank.dtype == np.int64
-        assert sorted(rank.ravel().tolist()) == list(range(rank.size))
+        field = random_field(np.random.default_rng(8), ties=True)
+        filt = build_filtration(field)
+        assert filt.crit_vertex.dtype == np.int64
+        assert sorted(filt.crit_vertex[filt.dims == 0].tolist()) == list(range(field.rows * field.cols))
 
     def test_orders_by_value_then_index(self):
         f = flat_field(2, 3, [2.0, 1.0, 2.0, 0.5, 1.0, 2.0])
-        assert vertex_rank(f).tolist() == [[3, 1, 4], [0, 2, 5]]
+        assert filtration_rank(f).tolist() == vertex_rank_reference(f).tolist() == [[3, 1, 4], [0, 2, 5]]
 
     def test_signed_zeros_tie(self):
         f = flat_field(1, 4, [0.0, -0.0, -0.0, 0.0])
-        assert vertex_rank(f).tolist() == [[0, 1, 2, 3]]
+        assert filtration_rank(f).tolist() == vertex_rank_reference(f).tolist() == [[0, 1, 2, 3]]
 
     def test_rejects_non_finite(self):
+        """The filtration and the census both rank the vertices, so both refuse NaN."""
+        f = flat_field(1, 2, [0.0, np.nan])
         with pytest.raises(InvalidFieldError):
-            vertex_rank(flat_field(1, 2, [0.0, np.nan]))
+            build_filtration(f)
+        with pytest.raises(InvalidFieldError):
+            detect_critical(f)
 
 
 @st.composite
@@ -97,10 +111,9 @@ def tied_or_distinct_grids(draw):
 @settings(max_examples=300, deadline=None)
 @given(tied_or_distinct_grids())
 def test_vertex_rank_is_the_stable_argsort_order(field):
-    """The rank is the inverse of a stable argsort of the values, whether the fast sort alone runs (no two values
-    equal) or its stable fallback does (ties, ``-0.0`` beside ``0.0``)."""
-    order = np.argsort(field.values, axis=None, kind="stable")
-    assert vertex_rank(field).ravel()[order].tolist() == list(range(order.size))
+    """The filtration's rank is the inverse of a stable argsort of the values, whether the fast sort alone runs (no
+    two values equal) or its stable fallback does (ties, ``-0.0`` beside ``0.0``)."""
+    assert filtration_rank(field).tolist() == vertex_rank_reference(field).tolist()
 
 
 class TestBuildFiltration:
@@ -290,7 +303,7 @@ def test_owner_is_the_highest_vertex_and_gives_the_value(rows, cols, data):
     """On tied fields (signed zeros included) the vertex cells come in (value, index) order,
     each cell's crit_vertex is its top vertex in that order, and its value is that vertex's
     value, bit for bit.  A cell's vertices are read through its facets, so the owners of
-    ``lower_stars`` are checked against the facets of ``oracles._grid_facets``."""
+    ``_star_slots`` are checked against the facets of ``oracles._grid_facets``."""
     flat = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=rows * cols, max_size=rows * cols))
     filt = build_filtration(flat_field(rows, cols, flat))
     order = sorted(range(rows * cols), key=lambda v: (flat[v], v))

@@ -261,7 +261,8 @@ class TestExperiment:
         row = next(iter(_rows(_samples(cfg)).values()))
         vectors = _experiment_row(cfg, row)
         law = _row_law(cfg, row)
-        train_only = [diagram_of_field(_draw(cfg, s, law)) for s in row if s.split == "train"]
+        specs = model_specs(cfg, row[0].eta, row[0].nu)
+        train_only = [diagram_of_field(_draw(cfg, s, law, specs)) for s in row if s.split == "train"]
         expected_grid = default_grid(train_only, cfg.bins)
         assert sorted(vectors) == [("M1", "test"), ("M1", "train"), ("M2", "test"), ("M2", "train")]
         for vecs in vectors.values():

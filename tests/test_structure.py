@@ -52,6 +52,21 @@ def test_every_definition_is_read_by_the_program():
     assert not unread, f"definitions no program code reads: {unread}"
 
 
+def test_oracles_take_only_record_types_from_cubical():
+    """``tests/oracles.py`` and ``tests/reduction_reference.py`` take ``ScalarField`` and ``CubicalFiltration``
+    from ``fieldscape.cubical`` and no other name of it, so no oracle runs the code it is meant to check."""
+    taken = []
+    for name in ("oracles.py", "reduction_reference.py"):
+        for node in ast.walk(ast.parse((ROOT / "tests" / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "fieldscape.cubical":
+                taken += [f"{name}: {a.name}" for a in node.names if a.name not in ("ScalarField", "CubicalFiltration")]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                taken += [f"{name}: {a.name}" for a in node.names if a.name.rpartition(".")[2] == "cubical"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cubical":
+                taken.append(f"{name}: .cubical")
+    assert not taken, f"oracles that read fieldscape.cubical beyond its record types: {taken}"
+
+
 def test_only_write_outputs_makes_directories():
     """Every output directory is made by ``harness.write_outputs``, the one writer; no other code calls ``mkdir``."""
     calls = []
