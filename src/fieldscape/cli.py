@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .classify import evaluate, train_calibrated, write_model
 from .config import SETTINGS, check, check_vector_size, load_config
-from .cubical import read_field_csv
+from .cubical import read_field_csv, write_file
 from .errors import ConfigError, NumericalError
 from .harness import (
     diagram_of_field,
@@ -154,7 +154,7 @@ def _cmd_plot(args):
             svg = render_report_svg(read_report_csv(path))
         else:
             svg = render_vector_svg(read_vector_csv(path), title=path.stem)
-        outputs[Path(args.out) / (path.stem + ".svg")] = partial(Path.write_text, data=svg)
+        outputs[Path(args.out) / (path.stem + ".svg")] = partial(write_file, text=svg)
     return paths, outputs, list(outputs)
 
 

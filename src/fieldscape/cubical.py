@@ -42,6 +42,7 @@ the Betti oracle read the grid itself.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -238,17 +239,28 @@ def parse_number(path, column: str, text: str, kind=float):
 def write_table(path, header: str, row_format: str, rows, end: str = "\n") -> None:
     """The one writer of text tables: the ``header`` line, then ``row_format % row`` for each row.
 
-    Every file of the package is such a table: comma-separated fields, each
+    Every table of the package is such a file: comma-separated fields, each
     line closed by ``end``.  That is LF, except for the manifest, whose CRLF
     keeps it byte-identical to the manifests of earlier versions.  Floats
     that must read back exactly are written as ``%.17g``, enough digits for
     a float64 round trip.  Values enter only as ``%`` arguments, of
     ``row_format`` or of the caller's own template for a header line, never
     into a template, so a value holding ``%`` is written as it is.  ``rows``
-    is a sequence of rows, each a sequence of one value per field.
+    is a sequence of rows, each a sequence of one value per field.  A rerun
+    rewrites in place (``write_file``): truncating frees and discards blocks.
     """
     values = tuple(chain.from_iterable(rows))
-    Path(path).write_text(header + end + ((row_format + end) * len(rows)) % values)
+    write_file(path, header + end + ((row_format + end) * len(rows)) % values)
+
+
+def write_file(path, text: str) -> None:
+    """The one file writer: ``text`` over the file at ``path`` in place, cut at its end even if the write fails."""
+    with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:  # a copy: os.open caches a Path's str
+        try:
+            f.write(text)
+            f.flush()
+        finally:
+            f.buffer.raw.truncate()
 
 
 def write_field_csv(field: ScalarField, path) -> None:

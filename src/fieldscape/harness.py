@@ -15,7 +15,8 @@ vectors and simulated fields are computed by their writers, so none is held.
 ``run_experiment`` holds one matern row's landscape vectors at a time, 2(N+1)K
 float64 per field, and keeps only each row's averages and differences; each
 comparison holds its stacked training set, then, once its model is trained,
-its test set.
+its test set.  A rerun rewrites each file in place (``cubical.write_file``):
+truncating frees every block, and a ``discard`` mount discards them.
 
 The t-grid for vectorization is derived per matern row from the training
 diagrams of all models in that row and reused verbatim on test data;

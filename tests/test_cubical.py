@@ -1,4 +1,7 @@
+import errno
 import hashlib
+import io
+import os
 import re
 
 import numpy as np
@@ -7,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fieldscape import cubical
 from fieldscape.cubical import (
     ScalarField,
     build_filtration,
     make_generic,
     read_field_csv,
+    read_records,
     write_field_csv,
+    write_file,
+    write_table,
 )
 from fieldscape.critical import detect_critical
 from fieldscape.errors import InvalidFieldError
 from fieldscape.grf import MaternParams, field_law, substream
+from fieldscape.harness import MANIFEST_COLUMNS
 
 from conftest import flat_field, random_field
 from oracles import boundary, filtration_reference, vertex_rank_reference
@@ -253,6 +261,66 @@ class TestFieldCsv:
         with pytest.raises(InvalidFieldError, match=f"^{re.escape(str(path))}: non-finite value$"):
             read_field_csv(path)
 
+
+
+class _FullRawFile(io.FileIO):
+    """A raw file on a disk with ``room`` bytes free: writes stop there, then raise ENOSPC."""
+
+    room = 0
+
+    def write(self, data):
+        left = self.room - self.tell()
+        if left <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(bytes(data)[:left])
+
+
+class TestWriteFile:
+    """``write_file`` rewrites a file in place and cuts it at the end of the new text."""
+
+    @pytest.mark.parametrize("old", ["", "a,b\n", "0123456789\n" * 300])
+    @pytest.mark.parametrize("new", ["", "x,y\n", "abcdefghij\n" * 300, "ABCDEFGHIJ\n" * 301])
+    def test_a_rewrite_leaves_exactly_the_new_text(self, tmp_path, old, new):
+        path = tmp_path / "table.csv"
+        path.write_text(old)
+        inode = path.stat().st_ino
+        write_file(path, new)
+        assert path.read_bytes() == new.encode()
+        assert path.stat().st_ino == inode
+
+    def test_a_new_file_gets_the_mode_of_open(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_file(tmp_path / "written.csv", "1\n")
+            with open(tmp_path / "opened.csv", "w") as f:
+                f.write("1\n")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "written.csv").stat().st_mode == (tmp_path / "opened.csv").stat().st_mode
+
+    def test_a_crlf_manifest_with_a_non_ascii_model_round_trips(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("stale,longer,than,the,new,manifest\n" * 20)
+        row = (5.0, 1.0, "Matérn-ß", "train", 0, 20250809, 0, 0, 0, 0, "fields/Matérn-ß/train-0000.csv")
+        write_table(path, ",".join(MANIFEST_COLUMNS), "%g,%g,%s,%s,%d,%d:%d.%d.%d.%d,%s", [row], end="\r\n")
+        text = ",".join(MANIFEST_COLUMNS) + "\r\n5,1,Matérn-ß,train,0,20250809:0.0.0.0,fields/Matérn-ß/train-0000.csv\r\n"
+        (tmp_path / "expected.csv").write_text(text)
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert [r["model"] for r in read_records(path, MANIFEST_COLUMNS)] == ["Matérn-ß"]
+
+    @pytest.mark.parametrize("room", [0, 5, 9000])
+    def test_a_write_that_fails_part_way_leaves_no_old_tail(self, tmp_path, monkeypatch, room):
+        """A full disk stops the write at ``room`` bytes; the file holds those and none of its old text."""
+        path = tmp_path / "table.csv"
+        path.write_text("old line\n" * 2000)
+        new = "new line\n" * 1500
+        monkeypatch.setattr(_FullRawFile, "room", room)
+        monkeypatch.setattr(cubical, "open", lambda fd, mode: io.TextIOWrapper(io.BufferedWriter(_FullRawFile(fd, "w"))),
+                            raising=False)
+        with pytest.raises(OSError) as failure:
+            write_file(path, new)
+        assert failure.value.errno == errno.ENOSPC
+        assert path.read_bytes() == new.encode()[:room]
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.floats(allow_nan=False),

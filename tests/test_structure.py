@@ -79,6 +79,35 @@ def test_only_write_outputs_makes_directories():
     assert calls == ["harness.write_outputs"]
 
 
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether the call is ``os.open``, or an ``open`` (built-in, ``io.open`` or a method) whose mode can write."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name != "open":
+        return False
+    if owner == "os":
+        return True
+    index = 1 if isinstance(func, ast.Name) or owner == "io" else 0  # Path.open takes the mode first
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[index:index + 1]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+               for m in modes)
+
+
+def test_only_the_one_writer_opens_files_for_writing():
+    """Every file is written by ``cubical.write_file``: no other code names ``write_text`` or ``write_bytes``,
+    calls ``os.open``, or calls an ``open`` in a mode that writes."""
+    writers = set()
+    for path, tree in _parse("src/fieldscape/*.py").items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (getattr(node, "attr", getattr(node, "id", None)) in ("write_text", "write_bytes")
+                        or (isinstance(node, ast.Call) and _opens_for_writing(node))):
+                    writers.add(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
+    assert writers == {"cubical.write_file"}
+
+
 def test_harness_import_leaves_scipy_ndimage_unloaded():
     """``betti_oracle`` imports ``scipy.ndimage`` when called, so importing the harness does not pay for it."""
     code = "import sys, fieldscape.harness; print('scipy.ndimage' in sys.modules)"
