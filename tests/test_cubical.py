@@ -262,7 +262,6 @@ class TestFieldCsv:
             read_field_csv(path)
 
 
-
 class _FullRawFile(io.FileIO):
     """A raw file on a disk with ``room`` bytes free: writes stop there, then raise ENOSPC."""
 
@@ -303,8 +302,8 @@ class TestWriteFile:
         path.write_text("stale,longer,than,the,new,manifest\n" * 20)
         row = (5.0, 1.0, "Matérn-ß", "train", 0, 20250809, 0, 0, 0, 0, "fields/Matérn-ß/train-0000.csv")
         write_table(path, ",".join(MANIFEST_COLUMNS), "%g,%g,%s,%s,%d,%d:%d.%d.%d.%d,%s", [row], end="\r\n")
-        text = ",".join(MANIFEST_COLUMNS) + "\r\n5,1,Matérn-ß,train,0,20250809:0.0.0.0,fields/Matérn-ß/train-0000.csv\r\n"
-        (tmp_path / "expected.csv").write_text(text)
+        line = "5,1,Matérn-ß,train,0,20250809:0.0.0.0,fields/Matérn-ß/train-0000.csv"
+        (tmp_path / "expected.csv").write_text(",".join(MANIFEST_COLUMNS) + "\r\n" + line + "\r\n")
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
         assert [r["model"] for r in read_records(path, MANIFEST_COLUMNS)] == ["Matérn-ß"]
 
@@ -315,12 +314,17 @@ class TestWriteFile:
         path.write_text("old line\n" * 2000)
         new = "new line\n" * 1500
         monkeypatch.setattr(_FullRawFile, "room", room)
-        monkeypatch.setattr(cubical, "open", lambda fd, mode: io.TextIOWrapper(io.BufferedWriter(_FullRawFile(fd, "w"))),
-                            raising=False)
+
+        def full_disk_open(fd, mode):
+            """The built-in ``open`` that ``write_file`` wraps its descriptor with, over a raw file on a full disk."""
+            return io.TextIOWrapper(io.BufferedWriter(_FullRawFile(fd, mode)))
+
+        monkeypatch.setattr(cubical, "open", full_disk_open, raising=False)
         with pytest.raises(OSError) as failure:
             write_file(path, new)
         assert failure.value.errno == errno.ENOSPC
         assert path.read_bytes() == new.encode()[:room]
+
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.floats(allow_nan=False),

@@ -79,7 +79,6 @@ def test_only_write_outputs_makes_directories():
     assert calls == ["harness.write_outputs"]
 
 
-
 def _opens_for_writing(call: ast.Call) -> bool:
     """Whether the call is ``os.open``, or an ``open`` (built-in, ``io.open`` or a method) whose mode can write."""
     func = call.func
