@@ -100,10 +100,9 @@ def _cmd_ph(args):
 
 
 def _read_diagram(path: Path) -> PersistenceDiagram:
-    """A diagram CSV as a diagram; the file keeps neither cells nor the essential minimum."""
+    """A diagram CSV as a diagram; the file does not keep the essential minimum."""
     columns = list(zip(*read_diagram_csv(path))) or [(), (), ()]  # degree, birth, death
-    cells = [-1] * len(columns[0])
-    return PersistenceDiagram(sorted_pairs(*columns, cells, cells), essential_min=float("nan"))
+    return PersistenceDiagram(sorted_pairs(*columns), essential_min=float("nan"))
 
 
 def _cmd_vectorize(args):

@@ -10,7 +10,7 @@ it.  Each drawn sample has its own Philox substream, keyed by (row, model,
 split, index).  Every runner computes and checks everything before it writes
 through ``write_outputs``, so a run that fails writes nothing; simulate's
 manifest comes after every field.  ``run_pipeline`` holds every row's diagrams
-and censuses until then, about 4.2 KB per 16x16 field and 0.78 MB per 256x256;
+and censuses until then, about 2.7 KB per 16x16 field and 0.82 MB per 256x256;
 vectors and simulated fields are computed by their writers, so none is held.
 ``run_experiment`` holds one matern row's landscape vectors at a time, 2(N+1)K
 float64 per field, and keeps only each row's averages and differences; each

@@ -56,11 +56,12 @@ the global minimum); on a full rectangle every degree-1 class dies, so the
 diagram contains finite pairs only.
 
 A diagram keeps its pairs as one structured array, one row per pair, with
-the fields ``degree`` (int8), ``birth``, ``death``, ``birth_cell`` and
-``death_cell`` in that order, the rows sorted by (degree, birth, death,
-birth_cell).  It is a plain ``ndarray``, not a ``recarray``, so a column
-read (``pairs["birth"]``) skips ``recarray.__getitem__``; its dtype is a
-record dtype, so a single row is an ``np.record`` and reads as ``p.degree``.
+the fields ``degree`` (int8), ``birth`` and ``death`` in that order, the rows
+sorted by all three.  A diagram keeps no cells: ``_pair_cells`` gives the
+pairing's cells, for the tests that check it.  It is a plain ``ndarray``,
+not a ``recarray``, so a column read (``pairs["birth"]``) skips
+``recarray.__getitem__``; its dtype is a record dtype, so a single row is an
+``np.record`` and reads as ``p.degree``.
 
 ``betti_oracle`` is an independent check that never touches the pairing.  On
 the cell grid two cells are 4-neighbours exactly when one is a facet of the
@@ -84,8 +85,7 @@ DIAGRAM_COLUMNS = ("degree", "birth", "death")
 _LOOP_LINKS = 512
 
 
-# birth_cell and death_cell are sorted cell indices in the filtration, -1 when unknown
-PAIR_DTYPE = np.dtype([("degree", "i1"), ("birth", "f8"), ("death", "f8"), ("birth_cell", "i8"), ("death_cell", "i8")])
+PAIR_DTYPE = np.dtype([("degree", "i1"), ("birth", "f8"), ("death", "f8")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +93,7 @@ class PersistenceDiagram:
     """Finite (birth, death) pairs plus the omitted essential minimum.
 
     ``pairs`` is a ``PAIR_DTYPE`` structured array (see the module docstring);
-    equal diagrams agree in all five columns and in essential_min.
+    equal diagrams agree in all three columns and in essential_min.
 
     Pairs whose birth and death cells lie in the same lower star (the death
     value is inherited from the birth vertex through the max rule) are
@@ -112,11 +112,17 @@ class PersistenceDiagram:
         return np.array_equal(self.pairs, other.pairs) and self.essential_min == other.essential_min
 
 
-def sorted_pairs(degree, birth, death, birth_cell, death_cell) -> np.ndarray:
-    """The ``PAIR_DTYPE`` structured array of these columns, rows sorted by (degree, birth, death, birth_cell)."""
-    order = np.lexsort((birth_cell, death, birth, degree))  # stable: rows tied on all four keep their order
+def sorted_pairs(degree, birth, death) -> np.ndarray:
+    """The ``PAIR_DTYPE`` structured array of these columns, rows sorted by (degree, birth, death).
+
+    The sort is stable.  Rows tied on all three keys are equal numbers and
+    differ in bytes only by the sign of a zero (0 and -0 compare equal); they
+    keep the order they come in, which for ``compute_persistence`` is
+    birth-cell order.
+    """
+    order = np.lexsort((death, birth, degree))
     pairs = np.empty(len(order), (np.record, PAIR_DTYPE))
-    for name, column in zip(PAIR_DTYPE.names, (degree, birth, death, birth_cell, death_cell)):
+    for name, column in zip(PAIR_DTYPE.names, (degree, birth, death)):
         pairs[name] = np.asarray(column)[order]
     return pairs
 
@@ -198,15 +204,15 @@ def _elder_rule(links: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray
     return at, killed_by[at]
 
 
-def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
-    """The diagram of ``filt`` in degrees 0 and 1, by the elder rule on the primal and dual graphs.
+def _pair_cells(filt: CubicalFiltration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (degree, birth cell, death cell) arrays of ``filt``'s pairs, by the elder rule on the primal and dual graphs.
 
     Degree 0 pairs a vertex with the edge that kills its component, degree 1
     an edge with the face that fills the cycle it closes.  Both graphs are read
     from one label grid, through ``filt.grid_id`` and ``filt.grid_shape``, and
     each gets only the edges that can merge in it (see the module docstring).
-    Pairs inside one lower star are dropped; ``essential_min`` is the value
-    of the first vertex, the one component that never dies.
+    Cells are positions in the filtration; pairs inside one lower star are
+    dropped.  The pairs come in birth-cell order.
     """
     vertices, edges, faces = (np.flatnonzero(filt.dims == dim) for dim in range(3))
     h, w = filt.grid_shape
@@ -246,10 +252,18 @@ def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
     keep = [filt.crit_vertex[b] != filt.crit_vertex[d] for b, d in raw]  # same lower star: zero persistence
     degree = np.repeat(np.arange(2, dtype=np.int8), [np.count_nonzero(k) for k in keep])
     b, d = (np.concatenate([cells[k] for cells, k in zip(side, keep)]) for side in zip(*raw))
-    pairs = sorted_pairs(degree, filt.values[b], filt.values[d], b, d)
+    order = np.argsort(b)  # birth cells are distinct; sorted_pairs keeps this order among rows tied up to a zero's sign
+    return degree[order], b[order], d[order]
 
-    # the one surviving root is the oldest vertex
-    return PersistenceDiagram(pairs=pairs, essential_min=float(filt.values[vertices[0]]))
+
+def compute_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
+    """The diagram of ``filt`` in degrees 0 and 1: the values of ``_pair_cells``'s pairs, sorted.
+
+    ``essential_min`` is the value of the first vertex, the one component
+    that never dies; it is cell 0, since every lower star opens with its vertex.
+    """
+    degree, b, d = _pair_cells(filt)
+    return PersistenceDiagram(sorted_pairs(degree, filt.values[b], filt.values[d]), float(filt.values[0]))
 
 
 def betti_oracle(filt: CubicalFiltration, a: float) -> tuple[int, int]:

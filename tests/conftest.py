@@ -11,11 +11,11 @@ def flat_field(rows: int, cols: int, flat) -> ScalarField:
 
 
 def bar_diagram(bars0, bars1=()) -> PersistenceDiagram:
-    """A diagram of the (birth, death) bars of degree 0, then of degree 1, rows in the order given, cells -1.
+    """A diagram of the (birth, death) bars of degree 0, then of degree 1, rows in the order given.
 
     Nothing is sorted or dropped, so reversed, zero-length and reordered bars reach ``vectorize`` as given.
     """
-    rows = [(degree, b, d, -1, -1) for degree, bars in enumerate((bars0, bars1)) for b, d in bars]
+    rows = [(degree, b, d) for degree, bars in enumerate((bars0, bars1)) for b, d in bars]
     return PersistenceDiagram(np.array(rows, dtype=(np.record, PAIR_DTYPE)), essential_min=float("nan"))
 
 

@@ -1,7 +1,9 @@
 """Reference persistence: the standard binary column reduction with clearing.
 
 Tests compare ``compute_persistence``, which pairs cells by union-find and
-planar duality, against this independent algorithm pair for pair.
+planar duality, against this independent algorithm pair for pair: the
+diagrams byte for byte, and the (degree, birth cell, death cell) triples of
+``persistence._pair_cells`` against the ones returned here.
 
 It runs the standard binary-coefficient column reduction in filtration order
 with the clearing optimization (faces first, so edge columns that create
@@ -19,7 +21,8 @@ from fieldscape.persistence import PAIR_DTYPE, PersistenceDiagram
 import oracles
 
 
-def reference_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
+def reference_persistence(filt: CubicalFiltration) -> tuple[PersistenceDiagram, list[tuple[int, int, int]]]:
+    """The diagram of ``filt`` and its (degree, birth cell, death cell) triples, sorted."""
     dims = filt.dims
     boundary = oracles.boundary(filt)
     values = filt.values
@@ -74,11 +77,7 @@ def reference_persistence(filt: CubicalFiltration) -> PersistenceDiagram:
         raise AssertionError(f"expected one essential component, found {unpaired_vertices}")
 
     crit = filt.crit_vertex
-    rows = [
-        (deg, float(values[b]), float(values[d]), b, d)
-        for (deg, b, d) in raw_pairs
-        if crit[b] != crit[d]  # same lower star: zero persistence by construction
-    ]
-    rows.sort(key=lambda row: row[:4])  # (degree, birth, death, birth_cell)
-    pairs = np.array(rows, dtype=PAIR_DTYPE).view(np.recarray)
-    return PersistenceDiagram(pairs=pairs, essential_min=float(values[essential_cell]))
+    # same lower star: zero persistence by construction
+    cells = sorted((deg, b, d) for (deg, b, d) in raw_pairs if crit[b] != crit[d])
+    pairs = np.array(sorted((deg, float(values[b]), float(values[d])) for (deg, b, d) in cells), dtype=PAIR_DTYPE)
+    return PersistenceDiagram(pairs=pairs, essential_min=float(values[essential_cell])), cells
