@@ -177,13 +177,17 @@ def build_config(mapping: dict) -> ExperimentConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """The config of the TOML file at ``path`` (if any) with the non-None ``overrides`` laid over it."""
+    """The config of the TOML file at ``path`` (if any) with the non-None ``overrides`` laid over it.
+
+    The file is decoded from its bytes, without newline translation, so a bare
+    CR, which TOML rejects, is not read as a line break.
+    """
     mapping: dict = {}
     if path is not None:
         import tomllib  # here, not at the top: a mapping passed to build_config never pays for the import
 
         try:
-            mapping = tomllib.loads(Path(path).read_text(encoding="utf-8"))
+            mapping = tomllib.loads(Path(path).read_bytes().decode("utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -211,7 +210,8 @@ def read_table(path, header: str | None = None) -> list[list[str]]:
 
     A missing or different header line raises ValueError.
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    with open(path) as f:
+        lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if header is not None:
         if not lines or lines[0] != header:
             raise ValueError(f"{path}: expected header {header!r}")
@@ -255,7 +255,7 @@ def write_table(path, header: str, row_format: str, rows, end: str = "\n") -> No
 
 def write_file(path, text: str) -> None:
     """The one file writer: ``text`` over the file at ``path`` in place, cut at its end even if the write fails."""
-    with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:  # a copy: os.open caches a Path's str
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
         try:
             f.write(text)
             f.flush()

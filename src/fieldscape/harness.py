@@ -10,7 +10,9 @@ it.  Each drawn sample has its own Philox substream, keyed by (row, model,
 split, index).  Every runner computes and checks everything before it writes
 through ``write_outputs``, so a run that fails writes nothing; simulate's
 manifest comes after every field.  ``run_pipeline`` holds every row's diagrams
-and censuses until then, about 2.7 KB per 16x16 field and 0.82 MB per 256x256;
+and censuses until then, about 2.7 KB per 16x16 field and 0.82 MB per 256x256,
+and the output map's keys: each sample's three paths, plain ``str`` of 49 bytes
+plus their length, about 0.33 KB per field under a 27-character output path;
 vectors and simulated fields are computed by their writers, so none is held.
 ``run_experiment`` holds one matern row's landscape vectors at a time, 2(N+1)K
 float64 per field, and keeps only each row's averages and differences; each
@@ -82,42 +84,44 @@ def _parallel_map(fn, items, threads: int):
 def write_outputs(outputs: dict, threads: int = 1) -> None:
     """The one writer: make each parent of the ordered {path: writer} map once, then call each writer with its path.
 
-    An output path that is an existing directory raises IsADirectoryError,
-    and a parent whose nearest existing ancestor is not a directory raises
-    NotADirectoryError, before any directory is made or any file written.
+    A path is a ``str`` or an ``os.PathLike``.  An output path that is an
+    existing directory raises IsADirectoryError, and a parent whose nearest
+    existing ancestor is not a directory raises NotADirectoryError, before any
+    directory is made or any file written.
     """
-    parents = dict.fromkeys(path.parent for path in outputs)
-    for parent in parents:
+    # each parent once, as the paths spell it ('' for a bare name) and as a Path ('.'): one listing each
+    parents = {name: Path(name) for name in dict.fromkeys(os.path.dirname(path) for path in outputs)}
+    for parent in parents.values():
         ancestor = next(p for p in (parent, *parent.parents) if os.path.lexists(p))
         if not ancestor.is_dir():
             raise NotADirectoryError(f"output directory {ancestor} is an existing file")
-    # one listing per existing parent: a stat per output path would keep each key's path string to the end
-    directories = {parent / entry.name for parent in parents if parent.is_dir()
+    directories = {os.path.join(name, entry.name) for name, parent in parents.items() if parent.is_dir()
                    for entry in os.scandir(parent) if entry.is_dir()}
     for path in outputs:
-        if path in directories:
+        if os.fspath(path) in directories:
             raise IsADirectoryError(f"output {path} is an existing directory")
-    for parent in parents:
+    for parent in parents.values():
         parent.mkdir(parents=True, exist_ok=True)
     _parallel_map(lambda item: item[1](item[0]), outputs.items(), threads)
 
 
 class Sample(NamedTuple):
-    """One field: ``key`` is its substream key, empty when read from a manifest; ``path`` is under the output."""
+    """One field: ``key`` is its substream key, empty when read from a manifest; ``path`` is the ``str`` of its
+    normalized path under the output, ``fields/...``."""
 
     eta: float
     nu: float
     model: str
     split: str
     key: tuple[int, ...]
-    path: Path
+    path: str
 
 
 def _samples(cfg: ExperimentConfig) -> list[Sample]:
     """Every sample of the experiment, in manifest order."""
     return [
         Sample(eta, nu, name, split, (row_i, model_i, split_i, i),
-               Path("fields", row_label(eta, nu), name, f"{split}-{i:04d}.csv"))
+               f"fields/{row_label(eta, nu)}/{name}/{split}-{i:04d}.csv")
         for row_i, (eta, nu) in enumerate(cfg.matern)
         for model_i, (name, _) in enumerate(cfg.models)
         for split_i, (split, count) in enumerate((("train", cfg.train), ("test", cfg.test)))
@@ -157,7 +161,7 @@ def run_simulate(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     samples = _samples(cfg)
     rows = [(row, _row_law(cfg, row), model_specs(cfg, eta, nu)) for (eta, nu), row in _rows(samples).items()]
-    write_outputs({out / s.path: _computed(write_field_csv, _draw, cfg, s, law, specs)
+    write_outputs({os.path.join(out, s.path): _computed(write_field_csv, _draw, cfg, s, law, specs)
                    for row, law, specs in rows for s in row}, cfg.threads)
     manifest = out / "manifest.csv"
     rows = [(s.eta, s.nu, s.model, s.split, s.key[3], cfg.seed, *s.key, s.path) for s in samples]
@@ -251,21 +255,21 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     return report
 
 
-def _pipeline_row(cfg: ExperimentConfig, out: Path, samples: list[Sample]) -> dict:
+def _pipeline_row(cfg: ExperimentConfig, out: str, samples: list[Sample]) -> dict:
     """{path: writer} of the diagram, census and vector files of one matern row's samples; writes nothing."""
 
     def step(sample: Sample):
-        field = read_field_csv(out / sample.path)
+        field = read_field_csv(os.path.join(out, sample.path))
         return diagram_of_field(field), detect_critical(field)
 
     diagrams, censuses = zip(*_parallel_map(step, samples, cfg.threads))
     grid = default_grid([d for s, d in zip(samples, diagrams) if s.split == "train"], cfg.bins)
     outputs = {}
     for sample, diagram, census in zip(samples, diagrams, censuses):
-        rel = sample.path.relative_to("fields")
-        outputs[out / "diagrams" / rel] = partial(write_diagram_csv, diagram)
-        outputs[out / "censuses" / rel] = partial(write_census_csv, census)
-        outputs[out / "vectors" / rel] = _computed(write_vector_csv, vectorize, diagram, grid, cfg.depth)
+        rel = sample.path.partition("/")[2]  # below fields/
+        outputs[os.path.join(out, "diagrams", rel)] = partial(write_diagram_csv, diagram)
+        outputs[os.path.join(out, "censuses", rel)] = partial(write_census_csv, census)
+        outputs[os.path.join(out, "vectors", rel)] = _computed(write_vector_csv, vectorize, diagram, grid, cfg.depth)
     return outputs
 
 
@@ -280,9 +284,9 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
     manifest = out / "manifest.csv"
     if not manifest.exists():
         run_simulate(cfg)
-    samples: dict[Path, Sample] = {}
+    samples: dict[str, Sample] = {}
     for entry in read_records(manifest, MANIFEST_COLUMNS):
-        path = Path(entry["path"])
+        path = Path(entry["path"])  # the one Path of the entry: its checks see the normalized path
         # every read and write stays inside the output tree: no absolute path, no '..'
         if path.parts[:1] != ("fields",) or len(path.parts) < 2 or ".." in path.parts:
             raise ValueError(f"{manifest}: path {entry['path']!r} is not a relative path under fields/ without '..'")
@@ -293,17 +297,17 @@ def run_pipeline(cfg: ExperimentConfig) -> Path:
         if not (0.0 < eta < math.inf and 0.0 < nu < math.inf):
             raise ValueError(f"{manifest}: eta {entry['eta']!r} and nu {entry['nu']!r} must be finite and positive")
         # a repeated path would have its outputs written twice, the second over the first
-        if path in samples:
+        if str(path) in samples:
             raise ValueError(f"{manifest}: path {entry['path']!r} is listed twice")
         # named here by its manifest entry, not by the error of the read that would fail
-        if not (out / path).is_file():
+        if not os.path.isfile(os.path.join(out, path)):
             raise ValueError(f"{manifest}: field file {entry['path']!r} does not exist")
-        samples[path] = Sample(eta, nu, entry["model"], entry["split"], (), path)
+        samples[str(path)] = Sample(eta, nu, entry["model"], entry["split"], (), str(path))
     rows = _rows(list(samples.values()))
     # a row's vector grid comes from its training diagrams
     for (eta, nu), row in rows.items():
         if all(s.split != "train" for s in row):
             raise ValueError(f"{manifest}: matern row eta {eta:g}, nu {nu:g} has no train entry")
-    rows_outputs = [_pipeline_row(cfg, out, row) for row in rows.values()]
+    rows_outputs = [_pipeline_row(cfg, str(out), row) for row in rows.values()]
     write_outputs({path: write for outputs in rows_outputs for path, write in outputs.items()}, cfg.threads)
     return out

@@ -93,7 +93,9 @@ class PersistenceDiagram:
     """Finite (birth, death) pairs plus the omitted essential minimum.
 
     ``pairs`` is a ``PAIR_DTYPE`` structured array (see the module docstring);
-    equal diagrams agree in all three columns and in essential_min.
+    equal diagrams agree byte for byte in all three columns and in essential_min,
+    so 0 and -0, which the CSV writes apart, differ, and a NaN minimum, as a
+    diagram read from its CSV has, equals itself.
 
     Pairs whose birth and death cells lie in the same lower star (the death
     value is inherited from the birth vertex through the max rule) are
@@ -109,7 +111,7 @@ class PersistenceDiagram:
     def __eq__(self, other):
         if not isinstance(other, PersistenceDiagram):
             return NotImplemented
-        return np.array_equal(self.pairs, other.pairs) and self.essential_min == other.essential_min
+        return len({d.pairs.tobytes() + np.float64(d.essential_min).tobytes() for d in (self, other)}) == 1
 
 
 def sorted_pairs(degree, birth, death) -> np.ndarray:

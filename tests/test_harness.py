@@ -8,6 +8,7 @@ import tempfile
 import tomllib
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 from xml.dom import minidom
 
@@ -26,7 +27,7 @@ from fieldscape.config import (
     load_config,
 )
 from fieldscape.critical import critical_values_from_diagram, detect_critical
-from fieldscape.cubical import ScalarField, build_filtration, read_field_csv, read_records
+from fieldscape.cubical import ScalarField, build_filtration, read_field_csv, read_records, write_file
 from fieldscape.errors import ConfigError, TrainingError
 from fieldscape.harness import (
     MANIFEST_COLUMNS,
@@ -44,6 +45,7 @@ from fieldscape.harness import (
     run_pipeline,
     run_simulate,
     row_label,
+    write_outputs,
 )
 from fieldscape.landscape import SampleGrid, default_grid, read_vector_csv, vectorize
 from fieldscape.persistence import (
@@ -106,6 +108,13 @@ class TestConfig:
         path.write_bytes(b"seed = 1\nout = \"\xff\"\n")
         with pytest.raises(ConfigError, match="is not TOML"):
             load_config(path)
+
+    def test_crlf_ends_a_line_and_a_bare_cr_does_not(self, tmp_path):
+        """CRLF ends a line and a bare CR does not: the file is read without newline translation."""
+        assert load_config(config_file(tmp_path, "seed = 1\r\nrows = 4\r\n")).rows == 4
+        for text in ("seed = 1\r", "seed = 7\n\r"):
+            with pytest.raises(ConfigError, match="is not TOML"):
+                load_config(config_file(tmp_path, text))
 
     def test_quoted_key_and_escaped_string_read_as_toml(self, tmp_path):
         cfg = load_config(config_file(tmp_path, 'seed = 1\n"rows" = 4\nout = "a\\"b"\n'))
@@ -599,6 +608,50 @@ def test_output_parent_that_is_a_file_exits_2_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and str(run / "differences") in err
     assert list(run.rglob("*")) == [run / "differences"]
+
+
+@pytest.mark.parametrize("paths, error", [
+    pytest.param(["fields/a.csv", "fields/./a.csv"], "is listed twice", id="dot-repeats"),
+    pytest.param(["fields//a.csv"], None, id="double-slash"),
+    pytest.param(["fields/sub/../a.csv"], "is not a relative path under fields/", id="dot-dot"),
+])
+def test_manifest_paths_are_checked_as_normalized_paths(tmp_path, capsys, paths, error):
+    """``fields/./a.csv`` names ``fields/a.csv`` again, ``fields//a.csv`` writes the outputs of ``a.csv``, and
+    a ``..`` is rejected even where it would lead back under fields/; a rejected manifest writes nothing."""
+    run = tmp_path / "run"
+    (run / "fields").mkdir(parents=True)
+    (run / "fields" / "a.csv").write_text(FIELD)
+    (run / "manifest.csv").write_text("eta,nu,model,split,index,substream,path\n" + "".join(
+        f"4,1,M1,train,{i},1:0.0.0.{i},{path}\n" for i, path in enumerate(paths)))
+    code = main(["pipeline", "--seed", "1", "--bins", "4", "--depth", "1", "--out", str(run)])
+    if error is None:
+        assert code == 0
+        assert sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()) == [
+            "censuses/a.csv", "diagrams/a.csv", "fields/a.csv", "manifest.csv", "vectors/a.csv"]
+    else:
+        assert code == 2 and error in capsys.readouterr().err
+        assert sorted(p.relative_to(run).as_posix() for p in run.rglob("*")) == [
+            "fields", "fields/a.csv", "manifest.csv"]
+
+
+@pytest.mark.parametrize("key", [str, Path])
+def test_write_outputs_checks_str_and_path_keys_alike(tmp_path, monkeypatch, key):
+    """An output that is an existing directory, or whose parent is a file, raises before any directory is
+    made or any file written, for ``str`` and ``Path`` keys alike, a bare file name among them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "new" / "taken").mkdir(parents=True)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    write = partial(write_file, text="x")
+    for last, error, message in (("taken", IsADirectoryError, "output taken is"),
+                                 ("new/taken", IsADirectoryError, "output new/taken is"),
+                                 ("file/b.csv", NotADirectoryError, "output directory file is")):
+        with pytest.raises(error, match=message):
+            write_outputs({key("new/a.csv"): write, key("c.csv"): write, key(last): write})
+        assert sorted(tmp_path.rglob("*")) == before
+    write_outputs({key("new/a.csv"): write, key("c.csv"): write})
+    assert (tmp_path / "new" / "a.csv").read_text() == (tmp_path / "c.csv").read_text() == "x"
 
 
 def test_model_names_holding_percent_signs_are_written_as_they_are(tmp_path):

@@ -63,7 +63,7 @@ class TestComputePersistence:
         f = random_field(rng)
         assert diagram_of(f) == diagram_of(f)
 
-    def test_equality_reads_every_column_and_the_essential_minimum(self, ring_field):
+    def test_equality_reads_every_column_and_the_essential_minimum(self, ring_field, tmp_path):
         d = diagram_of(flat_field(1, 5, [0.0, 3.0, 1.0, 4.0, 2.0]))
         assert len(d.pairs) == 2
         for name in d.pairs.dtype.names:
@@ -72,6 +72,12 @@ class TestComputePersistence:
             assert d != PersistenceDiagram(pairs, d.essential_min), name
         assert d != PersistenceDiagram(d.pairs, d.essential_min + 1)
         assert d != diagram_of(ring_field)
+        # bytes, not values: the CSV writes a zero birth and a negative zero one apart
+        zero, negative_zero = (diagram_of(flat_field(1, 4, [1.0, z, 2.0, -1.0])) for z in (0.0, -0.0))
+        assert zero.pairs["birth"].tolist() == [0.0] and zero != negative_zero
+        # a diagram read back from its CSV has a NaN essential minimum
+        write_diagram_csv(d, tmp_path / "d.csv")
+        assert _read_diagram(tmp_path / "d.csv") == _read_diagram(tmp_path / "d.csv")
 
     def test_record_fields_and_row_attributes(self, ring_field):
         """The columns, their order and the per-row attributes that row-wise readers rely on."""

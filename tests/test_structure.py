@@ -107,6 +107,23 @@ def test_only_the_one_writer_opens_files_for_writing():
     assert writers == {"cubical.write_file"}
 
 
+def test_per_sample_code_builds_paths_as_strings():
+    """``harness._samples`` and ``harness._pipeline_row``, the code that runs once per sample, neither call
+    ``Path`` nor use the ``/`` operator: each sample's paths are ``str``, with no pathlib object per file."""
+    (tree,) = _parse("src/fieldscape/harness.py").values()
+    seen, found = set(), []
+    for top in tree.body:
+        if getattr(top, "name", None) in ("_samples", "_pipeline_row"):
+            seen.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Path":
+                    found.append(f"{top.name}: Path() at line {node.lineno}")
+                elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                    found.append(f"{top.name}: / at line {node.lineno}")
+    assert seen == {"_samples", "_pipeline_row"}
+    assert found == []
+
+
 def test_harness_import_leaves_scipy_ndimage_unloaded():
     """``betti_oracle`` imports ``scipy.ndimage`` when called, so importing the harness does not pay for it."""
     code = "import sys, fieldscape.harness; print('scipy.ndimage' in sys.modules)"
