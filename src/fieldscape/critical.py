@@ -102,7 +102,10 @@ def critical_values_from_diagram(diagram: PersistenceDiagram) -> CriticalCensus:
 
 
 def write_census_csv(census: CriticalCensus, path) -> None:
-    """Header ``row,col,value,index,multiplicity``, rows sorted by (row, col, value, index)."""
-    ev = census.events
-    events = ev[np.lexsort((ev["index"], ev["value"], ev["col"], ev["row"]))].tolist()
-    write_table(path, "row,col,value,index,multiplicity", "%d,%d,%.17g,%d,%d", events)
+    """Header ``row,col,value,index,multiplicity``, rows in the order of ``census.events``.
+
+    ``detect_critical`` lists its events by (row, col, index), and a vertex's
+    value is fixed by (row, col), so its census is written sorted by (row,
+    col, value, index).
+    """
+    write_table(path, "row,col,value,index,multiplicity", "%d,%d,%.17g,%d,%d", census.events.tolist())

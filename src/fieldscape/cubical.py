@@ -52,7 +52,11 @@ from .errors import InvalidFieldError
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real values on the vertices of a rows x cols grid."""
+    """Real values on the vertices of a rows x cols grid.
+
+    Equal fields agree in shape and byte for byte in ``values``, so 0 and -0,
+    which the CSV writes apart, differ.
+    """
 
     rows: int
     cols: int
@@ -73,11 +77,7 @@ class ScalarField:
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and np.array_equal(self.values, other.values)
-        )
+        return self.values.shape == other.values.shape and self.values.tobytes() == other.values.tobytes()
 
 
 def make_generic(field: ScalarField) -> ScalarField:

@@ -297,7 +297,7 @@ def betti_curve(diagram: PersistenceDiagram, a: float) -> tuple[int, int]:
 
 def write_diagram_csv(diagram: PersistenceDiagram, path) -> None:
     """Header ``degree,birth,death``, rows sorted by (degree, birth, death) as the pairs are."""
-    write_table(path, ",".join(DIAGRAM_COLUMNS), "%d,%.17g,%.17g", diagram.pairs[list(DIAGRAM_COLUMNS)].tolist())
+    write_table(path, ",".join(DIAGRAM_COLUMNS), "%d,%.17g,%.17g", diagram.pairs.tolist())
 
 
 def read_diagram_csv(path) -> list[tuple[int, float, float]]:

@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of landscape vectors and experiment reports.
 
 SVGs are assembled by hand with fixed-precision coordinates so identical
-inputs produce byte-identical files; no timestamps, no generated ids.  Text
-taken from the inputs (a report's comparison, a file's stem) is XML-escaped,
-and a character that XML cannot hold becomes U+FFFD.
+inputs produce byte-identical files; no timestamps, no generated ids.  Three
+helpers own the markup: ``_document`` (the head, the white background and the
+close), ``_label`` (a text element, the one place text is escaped) and
+``_line``; the renderers list what they draw.  Text is XML-escaped, and a
+character that XML cannot hold becomes U+FFFD.
 Landscape plots overlay the K level polylines per degree (sample value on x,
 persistence on y); vectors with negative entries (differences) get a
 symmetric y-axis.
@@ -33,27 +35,38 @@ _LEVEL_COLORS = (
 _NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def _text(s: str) -> str:
-    """``s`` as SVG text content: markup characters escaped, characters XML cannot hold as U+FFFD."""
-    return html.escape(_NOT_XML.sub("\ufffd", s), quote=False)
+def _fmt(x) -> str:
+    """A coordinate or axis value as written: a float to two decimals, an int as it is."""
+    return format(x, ".2f") if isinstance(x, float) else str(x)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".2f")
+def _document(width: int, parts: list[str]) -> str:
+    """SVG text of ``parts`` on a white page ``width`` wide and one panel high."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_PANEL_H}" '
+            f'viewBox="0 0 {width} {_PANEL_H}">')
+    return "\n".join([head, '<rect width="100%" height="100%" fill="white"/>', *parts, "</svg>"]) + "\n"
 
 
-def _polyline(xs, ys, color: str) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>'
+def _label(x, y, size: int, text: str, anchor: str = "") -> str:
+    """``text`` at (x, y): markup characters escaped, characters XML cannot hold as U+FFFD."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    text = html.escape(_NOT_XML.sub("\ufffd", text), quote=False)
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}"{anchor} font-family="sans-serif">{text}</text>'
 
 
-def _panel(vec: LandscapeVector, degree: int, x0: float, ymin: float, ymax: float, label: str) -> list[str]:
+def _line(x1, y1, x2, y2, stroke: str, width: float) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _panel(vec: LandscapeVector, degree: int, ymin: float, ymax: float, label: str) -> list[str]:
     ts = vec.grid.ts
     t0, t1 = float(ts[0]), float(ts[-1])
     tspan = t1 - t0 if t1 > t0 else 1.0
     yspan = ymax - ymin if ymax > ymin else 1.0
+    x0 = float(degree * (_PANEL_W + 10))
     px0, px1 = x0 + _MARGIN, x0 + _PANEL_W - 10
-    py0, py1 = _PANEL_H - _MARGIN, 14
+    py0, py1 = float(_PANEL_H - _MARGIN), 14.0
 
     def sx(t):
         return px0 + (t - t0) / tspan * (px1 - px0)
@@ -64,25 +77,18 @@ def _panel(vec: LandscapeVector, degree: int, x0: float, ymin: float, ymax: floa
     parts = [
         f'<rect x="{_fmt(px0)}" y="{_fmt(py1)}" width="{_fmt(px1 - px0)}" '
         f'height="{_fmt(py0 - py1)}" fill="none" stroke="#888" stroke-width="0.8"/>',
-        f'<text x="{_fmt((px0 + px1) / 2)}" y="{_fmt(py1 - 3)}" font-size="11" '
-        f'text-anchor="middle" font-family="sans-serif">{_text(label)}</text>',
-        f'<text x="{_fmt(px0)}" y="{_fmt(py0 + 14)}" font-size="9" font-family="sans-serif">{_fmt(t0)}</text>',
-        f'<text x="{_fmt(px1)}" y="{_fmt(py0 + 14)}" font-size="9" text-anchor="end" '
-        f'font-family="sans-serif">{_fmt(t1)}</text>',
-        f'<text x="{_fmt(px0 - 4)}" y="{_fmt(py0)}" font-size="9" text-anchor="end" '
-        f'font-family="sans-serif">{_fmt(ymin)}</text>',
-        f'<text x="{_fmt(px0 - 4)}" y="{_fmt(py1 + 4)}" font-size="9" text-anchor="end" '
-        f'font-family="sans-serif">{_fmt(ymax)}</text>',
+        _label((px0 + px1) / 2, py1 - 3, 11, label, "middle"),
+        _label(px0, py0 + 14, 9, _fmt(t0)),
+        _label(px1, py0 + 14, 9, _fmt(t1), "end"),
+        _label(px0 - 4, py0, 9, _fmt(ymin), "end"),
+        _label(px0 - 4, py1 + 4, 9, _fmt(ymax), "end"),
     ]
     if ymin < 0 < ymax:
-        parts.append(
-            f'<line x1="{_fmt(px0)}" y1="{_fmt(sy(0.0))}" x2="{_fmt(px1)}" y2="{_fmt(sy(0.0))}" '
-            f'stroke="#bbb" stroke-width="0.6"/>'
-        )
+        parts.append(_line(px0, sy(0.0), px1, sy(0.0), "#bbb", 0.6))
     for k in range(vec.depth, 0, -1):  # deepest first so level 1 draws on top
-        level = vec.level(degree, k)
+        pts = " ".join(f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in zip(ts, vec.level(degree, k)))
         color = _LEVEL_COLORS[(k - 1) % len(_LEVEL_COLORS)]
-        parts.append(_polyline([sx(t) for t in ts], [sy(v) for v in level], color))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
     return parts
 
 
@@ -96,64 +102,33 @@ def render_vector_svg(vec: LandscapeVector, title: str = "") -> str:
     if not np.isfinite(ymax - ymin):
         raise ValueError(f"{title}: a y-axis from {ymin:g} to {ymax:g} spans more than a float holds")
 
-    width = 2 * _PANEL_W + 10
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_PANEL_H}" '
-        f'viewBox="0 0 {width} {_PANEL_H}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    deg_labels = ("degree 0", "degree 1")
-    if title:
-        deg_labels = (f"{title} (degree 0)", f"{title} (degree 1)")
-    parts += _panel(vec, 0, 0, ymin, ymax, deg_labels[0])
-    parts += _panel(vec, 1, _PANEL_W + 10, ymin, ymax, deg_labels[1])
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts = []
+    for degree in (0, 1):
+        label = f"{title} (degree {degree})" if title else f"degree {degree}"
+        parts += _panel(vec, degree, ymin, ymax, label)
+    return _document(2 * _PANEL_W + 10, parts)
 
 
 def render_report_svg(rows: list[dict]) -> str:
     """SVG text of accuracy/calibration bars per report row, one group per comparison."""
     bar_w, gap, group_gap = 18, 4, 26
-    n = len(rows)
-    width = _MARGIN + n * (2 * bar_w + gap + group_gap) + 20
-    height = _PANEL_H
-    py0, py1 = height - _MARGIN - 14, 16
+    width = _MARGIN + len(rows) * (2 * bar_w + gap + group_gap) + 20
+    py0, py1 = float(_PANEL_H - _MARGIN - 14), 16
 
     def sy(v):
         return py0 - (v / 100.0) * (py0 - py1)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_fmt(py0)}" x2="{width - 10}" y2="{_fmt(py0)}" '
-        f'stroke="#333" stroke-width="0.8"/>',
-    ]
-    for frac in (0.5, 1.0):
-        parts.append(
-            f'<line x1="{_MARGIN}" y1="{_fmt(sy(100 * frac))}" x2="{width - 10}" '
-            f'y2="{_fmt(sy(100 * frac))}" stroke="#ddd" stroke-width="0.6"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN - 4}" y="{_fmt(sy(100 * frac) + 3)}" font-size="9" '
-            f'text-anchor="end" font-family="sans-serif">{int(100 * frac)}</text>'
-        )
+    parts = [_line(_MARGIN, py0, width - 10, py0, "#333", 0.8)]
+    for percent in (50, 100):
+        parts += [_line(_MARGIN, sy(percent), width - 10, sy(percent), "#ddd", 0.6),
+                  _label(_MARGIN - 4, sy(percent) + 3, 9, str(percent), "end")]
     x = float(_MARGIN + 8)
     for row in rows:
-        acc, cal = float(row["accuracy"]), float(row["calibration"])
-        parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(sy(acc))}" width="{bar_w}" '
-            f'height="{_fmt(py0 - sy(acc))}" fill="#2471a3"/>'
-        )
-        parts.append(
-            f'<rect x="{_fmt(x + bar_w + gap)}" y="{_fmt(sy(cal))}" width="{bar_w}" '
-            f'height="{_fmt(py0 - sy(cal))}" fill="#85c1e9"/>'
-        )
+        for dx, key, color in ((0, "accuracy", "#2471a3"), (bar_w + gap, "calibration", "#85c1e9")):
+            y = sy(float(row[key]))
+            parts.append(f'<rect x="{_fmt(x + dx)}" y="{_fmt(y)}" width="{bar_w}" height="{_fmt(py0 - y)}" '
+                         f'fill="{color}"/>')
         label = f"{row['comparison']} ({row['eta']},{row['nu']})"
-        parts.append(
-            f'<text x="{_fmt(x + bar_w + gap / 2)}" y="{_fmt(py0 + 12)}" font-size="8" '
-            f'text-anchor="middle" font-family="sans-serif">{_text(label)}</text>'
-        )
+        parts.append(_label(x + bar_w + gap / 2, py0 + 12, 8, label, "middle"))
         x += 2 * bar_w + gap + group_gap
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, parts)

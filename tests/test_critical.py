@@ -165,6 +165,8 @@ def test_census_counts_the_lower_stars_of_the_filtration(field):
     got = detect_critical(field).events
     assert got.dtype.descr == EVENT_DTYPE.descr
     assert got.tobytes() == np.array(want, dtype=EVENT_DTYPE).tobytes()  # bit for bit: -0.0 is not 0.0
+    # already in (row, col, value, index) order, the order write_census_csv writes them in
+    assert np.array_equal(np.lexsort((got["index"], got["value"], got["col"], got["row"])), np.arange(len(got)))
 
 
 def _lower_link_events(rank: np.ndarray, r: int, c: int) -> list[tuple[int, int]]:

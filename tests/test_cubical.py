@@ -242,6 +242,16 @@ class TestFieldCsv:
         write_field_csv(f, path)
         assert read_field_csv(path) == f
 
+    def test_equality_tells_signed_zeros_apart(self, tmp_path):
+        """0 and -0 write different CSV lines, so fields holding them differ; a field read back equals itself."""
+        f = ScalarField(1, 2, [[-0.0, 1.0]])
+        path = tmp_path / "field.csv"
+        write_field_csv(f, path)
+        assert path.read_text().splitlines()[1] == "-0,1"
+        assert read_field_csv(path) == f
+        assert f != ScalarField(1, 2, [[0.0, 1.0]])
+        assert f != ScalarField(2, 1, [[-0.0], [1.0]])
+
     def test_header_line(self, tmp_path):
         f = flat_field(2, 3, [1, 2, 3, 4, 5, 6])
         path = tmp_path / "field.csv"

@@ -47,7 +47,7 @@ from fieldscape.harness import (
     row_label,
     write_outputs,
 )
-from fieldscape.landscape import SampleGrid, default_grid, read_vector_csv, vectorize
+from fieldscape.landscape import LandscapeVector, SampleGrid, default_grid, read_vector_csv, vectorize
 from fieldscape.persistence import (
     betti_curve,
     betti_oracle,
@@ -55,6 +55,7 @@ from fieldscape.persistence import (
     read_diagram_csv,
     write_diagram_csv,
 )
+from fieldscape.plot import render_report_svg, render_vector_svg
 
 from conftest import flat_field
 from test_classify import read_model
@@ -802,6 +803,37 @@ def test_plot_escapes_text_from_its_inputs(tmp_path):
 
     assert {"M1 <v> & M2 (5,1)", "M1\ufffd (5,1)"} <= set(texts("r.svg"))
     assert "a&b (degree 0)" in texts("a&b.svg")
+
+
+# sha256 of each rendering in test_plot_bytes_are_pinned
+PLOT_DIGESTS = {
+    "plain": "d3cba01cf57efc5d51646229649d8b060f8731b747c56768bc75bfbba91b0998",
+    "titled": "d9e2c718c2c921077eae76171a55a63d100a4f1a6e760dbcb1eac708439536df",
+    "difference": "4a859a83bdd088d8cff78d7aabaf50b60fae1baf2ecb9e88fb057a271421c5b0",
+    "zero": "1910c910ae6380fa56b623ce69552300defbf7e6ef7986ceb77ba921de1b88cb",
+    "report": "8dabc8071227ca91906f5e337d194e7c4bdae8a2759472b16f993ed77d043969",
+    "report-empty": "53929377d9d80c52d5c3902947164e8a892369fff940b348a5f51c0d9b87bb6d",
+}
+
+
+def test_plot_bytes_are_pinned():
+    """The SVG text of fixed vectors and reports, byte for byte: a plain vector, one titled with markup
+    characters, a difference with negative entries, an all-zero one, a two-row report with markup and a
+    control character, and an empty report.  Entries are exact multiples of 1/4 so the digests do not hang
+    on the last bit of a libm call."""
+    grid, n = SampleGrid(-1.0, 3.0, 8), 2 * 9 * 3
+    ramp = (np.arange(n) % 7) / 4.0
+    rows = [{"comparison": "M1 <v> & M2", "eta": "5", "nu": "1", "accuracy": "90.0", "calibration": "80.5"},
+            {"comparison": "M1\x01", "eta": "2.5", "nu": "0.5", "accuracy": "55", "calibration": "100"}]
+    svgs = {
+        "plain": render_vector_svg(LandscapeVector(grid, 3, ramp)),
+        "titled": render_vector_svg(LandscapeVector(grid, 3, ramp[::-1]), title="a <b> & c"),
+        "difference": render_vector_svg(LandscapeVector(grid, 3, ramp - 0.75), title="M1-M2"),
+        "zero": render_vector_svg(LandscapeVector(grid, 3, np.zeros(n))),
+        "report": render_report_svg(rows),
+        "report-empty": render_report_svg([]),
+    }
+    assert {name: hashlib.sha256(svg.encode()).hexdigest() for name, svg in svgs.items()} == PLOT_DIGESTS
 
 
 CLASSIFY_ROLES = ("train-pos", "train-neg", "test-pos", "test-neg")

@@ -107,6 +107,18 @@ def test_only_the_one_writer_opens_files_for_writing():
     assert writers == {"cubical.write_file"}
 
 
+def test_only_the_label_helper_writes_svg_text():
+    """Every ``<text>`` of a plot is built by ``plot._label``, which escapes what it is given: no other
+    string constant in ``plot.py`` holds ``<text``, so text from the inputs is escaped by construction."""
+    (tree,) = _parse("src/fieldscape/plot.py").values()
+    builders = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "<text" in node.value:
+                builders.add(getattr(top, "name", node.lineno))
+    assert builders == {"_label"}
+
+
 def test_per_sample_code_builds_paths_as_strings():
     """``harness._samples`` and ``harness._pipeline_row``, the code that runs once per sample, neither call
     ``Path`` nor use the ``/`` operator: each sample's paths are ``str``, with no pathlib object per file."""
